@@ -197,7 +197,7 @@ BENCHMARK(BM_CrispVsFuzzyEquality)->Arg(0)->Arg(1);
 //
 // Args are {family, lanes}. Both sides go through their dispatch entry
 // point: the scalar sweeps call SatisfactionDegree -- the per-pair
-// dispatcher Value::Compare reaches on the engine's scalar path -- once
+// dispatcher Value::Compare reaches -- once
 // per pair over the same values the batch sweeps hand to
 // BatchSatisfactionDegree in one call, so the items_per_second columns
 // compare exactly what the batched operators replace (both count
@@ -453,8 +453,8 @@ int RunKernelReport(const std::string& path) {
 
   // Like the sweep benchmarks above, both sides run their dispatch
   // entry point (SatisfactionDegree is what Value::Compare calls per
-  // pair on the scalar path), so the stored ratios describe exactly
-  // the engine's scalar-vs-batch choice.
+  // pair), so the stored ratios compare per-pair calls with the batch
+  // kernels the engine's operators use.
   const auto scalar_eq = [](const Trapezoid& x, const Trapezoid& y) {
     return SatisfactionDegree(x, CompareOp::kEq, y, 1.0);
   };

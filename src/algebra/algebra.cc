@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "engine/merge_window.h"
 #include "fuzzy/interval_order.h"
 
 namespace fuzzydb {
@@ -165,21 +166,27 @@ Result<Relation> FuzzyEquiJoin(const Relation& left, size_t left_column,
   };
   std::sort(outer.begin(), outer.end(), less_on(left_column));
   std::sort(inner.begin(), inner.end(), less_on(right_column));
+  auto key_on = [](size_t col) {
+    return [col](const Tuple* t) -> const Trapezoid& {
+      return t->ValueAt(col).AsFuzzy();
+    };
+  };
+  const std::vector<SupportBounds> outer_bounds =
+      HoistSupportBounds(outer, key_on(left_column));
+  const std::vector<SupportBounds> inner_bounds =
+      HoistSupportBounds(inner, key_on(right_column));
 
   Relation out(left.name() + "_join_" + right.name(),
                ConcatSchemas(left.schema(), right.schema()));
   size_t window_start = 0;
-  for (const Tuple* l : outer) {
+  for (size_t r = 0; r < outer.size(); ++r) {
+    const Tuple* l = outer[r];
     const Trapezoid& key = l->ValueAt(left_column).AsFuzzy();
-    while (window_start < inner.size() &&
-           inner[window_start]->ValueAt(right_column).AsFuzzy().SupportEnd() <
-               key.SupportBegin()) {
-      ++window_start;
-    }
-    for (size_t i = window_start; i < inner.size(); ++i) {
+    const WindowRange window =
+        NextWindow(inner_bounds, outer_bounds[r], &window_start, nullptr);
+    for (size_t i = window.begin; i < window.end; ++i) {
       const Trapezoid& inner_key =
           inner[i]->ValueAt(right_column).AsFuzzy();
-      if (inner_key.SupportBegin() > key.SupportEnd()) break;
       const double d = std::min(
           {l->degree(), inner[i]->degree(), EqualityDegree(key, inner_key)});
       if (d > 0.0) {

@@ -34,11 +34,11 @@ struct ExecOptions {
   size_t morsel_size = 2048;
 
   /// Lanes per batch for the batch-at-a-time degree kernels (see
-  /// docs/architecture.md, "Batch execution"). 0 forces the scalar
-  /// tuple-at-a-time path everywhere (the A/B switch); values above
-  /// TrapezoidBatch::kCapacity (1024) are clamped to it. Results,
-  /// CpuStats and trace counters are identical for every setting --
-  /// the knob trades wall time only, like num_threads.
+  /// docs/architecture.md, "Batch execution"). Operators clamp it to
+  /// [1, TrapezoidBatch::kCapacity (1024)]; 1 is the degenerate
+  /// one-lane batch. Results, CpuStats and trace counters are identical
+  /// for every setting -- the knob trades wall time only, like
+  /// num_threads.
   size_t batch_size = 1024;
 
   /// When > 0, a query whose wall time reaches this many milliseconds is
@@ -64,10 +64,11 @@ struct ExecOptions {
   /// stats/column_stats.h). When set, chain join orders and per-step
   /// join algorithms come from column statistics fed through the cost
   /// model, and traced spans carry est_rows for the estimator-accuracy
-  /// gate. When false (shell --no-cbo) the legacy behavior is
-  /// reproduced exactly: sampled link selectivities and the fixed
-  /// "merge iff both keys fuzzy" rule. Answers are bit-identical either
-  /// way -- the knob trades planning signal, never semantics.
+  /// gate. When false (shell --no-cbo) the fixed rules run: chains join
+  /// in identity order, every step uses the merge window where both
+  /// keys are fuzzy, and nothing is estimated. Answers are
+  /// bit-identical either way -- the knob trades planning signal, never
+  /// semantics.
   bool cost_based = true;
 
   /// Cross-query cache (see cache/cache_manager.h). Null or a cache with

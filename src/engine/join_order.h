@@ -8,13 +8,11 @@
 // linking predicates between adjacent levels only, so the join graph is a
 // path. Left-deep orders that avoid cross products are exactly the
 // *contiguous extension* orders: start at some level, then repeatedly
-// extend the joined interval one level to the left or right. This module
-//
-//   1. estimates each link's selectivity by sampling tuple pairs, and
-//   2. runs an interval dynamic program minimizing the summed sizes of
-//      the intermediate relations,
-//
-// returning the sequence of levels to join. Any order yields the same
+// extend the joined interval one level to the left or right. Given each
+// link's estimated selectivity (from column statistics, see
+// stats/column_stats.h), this module runs an interval dynamic program
+// minimizing the summed sizes of the intermediate relations, returning
+// the sequence of levels to join. Any order yields the same
 // fuzzy answer (min is commutative/associative and dedup is max); only
 // the intermediate sizes differ.
 #ifndef FUZZYDB_ENGINE_JOIN_ORDER_H_

@@ -17,23 +17,6 @@ namespace fuzzydb {
 
 namespace {
 
-/// Combined degree of one (r, s) pair under `spec`.
-double PairDegree(const Tuple& r, const Tuple& s, const FuzzyJoinSpec& spec,
-                  CpuStats* cpu) {
-  double d = std::min(r.degree(), s.degree());
-  if (d <= 0.0) return 0.0;
-  if (cpu != nullptr) ++cpu->degree_evaluations;
-  d = std::min(d, r.ValueAt(spec.outer_key)
-                      .Compare(spec.key_op, s.ValueAt(spec.inner_key)));
-  for (const auto& residual : spec.residuals) {
-    if (d <= 0.0) break;
-    if (cpu != nullptr) ++cpu->degree_evaluations;
-    d = std::min(d, r.ValueAt(residual.outer_col)
-                        .Compare(residual.op, s.ValueAt(residual.inner_col)));
-  }
-  return d;
-}
-
 /// Scratch for the batched window evaluation (docs/architecture.md,
 /// "Batch execution"): one window chunk's tuples, operand lanes, and
 /// degree lanes. Heap-allocated once per join, reused across windows.
@@ -48,10 +31,11 @@ struct JoinScratch {
 };
 
 /// Evaluates one window chunk of `count` inner tuples against `r`,
-/// leaving the combined degrees in js->degree. Mirrors PairDegree's
-/// min-fold and early exits lane for lane (a lane joins a stage only
-/// while its degree is > 0, and degree_evaluations advances once per
-/// participating lane), so CpuStats match the scalar path exactly.
+/// leaving the combined degrees in js->degree. Mirrors
+/// FuzzyJoinSpec::PairDegree's min-fold and early exits lane for lane (a
+/// lane joins a stage only while its degree is > 0, and
+/// degree_evaluations advances once per participating lane), so degrees
+/// and CpuStats match it exactly.
 void JoinChunkDegrees(const Tuple& r, size_t count,
                       const FuzzyJoinSpec& spec, JoinScratch* js,
                       CpuStats* cpu, Histogram* fill_hist) {
@@ -122,6 +106,21 @@ void JoinChunkDegrees(const Tuple& r, size_t count,
 
 }  // namespace
 
+double FuzzyJoinSpec::PairDegree(const Tuple& r, const Tuple& s,
+                                 CpuStats* cpu) const {
+  double d = std::min(r.degree(), s.degree());
+  if (d <= 0.0) return 0.0;
+  if (cpu != nullptr) ++cpu->degree_evaluations;
+  d = std::min(d, r.ValueAt(outer_key).Compare(key_op, s.ValueAt(inner_key)));
+  for (const Residual& residual : residuals) {
+    if (d <= 0.0) break;
+    if (cpu != nullptr) ++cpu->degree_evaluations;
+    d = std::min(d, r.ValueAt(residual.outer_col)
+                        .Compare(residual.op, s.ValueAt(residual.inner_col)));
+  }
+  return d;
+}
+
 Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
                      BufferPool* pool, const FuzzyJoinSpec& spec,
                      CpuStats* cpu, const JoinEmit& emit, ExecTrace* trace,
@@ -134,9 +133,9 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
   Histogram* window_hist =
       metrics == nullptr ? nullptr : metrics->merge_window_length;
   Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
-  const size_t batch = std::min(batch_size, TrapezoidBatch::kCapacity);
-  std::unique_ptr<JoinScratch> scratch;
-  if (batch > 0) scratch = std::make_unique<JoinScratch>();
+  const size_t batch =
+      std::clamp<size_t>(batch_size, 1, TrapezoidBatch::kCapacity);
+  auto scratch = std::make_unique<JoinScratch>();
   HeapFileScanner outer_scan(sorted_outer, pool);
   HeapFileScanner inner_scan(sorted_inner, pool);
 
@@ -219,50 +218,35 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
       window.push_back(std::move(s));
     }
 
-    // Join r against its window Rng(r).
+    // Join r against its window Rng(r): evaluate the window in chunks,
+    // then emit the surviving pairs in window order.
     if (window_hist != nullptr) window_hist->Record(window.size());
-    if (batch > 0) {
-      // Batch path: evaluate the window in chunks, then emit the
-      // surviving pairs in window order -- the same pairs, degrees and
-      // counters as the scalar loop below.
-      auto it = window.begin();
-      size_t remaining = window.size();
-      while (remaining > 0) {
-        const size_t count = std::min(batch, remaining);
-        for (size_t k = 0; k < count; ++k) scratch->window[k] = &*it++;
-        remaining -= count;
-        if (cpu != nullptr) cpu->tuple_pairs += count;
-        JoinChunkDegrees(r, count, spec, scratch.get(), cpu, fill_hist);
-        for (size_t k = 0; k < count; ++k) {
-          const double d = scratch->degree[k];
-          if (d > 0.0 && d >= spec.threshold) {
-            ++emitted;
-            FUZZYDB_RETURN_IF_ERROR(emit(r, *scratch->window[k], d));
-          }
+    auto it = window.begin();
+    size_t remaining = window.size();
+    while (remaining > 0) {
+      const size_t count = std::min(batch, remaining);
+      for (size_t k = 0; k < count; ++k) scratch->window[k] = &*it++;
+      remaining -= count;
+      if (cpu != nullptr) cpu->tuple_pairs += count;
+      JoinChunkDegrees(r, count, spec, scratch.get(), cpu, fill_hist);
+      for (size_t k = 0; k < count; ++k) {
+        const double d = scratch->degree[k];
+        if (d > 0.0 && d >= spec.threshold) {
+          ++emitted;
+          FUZZYDB_RETURN_IF_ERROR(emit(r, *scratch->window[k], d));
         }
-      }
-      continue;
-    }
-    for (const Tuple& s : window) {
-      if (cpu != nullptr) ++cpu->tuple_pairs;
-      const double d = PairDegree(r, s, spec, cpu);
-      if (d > 0.0 && d >= spec.threshold) {
-        ++emitted;
-        FUZZYDB_RETURN_IF_ERROR(emit(r, s, d));
       }
     }
   }
   if (metrics != nullptr) {
     metrics->merge_join_rows_in->Add(outer_rows);
     metrics->merge_join_rows_out->Add(emitted);
-    if (scratch != nullptr && scratch->batches > 0) {
+    if (scratch->batches > 0) {
       metrics->batch_batches->Add(scratch->batches);
       metrics->batch_rows->Add(scratch->rows);
     }
   }
-  if (scratch != nullptr && scratch->batches > 0) {
-    span.SetBatches(scratch->batches, scratch->rows);
-  }
+  if (scratch->batches > 0) span.SetBatches(scratch->batches, scratch->rows);
   span.SetInputRows(outer_rows);
   span.SetOutputRows(emitted);
   return Status::OK();

@@ -46,6 +46,12 @@ struct FuzzyJoinSpec {
   /// must be sorted on the interval order of their z-cuts and pairs with
   /// combined degree < threshold are not emitted.
   double threshold = 0.0;
+
+  /// Combined degree min(r.D, s.D, d(key), d(residuals...)) of the pair
+  /// (r, s), folded in that order and stopping once it reaches 0 (the
+  /// threshold is not applied). Counts one degree evaluation per
+  /// comparison made into *cpu (null = don't count).
+  double PairDegree(const Tuple& r, const Tuple& s, CpuStats* cpu) const;
 };
 
 /// Called for each pair whose combined degree
@@ -60,9 +66,9 @@ using JoinEmit =
 /// tuple and the in-memory window is charged against the memory budget.
 ///
 /// `batch_size` chunks each outer tuple's window for the batch
-/// satisfaction-degree kernels (ExecOptions::batch_size; 0 = the scalar
-/// pair-at-a-time path). Emitted pairs, degrees and CpuStats are
-/// identical for every setting.
+/// satisfaction-degree kernels (ExecOptions::batch_size, clamped to
+/// [1, 1024]). Emitted pairs, degrees and CpuStats are identical for
+/// every setting.
 Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
                      BufferPool* pool, const FuzzyJoinSpec& spec,
                      CpuStats* cpu, const JoinEmit& emit,

@@ -64,18 +64,7 @@ Status FileNestedLoopJoin(PageFile* outer, PageFile* inner, IoStats* io,
       if (!has_s) break;
       for (const Tuple& r : block) {
         if (cpu != nullptr) ++cpu->tuple_pairs;
-        double d = std::min(r.degree(), s.degree());
-        if (d <= 0.0) continue;
-        if (cpu != nullptr) ++cpu->degree_evaluations;
-        d = std::min(d, r.ValueAt(spec.outer_key)
-                            .Compare(spec.key_op, s.ValueAt(spec.inner_key)));
-        for (const auto& residual : spec.residuals) {
-          if (d <= 0.0) break;
-          if (cpu != nullptr) ++cpu->degree_evaluations;
-          d = std::min(d,
-                       r.ValueAt(residual.outer_col)
-                           .Compare(residual.op, s.ValueAt(residual.inner_col)));
-        }
+        const double d = spec.PairDegree(r, s, cpu);
         if (d > 0.0) {
           ++emitted;
           FUZZYDB_RETURN_IF_ERROR(emit(r, s, d));

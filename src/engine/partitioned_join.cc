@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/query_context.h"
+#include "engine/merge_window.h"
 #include "fuzzy/interval_order.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,24 +14,6 @@
 namespace fuzzydb {
 
 namespace {
-
-/// Combined degree of one (r, s) pair under `spec` (same folding as the
-/// merge-join's).
-double PairDegree(const Tuple& r, const Tuple& s, const FuzzyJoinSpec& spec,
-                  CpuStats* cpu) {
-  double d = std::min(r.degree(), s.degree());
-  if (d <= 0.0) return 0.0;
-  if (cpu != nullptr) ++cpu->degree_evaluations;
-  d = std::min(d, r.ValueAt(spec.outer_key)
-                      .Compare(spec.key_op, s.ValueAt(spec.inner_key)));
-  for (const auto& residual : spec.residuals) {
-    if (d <= 0.0) break;
-    if (cpu != nullptr) ++cpu->degree_evaluations;
-    d = std::min(d, r.ValueAt(residual.outer_col)
-                        .Compare(residual.op, s.ValueAt(residual.inner_col)));
-  }
-  return d;
-}
 
 /// Index of the partition whose half-open range [bound[i-1], bound[i])
 /// contains x; boundaries are sorted, partition count = bounds.size()+1.
@@ -83,25 +66,21 @@ void ProbePartition(const std::vector<Tuple>& outer_tuples,
                     const std::vector<Tuple>& inner_tuples,
                     const FuzzyJoinSpec& spec, CpuStats* cpu,
                     std::vector<MatchRef>* matches) {
+  auto key_on = [](size_t col) {
+    return [col](const Tuple& t) -> const Trapezoid& {
+      return t.ValueAt(col).AsFuzzy();
+    };
+  };
+  const std::vector<SupportBounds> outer_bounds =
+      HoistSupportBounds(outer_tuples, key_on(spec.outer_key));
+  const std::vector<SupportBounds> inner_bounds =
+      HoistSupportBounds(inner_tuples, key_on(spec.inner_key));
   size_t window_start = 0;
   for (size_t r = 0; r < outer_tuples.size(); ++r) {
-    const Trapezoid& rk = outer_tuples[r].ValueAt(spec.outer_key).AsFuzzy();
-    while (window_start < inner_tuples.size()) {
-      const Trapezoid& sk =
-          inner_tuples[window_start].ValueAt(spec.inner_key).AsFuzzy();
-      if (cpu != nullptr) ++cpu->comparisons;
-      if (sk.SupportEnd() < rk.SupportBegin()) {
-        ++window_start;
-      } else {
-        break;
-      }
-    }
-    for (size_t i = window_start; i < inner_tuples.size(); ++i) {
-      const Trapezoid& sk = inner_tuples[i].ValueAt(spec.inner_key).AsFuzzy();
-      if (cpu != nullptr) ++cpu->comparisons;
-      if (sk.SupportBegin() > rk.SupportEnd()) break;
-      if (cpu != nullptr) ++cpu->tuple_pairs;
-      const double d = PairDegree(outer_tuples[r], inner_tuples[i], spec, cpu);
+    const WindowRange window =
+        NextWindow(inner_bounds, outer_bounds[r], &window_start, cpu);
+    for (size_t i = window.begin; i < window.end; ++i) {
+      const double d = spec.PairDegree(outer_tuples[r], inner_tuples[i], cpu);
       if (d > 0.0) matches->push_back(MatchRef{r, i, d});
     }
   }

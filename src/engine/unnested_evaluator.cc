@@ -17,6 +17,7 @@
 #include "engine/aggregate.h"
 #include "engine/cost_model.h"
 #include "engine/join_order.h"
+#include "engine/merge_window.h"
 #include "stats/column_stats.h"
 #include "engine/naive_evaluator.h"
 #include "engine/semantics.h"
@@ -61,38 +62,23 @@ QueryContext* CacheBudget(const ParallelContext& ctx) {
   return const_cast<QueryContext*>(ctx.query);
 }
 
-/// Degree of tuple `t` against the local predicates of a single-table
-/// block (subquery and correlation predicates are skipped).
-double LocalDegree(const BoundQuery& block, const Tuple& t, CpuStats* cpu) {
-  Frames frames;
-  frames.push_back({&t});
-  double d = t.degree();
-  for (const auto& pred : block.predicates) {
-    if (d <= 0.0) break;
-    if (pred.subquery != nullptr || !pred.IsLocal()) continue;
-    d = std::min(d, ComparisonDegree(pred, frames, cpu));
-  }
-  return d;
-}
-
 // ---------------------------------------------------------------------
 // Batch execution (docs/architecture.md, "Batch execution").
 //
-// The filter stage and the merge-window emit path gather their fuzzy
+// The filter stage and the pair-term evaluation gather their fuzzy
 // operands into TrapezoidBatch SoA batches and evaluate whole batches
-// through the kernels of fuzzy/degree_batch.h. The batch and scalar
-// paths share one copy of the degree arithmetic
-// (fuzzy/degree_kernels.h) and replicate each other's early-exit
-// counting lane for lane, so results, CpuStats and trace counters are
-// identical for every ExecOptions::batch_size -- only wall time
-// changes. Batches are cut inside morsels and never span one, so the
-// batch decomposition, like the morsel decomposition, is independent
-// of thread count.
+// through the kernels of fuzzy/degree_batch.h. A lane takes part in a
+// predicate only while its degree is still > 0, and
+// degree_evaluations advances once per participating lane, so results,
+// CpuStats and trace counters are identical for every
+// ExecOptions::batch_size -- only wall time changes. Batches are cut
+// inside morsels and never span one, so the batch decomposition, like
+// the morsel decomposition, is independent of thread count.
 // ---------------------------------------------------------------------
 
-/// Lanes per batch: the knob clamped to the SoA capacity; 0 = scalar.
+/// Lanes per batch: the knob clamped to [1, the SoA capacity].
 size_t EffectiveBatchSize(const ParallelContext& ctx) {
-  return std::min(ctx.batch_size, TrapezoidBatch::kCapacity);
+  return std::clamp<size_t>(ctx.batch_size, 1, TrapezoidBatch::kCapacity);
 }
 
 /// Per-worker batch-path usage, summed at the barrier (sums are
@@ -103,8 +89,8 @@ struct BatchTally {
 };
 
 /// Sums the per-worker tallies into the span annotation and the
-/// fuzzydb_batch_* counters. Spans with zero batches stay unannotated
-/// (scalar runs and batch runs without batchable work look identical).
+/// fuzzydb_batch_* counters. Spans with zero batches (no batchable
+/// work) stay unannotated.
 void PublishBatchTally(const std::vector<BatchTally>& tallies,
                        TraceScope* span) {
   uint64_t batches = 0;
@@ -233,10 +219,9 @@ bool GatherFilterOperand(const BatchOperand& op, const Tuple* tuples,
 }
 
 /// Evaluates one chunk of `count` tuples of the filter's scan range
-/// batch-at-a-time, appending survivors (in scan order) to *out.
-/// Replicates LocalDegree's min-fold and early exit lane-wise: a lane
-/// participates in a predicate only while its degree is still > 0, so
-/// degree_evaluations matches the scalar path exactly.
+/// batch-at-a-time, appending survivors (in scan order) to *out. Each
+/// tuple's degree is min(mu(t), d(p) for every local predicate p), with
+/// a lane leaving the fold once its degree reaches 0.
 void FilterChunkBatched(const std::vector<BatchPredPlan>& plans,
                         const Tuple* tuples, size_t count,
                         FilterScratch* scratch, CpuStats* slot,
@@ -401,7 +386,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   // Cross-query reuse: the survivors depend only on the block plan and
   // the relation contents, and the fingerprint pins both (relations
   // appear as id@version). Cached filters replay as (index, degree)
-  // pairs against the live tuple vector, skipping every LocalDegree call.
+  // pairs against the live tuple vector, skipping every predicate.
   std::string cache_key;
   std::vector<uint64_t> cache_deps;
   if (CacheOn(ctx)) {
@@ -431,10 +416,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   std::vector<std::vector<FT>> per_morsel((n + morsel - 1) / morsel);
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-  // Batch path: resolve each local predicate's operands once. The
-  // chunked scan below evaluates the same predicates in the same order
-  // with the same early exit as LocalDegree, so survivors, degrees and
-  // counters are identical; batch_size = 0 keeps the scalar loop.
+  // Resolve each local predicate's operands once for the chunked scan.
   const size_t batch = EffectiveBatchSize(ctx);
   std::vector<BatchPredPlan> plans;
   for (const auto& pred : block.predicates) {
@@ -445,9 +427,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
     plan.rhs = ResolveBatchOperand(pred.rhs, /*allow_outer=*/false);
     plans.push_back(plan);
   }
-  const bool use_batch = batch > 0 && !plans.empty();
-  std::vector<std::unique_ptr<FilterScratch>> scratches(
-      use_batch ? WorkerSlots(ctx) : 0);
+  std::vector<std::unique_ptr<FilterScratch>> scratches(WorkerSlots(ctx));
   std::vector<BatchTally> tallies(WorkerSlots(ctx));
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
   Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
@@ -458,19 +438,12 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
     CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
     std::vector<FT>& out = per_morsel[begin / morsel];
-    if (use_batch) {
-      std::unique_ptr<FilterScratch>& scratch = scratches[worker];
-      if (scratch == nullptr) scratch = std::make_unique<FilterScratch>();
-      for (size_t i = begin; i < end; i += batch) {
-        FilterChunkBatched(plans, &tuples[i], std::min(batch, end - i),
-                           scratch.get(), slot, &tallies[worker], fill_hist,
-                           &out);
-      }
-      return;
-    }
-    for (size_t i = begin; i < end; ++i) {
-      const double d = LocalDegree(block, tuples[i], slot);
-      if (d > 0.0) out.push_back(FT{&tuples[i], d});
+    std::unique_ptr<FilterScratch>& scratch = scratches[worker];
+    if (scratch == nullptr) scratch = std::make_unique<FilterScratch>();
+    for (size_t i = begin; i < end; i += batch) {
+      FilterChunkBatched(plans, &tuples[i], std::min(batch, end - i),
+                         scratch.get(), slot, &tallies[worker], fill_hist,
+                         &out);
     }
   });
   size_t survivors = 0;
@@ -528,9 +501,12 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
 /// between the cached and sorted paths, which is answer-neutral: every
 /// consumer folds degrees with max/min and final answers are
 /// duplicate-eliminated.
-void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
-                         const ParallelContext& ctx, CpuStats* cpu,
-                         ExecTrace* trace, const Relation* rel = nullptr) {
+///
+/// A governed stop mid-sort returns the stop status; *tuples must then
+/// not be read.
+Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
+                           const ParallelContext& ctx, CpuStats* cpu,
+                           ExecTrace* trace, const Relation* rel) {
   TraceScope span(trace, "interval-sort", cpu, nullptr,
                   "col" + std::to_string(col));
   span.SetInputRows(tuples->size());
@@ -560,18 +536,19 @@ void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
       if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
         m->sort_rows->Add(tuples->size());
       }
-      return;
+      return Status::OK();
     }
   }
   uint64_t comparisons = 0;
-  ParallelSort(ctx, tuples, cpu == nullptr ? nullptr : &comparisons,
-               [col](uint64_t* count) {
-                 return [col, count](const FT& x, const FT& y) {
-                   ++*count;
-                   return IntervalOrderLess(x.tuple->ValueAt(col).AsFuzzy(),
-                                            y.tuple->ValueAt(col).AsFuzzy());
-                 };
-               });
+  FUZZYDB_RETURN_IF_ERROR(ParallelSort(
+      ctx, tuples, cpu == nullptr ? nullptr : &comparisons,
+      [col](uint64_t* count) {
+        return [col, count](const FT& x, const FT& y) {
+          ++*count;
+          return IntervalOrderLess(x.tuple->ValueAt(col).AsFuzzy(),
+                                   y.tuple->ValueAt(col).AsFuzzy());
+        };
+      }));
   if (cpu != nullptr) cpu->comparisons += comparisons;
   if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
     m->sort_rows->Add(tuples->size());
@@ -586,31 +563,20 @@ void SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
     ctx.cache->InsertPermutation(cache_key, std::move(perm), {rel->id()},
                                  CacheBudget(ctx));
   }
+  return Status::OK();
 }
 
-/// The support interval of a sort-key value, hoisted out of the merge
-/// window's inner loop: the window scan examines every pair, and
-/// re-deriving ValueAt(col).AsFuzzy() bounds per pair dominated its cost.
-struct SupportBounds {
-  double begin = 0.0;
-  double end = 0.0;
-};
-
-/// Precomputes the (SupportBegin, SupportEnd) array of `col`, once per
-/// join input.
-std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
-                                              size_t col) {
-  std::vector<SupportBounds> bounds(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    const Trapezoid& k = tuples[i].tuple->ValueAt(col).AsFuzzy();
-    bounds[i] = SupportBounds{k.SupportBegin(), k.SupportEnd()};
-  }
-  return bounds;
+/// The support bounds of fuzzy column `col` of every filtered tuple.
+std::vector<SupportBounds> HoistKeyBounds(const std::vector<FT>& tuples,
+                                          size_t col) {
+  return HoistSupportBounds(tuples, [col](const FT& ft) -> const Trapezoid& {
+    return ft.tuple->ValueAt(col).AsFuzzy();
+  });
 }
 
 /// The extended merge-join enumeration (Section 3): both inputs sorted on
 /// their key columns; for each outer tuple, emits exactly the inner tuples
-/// of Rng(r) (Definition 3.2).
+/// of Rng(r) (Definition 3.2), as found by NextWindow.
 ///
 /// Parallelization: the *outer* sorted input is cut into morsels; the
 /// window logic is read-only over the inner side, so morsels are
@@ -628,10 +594,9 @@ std::vector<SupportBounds> HoistSupportBounds(const std::vector<FT>& tuples,
 /// whatever the emit callback tallied into them -- are folded into
 /// `total_cpu` at the barrier, inside this operator's trace span.
 ///
-/// A batching emit callback buffers pairs and needs a drain point that
-/// keeps batches from spanning morsels: `morsel_flush(worker)`, when
-/// set, runs at the end of every morsel body. `batch_tallies`, when
-/// set, is published into this operator's span after the fold.
+/// The emit callback buffers pairs into batches; `morsel_flush(worker)`
+/// runs at the end of every morsel body so batches never span morsels.
+/// `batch_tallies` is published into this operator's span after the fold.
 void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
                  const std::vector<FT>& inner, size_t inner_col,
                  const ParallelContext& ctx,
@@ -639,9 +604,9 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
                  ExecTrace* trace,
                  const std::function<void(size_t, const FT&, const FT&)>&
                      emit,
-                 const std::function<void(size_t)>& morsel_flush = {},
-                 const std::vector<BatchTally>* batch_tallies = nullptr,
-                 uint64_t est_pairs = TraceNode::kNoCount) {
+                 const std::function<void(size_t)>& morsel_flush,
+                 const std::vector<BatchTally>& batch_tallies,
+                 uint64_t est_pairs) {
   TraceScope span(trace, "merge-window", total_cpu, nullptr,
                   "inner=" + std::to_string(inner.size()));
   span.SetInputRows(outer.size());
@@ -656,9 +621,9 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
   Histogram* window_hist =
       metrics == nullptr ? nullptr : metrics->merge_window_length;
   const std::vector<SupportBounds> outer_bounds =
-      HoistSupportBounds(outer, outer_col);
+      HoistKeyBounds(outer, outer_col);
   const std::vector<SupportBounds> inner_bounds =
-      HoistSupportBounds(inner, inner_col);
+      HoistKeyBounds(inner, inner_col);
   std::vector<double> inner_end_max(inner_bounds.size());
   double running = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < inner_bounds.size(); ++i) {
@@ -683,27 +648,15 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
           inner_end_max.begin());
     }
     for (size_t r = begin; r < end; ++r) {
-      const SupportBounds& rk = outer_bounds[r];
-      while (window_start < inner.size()) {
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (inner_bounds[window_start].end < rk.begin) {
-          ++window_start;
-        } else {
-          break;
-        }
-      }
-      uint64_t window_len = 0;
-      for (size_t i = window_start; i < inner.size(); ++i) {
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (inner_bounds[i].begin > rk.end) break;
-        if (cpu != nullptr) ++cpu->tuple_pairs;
-        ++window_len;
+      const WindowRange window =
+          NextWindow(inner_bounds, outer_bounds[r], &window_start, cpu);
+      for (size_t i = window.begin; i < window.end; ++i) {
         emit(worker, outer[r], inner[i]);
       }
-      if (window_hist != nullptr) window_hist->Record(window_len);
-      worker_pairs[worker] += window_len;
+      if (window_hist != nullptr) window_hist->Record(window.size());
+      worker_pairs[worker] += window.size();
     }
-    if (morsel_flush) morsel_flush(worker);
+    morsel_flush(worker);
   });
   folder.Fold();
   uint64_t emitted = 0;
@@ -716,7 +669,7 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
       RecordQError(est_pairs, emitted);
     }
   }
-  if (batch_tallies != nullptr) PublishBatchTally(*batch_tallies, &span);
+  PublishBatchTally(batch_tallies, &span);
 }
 
 /// The decomposed shape of one subquery predicate and its inner block.
@@ -781,32 +734,17 @@ std::optional<LinkShape> DecomposeLink(const BoundPredicate& pred) {
   return shape;
 }
 
-/// Degree of the correlation predicates for the pair (r, s).
-double CorrelationDegree(const LinkShape& shape, const Tuple& r,
-                         const Tuple& s, CpuStats* cpu) {
-  if (shape.correlations.empty()) return 1.0;
-  Frames frames;
-  frames.push_back({&r});
-  frames.push_back({&s});
-  double d = 1.0;
-  for (const BoundPredicate* pred : shape.correlations) {
-    if (d <= 0.0) break;
-    d = std::min(d, ComparisonDegree(*pred, frames, cpu));
-  }
-  return d;
-}
-
-/// One buffered (outer, inner) pair from the merge-window scan. The
-/// pointers reference the window's stable sorted vectors; `index` is
-/// the pair's slot in the caller's per-outer degree vector.
+/// One buffered (outer, inner) pair. The pointers reference the
+/// caller's stable tuple vectors; `index` is the pair's slot in the
+/// caller's per-outer degree vector.
 struct PairEntry {
   const FT* r = nullptr;
   const FT* s = nullptr;
   size_t index = 0;
 };
 
-/// Reusable per-worker scratch for the batched merge-window emit path:
-/// the pending pairs of the current morsel plus operand/degree lanes.
+/// Reusable per-worker scratch for the batched pair terms: the pending
+/// pairs of the current morsel plus operand/degree lanes.
 struct PairScratch {
   std::vector<PairEntry> entries;
   TrapezoidBatch lhs;
@@ -842,14 +780,13 @@ bool GatherPairOperand(const BatchOperand& op, const PairEntry* entries,
   return true;
 }
 
-/// Evaluates and drains one worker's pending pairs: the correlation
-/// min-fold, the linking comparison, then the max-fold into m[]. This
-/// is `pair_term` (see InFamilyDegrees) lane for lane -- the same
-/// early exits (correlation lanes drop out at degree 0; the link is
-/// only evaluated for terms still > 0) and the same counting, so
-/// CpuStats are identical to the scalar emit for every batch size.
-/// Concurrent flushes write disjoint m[] slots: a morsel's sorted
-/// positions belong to one worker and order[] is a permutation.
+/// Evaluates and drains one worker's pending pairs: the pair term
+/// min(d_S(s), d(corr(r, s)), f(d(r.Y op s.Z))) by the correlation
+/// min-fold and the linking comparison, then the max-fold into m[].
+/// Correlation lanes drop out at degree 0, and the link is only
+/// evaluated for terms still > 0. Concurrent flushes write disjoint m[]
+/// slots: a morsel's sorted positions belong to one worker and order[]
+/// is a permutation.
 void FlushPairBatch(const LinkShape& shape,
                     const std::vector<BatchPredPlan>& corr_plans,
                     const BatchOperand& link_lhs,
@@ -915,10 +852,9 @@ void FlushPairBatch(const LinkShape& shape,
     }
     if (live > 0) {
       GatheredOperand lhs, rhs;
-      // The scalar path's link comparison is Value::Compare with the
-      // *default* tolerance (the predicate's approx_tolerance applies
-      // to its direct comparison, not the quantified link), so the
-      // batch kernel must use 1.0 as well.
+      // The link compares with Value::Compare's default tolerance, 1.0:
+      // the predicate's approx_tolerance applies to its direct
+      // comparison, not the quantified link.
       const bool batched =
           GatherPairOperand(link_lhs, entries, active, live, &ps->lhs,
                             &lhs) &&
@@ -1023,18 +959,25 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
   std::vector<double> m(outer.size(), 0.0);
 
-  // `slot` is the caller's CpuStats in the serial branches and a
-  // per-worker slot inside the parallel merge window.
-  auto pair_term = [&](CpuStats* slot, const FT& r, const FT& s) -> double {
-    double term =
-        std::min(s.degree, CorrelationDegree(shape, *r.tuple, *s.tuple, slot));
-    if (term <= 0.0 || !shape.has_link_columns) return term;
-    if (slot != nullptr) ++slot->degree_evaluations;
-    const double link =
-        r.tuple->ValueAt(shape.outer_link_col)
-            .Compare(shape.link_op, s.tuple->ValueAt(shape.inner_link_col));
-    return std::min(term, shape.negate_link ? 1.0 - link : link);
-  };
+  // Both pairing paths below evaluate their pair terms batch-at-a-time
+  // through FlushPairBatch.
+  const size_t batch = EffectiveBatchSize(ctx);
+  std::vector<BatchPredPlan> corr_plans;
+  for (const BoundPredicate* pred : shape.correlations) {
+    BatchPredPlan plan;
+    plan.pred = pred;
+    plan.lhs = ResolveBatchOperand(pred->lhs, /*allow_outer=*/true);
+    plan.rhs = ResolveBatchOperand(pred->rhs, /*allow_outer=*/true);
+    corr_plans.push_back(plan);
+  }
+  BatchOperand link_lhs;
+  link_lhs.kind = BatchOperand::Kind::kOuterColumn;
+  link_lhs.column = shape.outer_link_col;
+  BatchOperand link_rhs;
+  link_rhs.kind = BatchOperand::Kind::kLocalColumn;
+  link_rhs.column = shape.inner_link_col;
+  EngineMetrics* metrics = EngineMetrics::IfEnabled();
+  Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
 
   const bool link_is_eq_fuzzy =
       shape.has_link_columns && shape.link_op == CompareOp::kEq &&
@@ -1060,84 +1003,54 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
       sort_span.SetInputRows(outer.size());
       sort_span.SetThreads(WorkerSlots(ctx));
       uint64_t order_comparisons = 0;
-      ParallelSort(ctx, &order,
-                   cpu == nullptr ? nullptr : &order_comparisons,
-                   [&outer, outer_key](uint64_t* count) {
-                     return [&outer, outer_key, count](size_t a, size_t b) {
-                       ++*count;
-                       return IntervalOrderLess(
-                           outer[a].tuple->ValueAt(outer_key).AsFuzzy(),
-                           outer[b].tuple->ValueAt(outer_key).AsFuzzy());
-                     };
-                   });
+      FUZZYDB_RETURN_IF_ERROR(ParallelSort(
+          ctx, &order, cpu == nullptr ? nullptr : &order_comparisons,
+          [&outer, outer_key](uint64_t* count) {
+            return [&outer, outer_key, count](size_t a, size_t b) {
+              ++*count;
+              return IntervalOrderLess(
+                  outer[a].tuple->ValueAt(outer_key).AsFuzzy(),
+                  outer[b].tuple->ValueAt(outer_key).AsFuzzy());
+            };
+          }));
       if (cpu != nullptr) cpu->comparisons += order_comparisons;
     }
     std::vector<FT> sorted_outer(outer.size());
     for (size_t i = 0; i < order.size(); ++i) sorted_outer[i] = outer[order[i]];
-    SortByIntervalOrder(&inner, inner_key, ctx, cpu, trace,
-                        shape.inner->tables[0].relation);
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
+        &inner, inner_key, ctx, cpu, trace, shape.inner->tables[0].relation));
 
     // Each sorted position belongs to exactly one morsel and order[] is a
     // permutation, so concurrent workers write disjoint m[idx] slots.
     std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
     const FT* base = sorted_outer.data();
-    const size_t batch = EffectiveBatchSize(ctx);
-    std::function<void(size_t, const FT&, const FT&)> emit;
-    std::function<void(size_t)> morsel_flush;
     std::vector<BatchTally> tallies(WorkerSlots(ctx));
-    std::vector<std::unique_ptr<PairScratch>> pair_scratch(
-        batch > 0 ? WorkerSlots(ctx) : 0);
-    std::vector<BatchPredPlan> corr_plans;
-    BatchOperand link_lhs;
-    BatchOperand link_rhs;
-    if (batch > 0) {
-      for (const BoundPredicate* pred : shape.correlations) {
-        BatchPredPlan plan;
-        plan.pred = pred;
-        plan.lhs = ResolveBatchOperand(pred->lhs, /*allow_outer=*/true);
-        plan.rhs = ResolveBatchOperand(pred->rhs, /*allow_outer=*/true);
-        corr_plans.push_back(plan);
+    std::vector<std::unique_ptr<PairScratch>> pair_scratch(WorkerSlots(ctx));
+    // Buffer window pairs per worker and evaluate them batch-at-a-time;
+    // the morsel flush drains remainders so batches never span a morsel
+    // and the batch decomposition stays thread-invariant.
+    auto emit = [&](size_t worker, const FT& r, const FT& s) {
+      std::unique_ptr<PairScratch>& ps = pair_scratch[worker];
+      if (ps == nullptr) {
+        ps = std::make_unique<PairScratch>();
+        ps->entries.reserve(batch);
       }
-      link_lhs.kind = BatchOperand::Kind::kOuterColumn;
-      link_lhs.column = shape.outer_link_col;
-      link_rhs.kind = BatchOperand::Kind::kLocalColumn;
-      link_rhs.column = shape.inner_link_col;
-      EngineMetrics* metrics = EngineMetrics::IfEnabled();
-      Histogram* fill_hist =
-          metrics == nullptr ? nullptr : metrics->batch_fill;
-      // Buffer window pairs per worker and evaluate them batch-at-a-
-      // time; the morsel flush drains remainders so batches never span
-      // a morsel and the batch decomposition stays thread-invariant.
-      emit = [&, fill_hist, batch](size_t worker, const FT& r, const FT& s) {
-        std::unique_ptr<PairScratch>& ps = pair_scratch[worker];
-        if (ps == nullptr) {
-          ps = std::make_unique<PairScratch>();
-          ps->entries.reserve(batch);
-        }
-        ps->entries.push_back(
-            PairEntry{&r, &s, order[static_cast<size_t>(&r - base)]});
-        if (ps->entries.size() >= batch) {
-          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(),
-                         cpu == nullptr ? nullptr : &worker_cpu[worker],
-                         &tallies[worker], fill_hist, &m);
-        }
-      };
-      morsel_flush = [&, fill_hist](size_t worker) {
-        if (pair_scratch[worker] != nullptr) {
-          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs,
-                         pair_scratch[worker].get(),
-                         cpu == nullptr ? nullptr : &worker_cpu[worker],
-                         &tallies[worker], fill_hist, &m);
-        }
-      };
-    } else {
-      emit = [&](size_t worker, const FT& r, const FT& s) {
-        const size_t idx = order[static_cast<size_t>(&r - base)];
-        CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
-        const double term = pair_term(slot, r, s);
-        if (term > m[idx]) m[idx] = term;
-      };
-    }
+      ps->entries.push_back(
+          PairEntry{&r, &s, order[static_cast<size_t>(&r - base)]});
+      if (ps->entries.size() >= batch) {
+        FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(),
+                       cpu == nullptr ? nullptr : &worker_cpu[worker],
+                       &tallies[worker], fill_hist, &m);
+      }
+    };
+    auto morsel_flush = [&](size_t worker) {
+      if (pair_scratch[worker] != nullptr) {
+        FlushPairBatch(shape, corr_plans, link_lhs, link_rhs,
+                       pair_scratch[worker].get(),
+                       cpu == nullptr ? nullptr : &worker_cpu[worker],
+                       &tallies[worker], fill_hist, &m);
+      }
+    };
     // Planner estimate for the window: |outer| times the overlap
     // fanout predicted by the key columns' support-corner summaries --
     // the statistics replacement for the paper's "known" C.
@@ -1151,7 +1064,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     }
     MergeWindow(sorted_outer, outer_key, inner, inner_key, ctx,
                 cpu == nullptr ? nullptr : &worker_cpu, cpu, trace, emit,
-                morsel_flush, batch > 0 ? &tallies : nullptr, est_pairs);
+                morsel_flush, tallies, est_pairs);
     FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
   } else if (shape.correlations.empty() && !shape.has_link_columns) {
     // Uncorrelated EXISTS: a constant -- the possibility that the inner
@@ -1192,14 +1105,23 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
                             "inner=" + std::to_string(inner.size()));
     pairing_span.SetInputRows(outer.size());
     PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    auto ps = std::make_unique<PairScratch>();
+    ps->entries.reserve(batch);
+    BatchTally tally;
     for (size_t i = 0; i < outer.size(); ++i) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
+      if (cpu != nullptr) cpu->tuple_pairs += inner.size();
       for (const FT& s : inner) {
-        if (cpu != nullptr) ++cpu->tuple_pairs;
-        const double term = pair_term(cpu, outer[i], s);
-        if (term > m[i]) m[i] = term;
+        ps->entries.push_back(PairEntry{&outer[i], &s, i});
+        if (ps->entries.size() >= batch) {
+          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(), cpu,
+                         &tally, fill_hist, &m);
+        }
       }
     }
+    FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(), cpu,
+                   &tally, fill_hist, &m);
+    PublishBatchTally({tally}, &pairing_span);
   }
 
   std::vector<double> degrees(outer.size());
@@ -1311,28 +1233,21 @@ Result<std::vector<double>> AggregateFamilyDegrees(
                 if (cpu != nullptr) ++cpu->comparisons;
                 return IntervalOrderLess(x.AsFuzzy(), y.AsFuzzy());
               });
-    SortByIntervalOrder(&inner, v_col, ctx, cpu, trace,
-                        shape.inner->tables[0].relation);
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
+        &inner, v_col, ctx, cpu, trace, shape.inner->tables[0].relation));
+    const std::vector<SupportBounds> u_bounds = HoistSupportBounds(
+        t1_sorted, [](const Value& u) -> const Trapezoid& {
+          return u.AsFuzzy();
+        });
+    const std::vector<SupportBounds> v_bounds = HoistKeyBounds(inner, v_col);
     size_t window_start = 0;
-    for (const Value& u : t1_sorted) {
+    for (size_t j = 0; j < t1_sorted.size(); ++j) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      const Trapezoid& uk = u.AsFuzzy();
-      while (window_start < inner.size()) {
-        const Trapezoid& vk =
-            inner[window_start].tuple->ValueAt(v_col).AsFuzzy();
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (vk.SupportEnd() < uk.SupportBegin()) {
-          ++window_start;
-        } else {
-          break;
-        }
-      }
+      const Value& u = t1_sorted[j];
+      const WindowRange window =
+          NextWindow(v_bounds, u_bounds[j], &window_start, cpu);
       Relation group("", Schema{Column{"Z", ValueType::kFuzzy}});
-      for (size_t i = window_start; i < inner.size(); ++i) {
-        const Trapezoid& vk = inner[i].tuple->ValueAt(v_col).AsFuzzy();
-        if (cpu != nullptr) ++cpu->comparisons;
-        if (vk.SupportBegin() > uk.SupportEnd()) break;
-        if (cpu != nullptr) ++cpu->tuple_pairs;
+      for (size_t i = window.begin; i < window.end; ++i) {
         const double d = std::min(
             inner[i].degree, corr_degree(u, inner[i].tuple->ValueAt(v_col)));
         if (d > 0.0) {
@@ -1467,12 +1382,13 @@ double ChainPredicateDegree(const BoundPredicate& pred, size_t block_of_pred,
                                     pred.approx_tolerance);
 }
 
-/// K-level chain queries (Section 8): flat K-way join, with the join
-/// order chosen by the interval DP of join_order.h over sampled link
-/// selectivities (the paper's "optimal join order ... determined by a
-/// dynamic programming method").
+/// K-level chain queries (Section 8): flat K-way join. With
+/// ctx.cost_based the join order is chosen by the interval DP of
+/// join_order.h over estimated link selectivities (the paper's "optimal
+/// join order ... determined by a dynamic programming method");
+/// otherwise levels join outermost-to-innermost.
 Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
-                          CpuStats* cpu, ExecTrace* trace, bool use_planner,
+                          CpuStats* cpu, ExecTrace* trace,
                           std::vector<size_t>* chosen_order) {
   std::vector<const BoundQuery*> blocks;
   std::vector<const BoundPredicate*> links;  // links[k]: block k -> k+1
@@ -1534,9 +1450,9 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   // ---- Join-order planning ------------------------------------------
   // cost_based: per-edge column summaries feed the DP's selectivities,
   // the per-step cardinality estimates, and the merge-vs-nested cost
-  // decisions. Otherwise (--no-cbo) the legacy pair-sampling path runs
-  // unchanged. Either way any order yields the same fuzzy answer (see
-  // join_order.h); the knob trades planning signal only.
+  // decisions. Otherwise (--no-cbo) levels join in identity order, every
+  // step merges where legal, and nothing is estimated. Any order yields
+  // the same fuzzy answer (see join_order.h).
   std::vector<size_t> order(k_levels);
   std::iota(order.begin(), order.end(), 0);
 
@@ -1556,56 +1472,14 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
           1e-6,
           EstimateJoinSelectivity(edge_outer_stats[e], edge_inner_stats[e])));
     }
-  }
-
-  if (use_planner && k_levels > 2 && ctx.cost_based) {
-    TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
-                         "levels=" + std::to_string(k_levels));
-    order = PlanChainJoinOrder(est_stats).levels;
-    if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-      m->planner_plans->Add();
-    }
-  } else if (use_planner && k_levels > 2) {
-    TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
-                         "levels=" + std::to_string(k_levels));
-    ChainStats stats;
-    for (size_t k = 0; k < k_levels; ++k) {
-      stats.cardinality.push_back(static_cast<double>(filtered[k].size()));
-    }
-    for (size_t e = 0; e + 1 < k_levels; ++e) {
-      // Deterministic stride sample of pairs; count positive link (and
-      // adjacent correlation) degrees.
-      const auto& left = filtered[e];
-      const auto& right = filtered[e + 1];
-      const size_t samples = 24;
-      const size_t lstep = std::max<size_t>(1, left.size() / samples);
-      const size_t rstep = std::max<size_t>(1, right.size() / samples);
-      size_t total = 0, positive = 0;
-      for (size_t i = 0; i < left.size(); i += lstep) {
-        for (size_t j = 0; j < right.size(); j += rstep) {
-          ++total;
-          double d = left[i].tuple->ValueAt(edge_outer_col(e))
-                         .Compare(CompareOp::kEq,
-                                  right[j].tuple->ValueAt(edge_inner_col(e)));
-          for (const BoundPredicate* pred : correlations[e + 1]) {
-            if (d <= 0.0) break;
-            if (pred->lhs.column.up > 1 ||
-                (pred->rhs.is_column && pred->rhs.column.up > 1)) {
-              continue;  // skip-level correlation: not estimable pairwise
-            }
-            std::vector<const Tuple*> slots(e + 2, nullptr);
-            slots[e] = left[i].tuple;
-            slots[e + 1] = right[j].tuple;
-            d = std::min(d, ChainPredicateDegree(*pred, e + 1, slots, nullptr));
-          }
-          positive += d > 0.0;
-        }
+    if (k_levels > 2) {
+      TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
+                           "levels=" + std::to_string(k_levels));
+      order = PlanChainJoinOrder(est_stats).levels;
+      if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
+        m->planner_plans->Add();
       }
-      stats.selectivity.push_back(
-          std::max(1e-6, static_cast<double>(positive) /
-                             static_cast<double>(std::max<size_t>(1, total))));
     }
-    order = PlanChainJoinOrder(stats).levels;
   }
   if (chosen_order != nullptr) *chosen_order = order;
 
@@ -1725,35 +1599,27 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
     }
 
     if (use_merge) {
+      auto row_key = [&](const Row& row) -> const Trapezoid& {
+        return row.tuples[row_level]->ValueAt(row_col).AsFuzzy();
+      };
       std::sort(rows.begin(), rows.end(), [&](const Row& x, const Row& y) {
         if (cpu != nullptr) ++cpu->comparisons;
-        return IntervalOrderLess(
-            x.tuples[row_level]->ValueAt(row_col).AsFuzzy(),
-            y.tuples[row_level]->ValueAt(row_col).AsFuzzy());
+        return IntervalOrderLess(row_key(x), row_key(y));
       });
-      SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
-                          blocks[level]->tables[0].relation);
+      FUZZYDB_RETURN_IF_ERROR(
+          SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
+                              blocks[level]->tables[0].relation));
+      const std::vector<SupportBounds> row_bounds =
+          HoistSupportBounds(rows, row_key);
+      const std::vector<SupportBounds> incoming_bounds =
+          HoistKeyBounds(incoming, new_col);
       size_t window_start = 0;
-      for (const Row& row : rows) {
+      for (size_t r = 0; r < rows.size(); ++r) {
         FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-        const Trapezoid& rk =
-            row.tuples[row_level]->ValueAt(row_col).AsFuzzy();
-        while (window_start < incoming.size()) {
-          const Trapezoid& sk =
-              incoming[window_start].tuple->ValueAt(new_col).AsFuzzy();
-          if (cpu != nullptr) ++cpu->comparisons;
-          if (sk.SupportEnd() < rk.SupportBegin()) {
-            ++window_start;
-          } else {
-            break;
-          }
-        }
-        for (size_t i = window_start; i < incoming.size(); ++i) {
-          const Trapezoid& sk = incoming[i].tuple->ValueAt(new_col).AsFuzzy();
-          if (cpu != nullptr) ++cpu->comparisons;
-          if (sk.SupportBegin() > rk.SupportEnd()) break;
-          if (cpu != nullptr) ++cpu->tuple_pairs;
-          FUZZYDB_RETURN_IF_ERROR(join_pair(row, incoming[i]));
+        const WindowRange window =
+            NextWindow(incoming_bounds, row_bounds[r], &window_start, cpu);
+        for (size_t i = window.begin; i < window.end; ++i) {
+          FUZZYDB_RETURN_IF_ERROR(join_pair(rows[r], incoming[i]));
         }
       }
     } else {
@@ -2029,7 +1895,7 @@ Result<Relation> UnnestingEvaluator::EvaluateInType(
     case QueryType::kChain:
       last_chain_order_.clear();
       return RunChain(query, MakeContext(), cpu_, options_.trace,
-                      use_join_order_planner_, &last_chain_order_);
+                      &last_chain_order_);
   }
   return Status::Internal("unhandled query type");
 }

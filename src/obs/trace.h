@@ -59,7 +59,7 @@ struct TraceNode {
   uint64_t est_rows = kNoCount;
   /// Batch execution (docs/architecture.md): batch-kernel invocations
   /// inside the span and the lanes they evaluated. kNoCount when the
-  /// operator ran scalar (batch_size = 0) or had no batchable work.
+  /// operator had no batchable work.
   /// Like the counter deltas these are thread-count-invariant, but they
   /// *do* vary with ExecOptions::batch_size, so they are deliberately
   /// not part of the determinism signature in parallel_test.cc.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/query_context.h"
+#include "common/status.h"
 #include "parallel/morsel.h"
 #include "parallel/thread_pool.h"
 
@@ -47,7 +48,7 @@ struct ParallelContext {
 
   /// Lanes per batch for the batch-at-a-time degree kernels inside
   /// morsel bodies (ExecOptions::batch_size, clamped by the operators
-  /// to TrapezoidBatch::kCapacity); 0 = scalar tuple-at-a-time path.
+  /// to [1, TrapezoidBatch::kCapacity]).
   /// Batches never span a morsel, so batch decomposition -- like the
   /// morsel decomposition -- is a pure function of (size, morsel_size,
   /// batch_size), independent of thread count.
@@ -94,6 +95,11 @@ void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
 /// the counted total (a deterministic function of the input) is added to
 /// *comparisons when non-null.
 ///
+/// Returns the query's stop status (CANCELLED, DEADLINE_EXCEEDED or
+/// RESOURCE_EXHAUSTED) when ctx.query stops the sort between morsels. *v
+/// is then unspecified -- a merge round that stopped early leaves
+/// default-constructed elements in it -- and must not be read.
+///
 /// Algorithm: the vector is cut into fixed runs of ctx.morsel_size, each
 /// run is std::sort-ed (in parallel), and runs are combined by rounds of
 /// pairwise merges with a fixed tree shape (pairs merged in parallel
@@ -103,8 +109,9 @@ void ParallelFor(const ParallelContext& ctx, size_t total, size_t morsel_size,
 /// than one morsel degenerate to a single std::sort -- today's serial
 /// behavior, bit for bit.
 template <typename T, typename MakeLess>
-void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
-                  uint64_t* comparisons, MakeLess&& make_less) {
+[[nodiscard]] Status ParallelSort(const ParallelContext& ctx,
+                                  std::vector<T>* v, uint64_t* comparisons,
+                                  MakeLess&& make_less) {
   const size_t n = v->size();
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   uint64_t total = 0;
@@ -122,6 +129,7 @@ void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
                 v->begin() + static_cast<ptrdiff_t>(end),
                 make_less(&run_counts[begin / morsel]));
     });
+    FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
     for (uint64_t c : run_counts) total += c;
 
     // Pairwise merge rounds over a ping-pong buffer.
@@ -153,12 +161,14 @@ void ParallelSort(const ParallelContext& ctx, std::vector<T>* v,
           }
         }
       });
+      FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
       for (uint64_t c : pair_counts) total += c;
       std::swap(src, dst);
     }
     if (src != v) *v = std::move(*src);
   }
   if (comparisons != nullptr) *comparisons += total;
+  return Status::OK();
 }
 
 }  // namespace fuzzydb

@@ -175,7 +175,9 @@ bool Session::ExecuteSet(const std::string& line, ReplyFrame* frame) {
   const std::string& value = words[2];
   if (key == "batch_size") {
     uint64_t lanes = 0;
-    if (!ParseCount(value, &lanes)) return fail("bad batch_size: " + value);
+    if (!ParseCount(value, &lanes) || lanes == 0) {
+      return fail("bad batch_size (want a lane count >= 1): " + value);
+    }
     options_.batch_size = static_cast<size_t>(lanes);
   } else if (key == "cache") {
     if (EqualsIgnoreCase(value, "on")) {

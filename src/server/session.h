@@ -8,7 +8,7 @@
 //
 // Per-session execution options are SET-able over the wire:
 //
-//   SET batch_size N        lanes per batch (0 = scalar path)
+//   SET batch_size N        lanes per batch (>= 1; above 1024 clamps)
 //   SET cache on|off        consult the process-wide cross-query cache
 //   SET slow_query_ms X     slow-query-log threshold (0 = off)
 //   SET timeout_ms X        per-query deadline (0 = none)

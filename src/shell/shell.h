@@ -116,14 +116,14 @@ class Shell {
   uint64_t memory_budget() const { return memory_budget_; }
 
   /// Lanes per batch for the batch-at-a-time degree kernels
-  /// (ExecOptions::batch_size): 0 forces the scalar tuple-at-a-time
-  /// path, values above the SoA capacity (1024) are clamped. Answers
-  /// and counters are identical for every setting.
+  /// (ExecOptions::batch_size): operators clamp it to [1, 1024], the
+  /// SoA capacity. Answers and counters are identical for every setting.
   void set_batch_size(size_t lanes) { batch_size_ = lanes; }
 
   /// Cost-based physical planning (ExecOptions::cost_based; tool flag
-  /// --no-cbo clears it). Off reproduces the legacy fixed-rule plans
-  /// exactly; answers are bit-identical either way.
+  /// --no-cbo clears it). Off runs the fixed-rule plans: chains join in
+  /// identity order and merge wherever legal. Answers are bit-identical
+  /// either way.
   void set_cost_based(bool on) { cost_based_ = on; }
 
   /// Worker threads for the parallel operators (ExecOptions::

@@ -112,18 +112,18 @@ Result<std::unique_ptr<PageFile>> ExternalSort(
         metrics->sort_rows->Add(batch.size());
       }
       if (parallel != nullptr) {
-        ParallelSort(*parallel, &batch, &stats->comparisons,
-                     [&less](uint64_t* count) {
-                       return [&less, count](const Tuple& a, const Tuple& b) {
-                         ++*count;
-                         return less(a, b);
-                       };
-                     });
+        FUZZYDB_RETURN_IF_ERROR(ParallelSort(
+            *parallel, &batch, &stats->comparisons, [&less](uint64_t* count) {
+              return [&less, count](const Tuple& a, const Tuple& b) {
+                ++*count;
+                return less(a, b);
+              };
+            }));
       } else {
         std::sort(batch.begin(), batch.end(), counting_less);
       }
-      // A stop mid-ParallelSort leaves the batch partially sorted; do not
-      // write it out as a run.
+      // ParallelSort reports stops of parallel->query only; a stop of
+      // `query` must not write the batch out as a run either.
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(query));
       const std::string path =
           temp_prefix + ".run" + std::to_string(run_paths.size());

@@ -42,7 +42,7 @@ Catalog MakeCatalog(uint64_t seed) {
 }
 
 /// Runs `query` through the unnesting evaluator with the given cache
-/// (null = cache off), thread count, and batch size (0 = scalar path).
+/// (null = cache off), thread count, and batch size.
 Result<Relation> RunQuery(const std::string& query, const Catalog& catalog,
                      CacheManager* cache, size_t threads = 1,
                      QueryContext* context = nullptr,
@@ -130,9 +130,9 @@ TEST(CacheDeterminismTest, WarmRunsMatchCacheOffAtEveryThreadCount) {
   CacheStats reference;
   bool have_reference = false;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // The batch-kernel knob joins the matrix: cached filter replays,
-    // cold batched scans, and the scalar path must agree exactly.
-    for (size_t batch_size : {0u, 1u, 7u, 1024u}) {
+    // The batch-kernel knob joins the matrix: cached filter replays and
+    // cold batched scans at every batch size must agree exactly.
+    for (size_t batch_size : {1u, 7u, 1024u}) {
       const std::string label = "threads=" + std::to_string(threads) +
                                 " batch=" + std::to_string(batch_size);
       CacheManager cache;

@@ -81,8 +81,12 @@ TEST_F(ExplainTest, WithThresholdShown) {
 
 // ----------------------- EXPLAIN [ANALYZE] -----------------------------
 
+// Runs `script` through a shell pinned to one engine thread: spans print
+// a threads=N annotation only when N > 1, so the goldens below are
+// byte-identical on every machine.
 std::string RunShell(const std::string& script) {
   Shell shell;
+  shell.set_num_threads(1);
   std::istringstream in(script);
   std::ostringstream out;
   shell.Run(in, out, /*interactive=*/false);
@@ -90,17 +94,15 @@ std::string RunShell(const std::string& script) {
 }
 
 // Strips the fields a golden comparison may not depend on: wall-clock
-// times, per-phase times, and the worker-slot annotation
-// (machine-dependent). Which phases appear stays asserted -- the enter
-// pattern is deterministic; only the durations vary.
+// times and per-phase times. Which phases appear stays asserted -- the
+// enter pattern is deterministic; only the durations vary.
 std::string Normalize(const std::string& text) {
-  std::string out =
+  const std::string out =
       std::regex_replace(text, std::regex("wall=[0-9]+\\.[0-9]+ms"),
                          "wall=<t>");
-  out = std::regex_replace(
+  return std::regex_replace(
       out, std::regex("(plan|filter|sort|window|join|emit)=[0-9.]+ms"),
       "$1=<t>");
-  return std::regex_replace(out, std::regex("threads=[0-9]+"), "threads=<n>");
 }
 
 constexpr const char* kExplainSetup = R"(
@@ -133,9 +135,8 @@ TEST(ExplainAnalyzeTest, TypeJaGolden) {
 
   // The golden tail: classification, plan, per-operator trace with
   // cardinalities and exact counter deltas, and the answer count. Wall
-  // times and worker counts are normalized away; every counter is
-  // thread-count-invariant (see parallel_test.cc), so this text is
-  // stable across machines.
+  // times are normalized away; every counter is thread-count-invariant
+  // (see parallel_test.cc), so this text is stable across machines.
   const std::string kGolden =
       "-- type JA\n"
       "plan: type JA (Theorem 6.1)\n"
@@ -219,6 +220,79 @@ TEST(ExplainAnalyzeTest, BatchAnnotationsGolden) {
 
   const std::string normalized = Normalize(out);
   const size_t start = normalized.find("-- type N");
+  ASSERT_NE(start, std::string::npos) << out;
+  EXPECT_EQ(normalized.substr(start), kGolden);
+}
+
+// A K=3 chain whose link keys overlap only in part, so every chain-join
+// step's merge window both retires inner tuples and stops early.
+constexpr const char* kChainExplainSetup = R"(
+CREATE TABLE R (C0 FUZZY, C1 FUZZY, C2 FUZZY);
+CREATE TABLE S (C0 FUZZY, C1 FUZZY);
+CREATE TABLE T (C0 FUZZY, C1 FUZZY);
+INSERT INTO R VALUES (1, ABOUT(5, 1), ABOUT(3, 1));
+INSERT INTO R VALUES (2, ABOUT(9, 1), ABOUT(3, 1));
+INSERT INTO R VALUES (3, ABOUT(14, 2), ABOUT(7, 1));
+INSERT INTO R VALUES (4, ABOUT(20, 1), ABOUT(7, 1));
+INSERT INTO R VALUES (5, ABOUT(6, 2), ABOUT(11, 1));
+INSERT INTO R VALUES (6, ABOUT(31, 1), ABOUT(9, 1));
+INSERT INTO S VALUES (ABOUT(6, 1), ABOUT(3, 1));
+INSERT INTO S VALUES (ABOUT(9, 1), ABOUT(4, 1));
+INSERT INTO S VALUES (ABOUT(15, 1), ABOUT(7, 1));
+INSERT INTO S VALUES (ABOUT(25, 1), ABOUT(8, 1));
+INSERT INTO S VALUES (ABOUT(5, 1), ABOUT(11, 1));
+INSERT INTO S VALUES (ABOUT(30, 2), ABOUT(9, 1));
+INSERT INTO T VALUES (ABOUT(6, 1), ABOUT(3, 1));
+INSERT INTO T VALUES (ABOUT(10, 1), ABOUT(4, 1));
+INSERT INTO T VALUES (ABOUT(15, 2), ABOUT(7, 1));
+INSERT INTO T VALUES (ABOUT(30, 1), ABOUT(9, 1));
+INSERT INTO T VALUES (ABOUT(2, 1), ABOUT(12, 1));
+)";
+
+TEST(ExplainAnalyzeTest, ChainGolden) {
+  // Pins the chain-join steps' windowed pairs, degree evaluations and
+  // comparisons, which the N and JA goldens above do not reach.
+  const std::string out = RunShell(
+      std::string(kChainExplainSetup) +
+      "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 IN "
+      "(SELECT T.C0 FROM T WHERE T.C1 = S.C1));\n");
+
+  const std::string kGolden =
+      "-- type CHAIN\n"
+      "plan: type CHAIN (Theorem 8.1)\n"
+      "  scan R (6 tuples)\n"
+      "  semijoin (IN) on R.C1\n"
+      "    scan S (6 tuples)\n"
+      "    correlation: S.C1 = outer(1)\n"
+      "    semijoin (IN) on S.C0\n"
+      "      scan T (5 tuples)\n"
+      "      correlation: T.C1 = outer(1)\n"
+      "execution trace:\n"
+      "evaluate [CHAIN] wall=<t> rows=->4 "
+      "cpu={pairs=11 degrees=21 cmp=72 subq=0}\n"
+      "  filter [R] wall=<t> rows=6->6 est=6 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "  filter [S] wall=<t> rows=6->6 est=6 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "  filter [T] wall=<t> rows=5->5 est=5 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "  plan-join-order [levels=3] wall=<t> "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "  chain-join [level=1 alg=merge] wall=<t> rows=5->4 est=8 "
+      "cpu={pairs=5 degrees=10 cmp=35 subq=0}\n"
+      "    interval-sort [col0] wall=<t> rows=6 "
+      "cpu={pairs=0 degrees=0 cmp=9 subq=0}\n"
+      "  chain-join [level=0 alg=merge] wall=<t> rows=4->4 est=14 "
+      "cpu={pairs=6 degrees=11 cmp=37 subq=0}\n"
+      "    interval-sort [col1] wall=<t> rows=6 "
+      "cpu={pairs=0 degrees=0 cmp=13 subq=0}\n"
+      "  emit wall=<t> rows=4->4 cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "-- 4 answer tuples\n"
+      "-- phases=plan=<t> filter=<t> sort=<t> join=<t> emit=<t>\n";
+
+  const std::string normalized = Normalize(out);
+  const size_t start = normalized.find("-- type CHAIN");
   ASSERT_NE(start, std::string::npos) << out;
   EXPECT_EQ(normalized.substr(start), kGolden);
 }

@@ -313,7 +313,13 @@ class JournalTest : public IntrospectionTest {
  protected:
   void SetUp() override {
     IntrospectionTest::SetUp();
-    dir_ = fs::path(::testing::TempDir()) / "fuzzydb_journal_test";
+    // One directory per test: ctest runs the cases as concurrent
+    // processes, which must not rotate or remove each other's journal.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("fuzzydb_journal_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "journal.jsonl").string();

@@ -191,12 +191,13 @@ TEST_P(ChainOrderEquivalenceTest, PlannedAndUnplannedAgree) {
   ASSERT_EQ(Classify(*bound), QueryType::kChain);
 
   UnnestingEvaluator planned;
-  planned.set_use_join_order_planner(true);
   ASSERT_OK_AND_ASSIGN(Relation with_planner, planned.Evaluate(*bound));
   EXPECT_EQ(planned.last_chain_order().size(), 3u);
 
-  UnnestingEvaluator unplanned;
-  unplanned.set_use_join_order_planner(false);
+  // Without cost-based planning the levels join in identity order.
+  ExecOptions fixed;
+  fixed.cost_based = false;
+  UnnestingEvaluator unplanned(fixed);
   ASSERT_OK_AND_ASSIGN(Relation without_planner, unplanned.Evaluate(*bound));
   EXPECT_EQ(unplanned.last_chain_order(),
             std::vector<size_t>({0, 1, 2}));
@@ -242,7 +243,6 @@ TEST(CostBasedEquivalenceTest, BitIdenticalAcrossModesAndThreads) {
       options.cost_based = cost_based;
       options.num_threads = threads;
       UnnestingEvaluator evaluator(options);
-      evaluator.set_use_join_order_planner(true);
       ASSERT_OK_AND_ASSIGN(Relation answer, evaluator.Evaluate(*bound));
       if (!have_reference) {
         reference = std::move(answer);

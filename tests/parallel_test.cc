@@ -211,7 +211,7 @@ TEST(ParallelSortTest, MatchesStdSortOracle) {
     ThreadPool pool(4);
     ParallelContext ctx{&pool, /*morsel_size=*/128};
     uint64_t comparisons = 0;
-    ParallelSort(ctx, &values, &comparisons, CountingIntLess());
+    ASSERT_OK(ParallelSort(ctx, &values, &comparisons, CountingIntLess()));
     EXPECT_EQ(values, expected) << "n=" << n;
     if (n > 1) {
       EXPECT_GT(comparisons, 0u);
@@ -232,7 +232,7 @@ TEST(ParallelSortTest, OrderAndCountInvariantAcrossThreadCounts) {
     ParallelContext ctx{threads > 1 ? &pool : nullptr, /*morsel_size=*/256};
     std::vector<int> values = input;
     uint64_t comparisons = 0;
-    ParallelSort(ctx, &values, &comparisons, CountingIntLess());
+    ASSERT_OK(ParallelSort(ctx, &values, &comparisons, CountingIntLess()));
     if (reference.empty()) {
       reference = values;
       reference_count = comparisons;
@@ -240,6 +240,45 @@ TEST(ParallelSortTest, OrderAndCountInvariantAcrossThreadCounts) {
       EXPECT_EQ(values, reference) << threads << " threads";
       EXPECT_EQ(comparisons, reference_count) << threads << " threads";
     }
+  }
+}
+
+// A stop inside a merge round leaves default-constructed elements in the
+// merge buffer, so ParallelSort must report the stop rather than hand
+// that buffer back as the sorted output.
+TEST(ParallelSortTest, StopInsideAMergeRoundReturnsTheStopStatus) {
+  constexpr size_t kMorsel = 4;
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> dist(0, 99);
+  std::vector<int> input(8 * kMorsel);
+  for (auto& v : input) v = dist(rng);
+  // The per-run sorts make exactly these comparator calls (the same
+  // std::sort over the same runs), so the next call is the first one
+  // of the first merge round.
+  uint64_t run_calls = 0;
+  for (auto run = input.begin(); run != input.end(); run += kMorsel) {
+    std::vector<int> copy(run, run + kMorsel);
+    std::sort(copy.begin(), copy.end(), CountingIntLess()(&run_calls));
+  }
+
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    ParallelContext ctx{threads > 1 ? &pool : nullptr, kMorsel};
+    QueryContext query;
+    ctx.query = &query;
+    std::atomic<uint64_t> calls{0};
+    auto cancel_inside_merge = [&](uint64_t* count) {
+      return [&, count](int a, int b) {
+        ++*count;
+        if (calls.fetch_add(1) == run_calls) query.Cancel();
+        return a < b;
+      };
+    };
+    std::vector<int> values = input;
+    const Status status =
+        ParallelSort(ctx, &values, nullptr, cancel_inside_merge);
+    EXPECT_EQ(status.code(), StatusCode::kCancelled) << threads << " threads";
+    EXPECT_GT(calls.load(), run_calls) << threads << " threads";
   }
 }
 
@@ -347,13 +386,13 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   NaiveEvaluator naive;
   ASSERT_OK_AND_ASSIGN(Relation oracle, naive.Evaluate(*bound));
 
-  // The reference is the pure scalar serial run: one thread, batch
-  // kernels off. Every (threads, batch_size) combination must
-  // reproduce it exactly -- tuples, degrees, counters, and trace.
+  // The reference is the serial one-lane run: one thread, batch size 1.
+  // Every (threads, batch_size) combination must reproduce it exactly
+  // -- tuples, degrees, counters, and trace.
   ExecOptions options;
   options.morsel_size = 16;
   options.num_threads = 1;
-  options.batch_size = 0;
+  options.batch_size = 1;
   ExecTrace reference_trace;
   options.trace = &reference_trace;
   CpuStats reference_cpu;
@@ -365,11 +404,11 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   ASSERT_FALSE(reference_signature.empty());
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // Batch sizes chosen to exercise the scalar A/B switch (0), the
-    // degenerate one-lane batch (1), a ragged morsel-interior size (7),
-    // and the full SoA capacity (1024).
-    for (size_t batch_size : {0u, 1u, 7u, 1024u}) {
-      if (threads == 1 && batch_size == 0) continue;  // the reference
+    // Batch sizes chosen to exercise the degenerate one-lane batch (1),
+    // a ragged morsel-interior size (7), and the full SoA capacity
+    // (1024).
+    for (size_t batch_size : {1u, 7u, 1024u}) {
+      if (threads == 1 && batch_size == 1) continue;  // the reference
       options.num_threads = threads;
       options.batch_size = batch_size;
       ExecTrace trace;

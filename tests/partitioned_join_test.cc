@@ -58,8 +58,9 @@ TEST_P(PartitionedJoinTest, MatchesNestedLoopOracleExactly) {
   PairMap expected;
   uint64_t expected_emissions = 0;
   IoStats nl_io;
+  CpuStats nl_cpu;
   ASSERT_OK(FileNestedLoopJoin(r_file.get(), s_file.get(), &nl_io, 8, spec,
-                               nullptr,
+                               &nl_cpu,
                                [&](const Tuple& r, const Tuple& s, double d) {
                                  ++expected_emissions;
                                  auto [it, fresh] =
@@ -97,6 +98,35 @@ TEST_P(PartitionedJoinTest, MatchesNestedLoopOracleExactly) {
   }
   EXPECT_GE(stats.partitions, 1u);
   EXPECT_LE(stats.partitions, num_partitions);
+
+  // Exact counters, recorded from the serial window scan: partitioning
+  // changes how many boundary comparisons the scans make, never which
+  // pairs they examine.
+  struct Expected {
+    uint64_t seed;
+    size_t partitions;
+    uint64_t comparisons;
+    uint64_t pairs;
+    uint64_t degrees;
+    uint64_t nested_loop_degrees;  // its pairs are always 300 x 300
+  };
+  static const Expected kExpected[] = {
+      {81, 1, 7907, 1522, 3044, 91522},  {81, 4, 6810, 1522, 3044, 91522},
+      {81, 16, 5810, 1522, 3044, 91522}, {82, 1, 8109, 1486, 2972, 91486},
+      {82, 4, 6891, 1486, 2972, 91486},  {82, 16, 5919, 1486, 2972, 91486},
+      {83, 1, 8061, 1473, 2946, 91473},  {83, 4, 6796, 1473, 2946, 91473},
+      {83, 16, 5970, 1473, 2946, 91473},
+  };
+  const Expected* want = nullptr;
+  for (const Expected& e : kExpected) {
+    if (e.seed == seed && e.partitions == num_partitions) want = &e;
+  }
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(cpu.comparisons, want->comparisons);
+  EXPECT_EQ(cpu.tuple_pairs, want->pairs);
+  EXPECT_EQ(cpu.degree_evaluations, want->degrees);
+  EXPECT_EQ(nl_cpu.tuple_pairs, 90000u);
+  EXPECT_EQ(nl_cpu.degree_evaluations, want->nested_loop_degrees);
 
   r_file.reset();
   s_file.reset();

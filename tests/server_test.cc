@@ -139,10 +139,12 @@ TEST(SessionTest, SetOptionsValidatedAndApplied) {
 
   EXPECT_EQ(session.Execute("SET batch_size banana").status,
             "INVALID_ARGUMENT");
+  // Batch size 1 is the smallest batch; there is no scalar mode.
+  EXPECT_EQ(session.Execute("SET batch_size 0").status, "INVALID_ARGUMENT");
   EXPECT_EQ(session.Execute("SET cache maybe").status, "INVALID_ARGUMENT");
   EXPECT_EQ(session.Execute("SET nonsense 1").status, "INVALID_ARGUMENT");
   EXPECT_EQ(session.Execute("SET batch_size").status, "INVALID_ARGUMENT");
-  EXPECT_EQ(session.errors(), 4u);
+  EXPECT_EQ(session.errors(), 5u);
 }
 
 TEST(SessionTest, ErrorsCarryMachineReadableStatus) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (run from anywhere; CI runs it on push).
 
-Two checks over README.md, DESIGN.md, CHANGES.md, ROADMAP.md, and
+Three checks over README.md, DESIGN.md, CHANGES.md, ROADMAP.md, and
 docs/*.md:
 
  1. Every relative markdown link resolves: the target file exists, and
@@ -16,9 +16,17 @@ docs/*.md:
     docs/operations.md, so the operator-facing catalog cannot silently
     drift from the code.
 
+ 3. Every source path cited in README.md, DESIGN.md, and docs/*.md
+    exists: `src/...` paths (globs and {a,b} alternatives expanded),
+    and `.h`/`.cc` paths under a src/ directory written without the
+    prefix (engine/merge_join.cc). CHANGES.md and ROADMAP.md are
+    history and plans, so they may cite paths that are gone or not yet
+    written.
+
 Exit code 0 = clean, 1 = findings (each printed as file:line message).
 """
 
+import glob
 import os
 import re
 import sys
@@ -119,6 +127,38 @@ METRIC_SOURCES = (
 )
 
 
+def source_path_re():
+    src = os.path.join(REPO, "src")
+    dirs = sorted(d for d in os.listdir(src)
+                  if os.path.isdir(os.path.join(src, d)))
+    return re.compile(
+        r"(?<![\w./-])(src/[\w./*-]*(?:\{[\w,]+\}[\w.]*)?"
+        r"|(?:%s)/[\w./*-]*\.(?:h|cc)\b)" % "|".join(dirs))
+
+
+def expand_alternatives(path):
+    m = re.search(r"\{([\w,]+)\}", path)
+    if not m:
+        return [path]
+    return [path[:m.start()] + alt + path[m.end():]
+            for alt in m.group(1).split(",")]
+
+
+def check_source_paths(path, pattern, findings):
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    for lineno, line in strip_fenced(lines):
+        for m in pattern.finditer(line):
+            cited = m.group(1).rstrip(".")
+            if not cited.startswith("src/"):
+                cited = "src/" + cited
+            for candidate in expand_alternatives(cited):
+                if not glob.glob(os.path.join(REPO, candidate)):
+                    findings.append(
+                        f"{os.path.relpath(path, REPO)}:{lineno}: "
+                        f"cited source path '{m.group(1)}' does not exist")
+
+
 def check_metrics_coverage(findings):
     operations = os.path.join(REPO, "docs", "operations.md")
     sources = [s for s in METRIC_SOURCES
@@ -141,16 +181,19 @@ def check_metrics_coverage(findings):
 
 def main():
     findings = []
+    pattern = source_path_re()
     for path in doc_files():
         check_links(path, findings)
+        if os.path.basename(path) not in ("CHANGES.md", "ROADMAP.md"):
+            check_source_paths(path, pattern, findings)
     check_metrics_coverage(findings)
     for finding in findings:
         print(finding)
     if findings:
         print(f"check_docs: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print("check_docs: all links resolve and the metrics catalog is "
-          "complete")
+    print("check_docs: all links resolve, every cited source path exists, "
+          "and the metrics catalog is complete")
     return 0
 
 

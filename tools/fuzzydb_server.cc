@@ -143,7 +143,9 @@ int main(int argc, char** argv) {
       }
       config.session_defaults.slow_query_ms = ms;
     } else if (arg.rfind("--batch-size=", 0) == 0) {
-      if (!ParseUint(value_of("--batch-size="), &number)) return Usage();
+      if (!ParseUint(value_of("--batch-size="), &number) || number == 0) {
+        return Usage();
+      }
       config.session_defaults.batch_size = static_cast<size_t>(number);
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!ParseUint(value_of("--threads="), &number)) return Usage();

@@ -23,8 +23,9 @@
 //                                        keep as PATH.1..PATH.N
 //                                        (default 3)
 //   fuzzydb_shell --no-cbo               disable cost-based planning
-//                                        (legacy fixed-rule plans;
-//                                        answers are bit-identical)
+//                                        (identity join order, merge
+//                                        where legal; answers are
+//                                        bit-identical)
 //   fuzzydb_shell --wal-dir=DIR          write-ahead durability: recover
 //                                        the database in DIR, log every
 //                                        mutation (docs/durability.md)
@@ -179,8 +180,8 @@ int main(int argc, char** argv) {
       const unsigned long long lanes =
           std::strtoull(arg.c_str() + kBatchFlag.size(), &end, 10);
       if (errno != 0 || end == arg.c_str() + kBatchFlag.size() ||
-          *end != '\0') {
-        std::cerr << "bad --batch-size value (want a lane count, 0 = scalar): "
+          *end != '\0' || lanes == 0) {
+        std::cerr << "bad --batch-size value (want a lane count >= 1): "
                   << arg << "\n";
         return 2;
       }
