@@ -383,6 +383,7 @@ volatile double g_report_sink = 0.0;
 
 struct KernelTimings {
   double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;
   uint64_t evaluations = 0;
 };
 
@@ -391,7 +392,7 @@ void AddEntry(bench::BenchReport* report, const std::string& name,
   ExecStats stats;
   stats.cpu.degree_evaluations = t.evaluations;
   stats.total_seconds = t.wall_seconds;
-  stats.cpu_seconds = t.wall_seconds;
+  stats.cpu_seconds = t.cpu_seconds;
   report->Add(name, stats);
 }
 
@@ -401,10 +402,12 @@ KernelTimings RunScalarSweep(const std::vector<Trapezoid>& values,
   KernelTimings t;
   double sum = 0.0;
   Stopwatch watch;
+  CpuStopwatch cpu_watch;
   for (size_t rep = 0; rep < reps; ++rep) {
     for (const Trapezoid& x : values) sum += f(x, probe);
   }
   t.wall_seconds = watch.ElapsedSeconds();
+  t.cpu_seconds = cpu_watch.ElapsedSeconds();
   t.evaluations = static_cast<uint64_t>(reps) * values.size();
   g_report_sink = sum;
   return t;
@@ -423,6 +426,7 @@ KernelTimings RunBatchSweep(const std::vector<Trapezoid>& values,
   KernelTimings t;
   double sum = 0.0;
   Stopwatch watch;
+  CpuStopwatch cpu_watch;
   for (size_t rep = 0; rep < reps; ++rep) {
     for (TrapezoidBatch& chunk : chunks) {
       f(chunk, probe, chunk.degrees());
@@ -430,6 +434,7 @@ KernelTimings RunBatchSweep(const std::vector<Trapezoid>& values,
     }
   }
   t.wall_seconds = watch.ElapsedSeconds();
+  t.cpu_seconds = cpu_watch.ElapsedSeconds();
   t.evaluations = static_cast<uint64_t>(reps) * values.size();
   g_report_sink = sum;
   return t;

@@ -140,8 +140,10 @@ int main(int argc, char** argv) {
       UnnestingEvaluator evaluator(options, &cpu);
 
       Stopwatch watch;
+      CpuStopwatch cpu_watch;
       auto answer = evaluator.Evaluate(**bound);
       const double seconds = watch.ElapsedSeconds();
+      const double cpu_seconds = cpu_watch.ElapsedSeconds();
       if (!answer.ok()) {
         std::fprintf(stderr, "K=%zu %s run failed: %s\n", chain.k_levels,
                      cost_based ? "cbo" : "fixed",
@@ -166,6 +168,7 @@ int main(int argc, char** argv) {
       ExecStats stats;
       stats.cpu = cpu;
       stats.total_seconds = seconds;
+      stats.cpu_seconds = cpu_seconds;
       const char* mode = cost_based ? "cbo" : "fixed";
       std::printf("%3zu %8s | %10s %12llu | %8.2f %8.2f | %6s\n",
                   chain.k_levels, mode, Seconds(seconds).c_str(),

@@ -79,10 +79,11 @@ struct ExecOptions {
   CacheManager* cache = nullptr;  // not owned
 
   /// Live progress publication for SHOW QUERIES / sys.queries (see
-  /// obs/query_registry.h). Operators bump its counters at morsel
-  /// granularity and switch its phase on the control thread; null (the
-  /// default) disables introspection at one pointer test per touch
-  /// point, the same discipline as `trace`. Progress counters are
+  /// obs/query_registry.h). Workers bump its morsel counters; each
+  /// operator's OpScope (obs/op_scope.h) switches its phase and folds
+  /// its rows on the control thread. Null (the default) disables
+  /// introspection at one pointer test per operator, the same
+  /// discipline as `trace`. Progress counters are
   /// thread-count-invariant; phase times are wall-clock.
   QueryProgress* progress = nullptr;  // not owned
 

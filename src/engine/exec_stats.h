@@ -81,7 +81,7 @@ struct CpuStats {
 /// Parallel operators used to fold with a plain loop after the barrier,
 /// which a throwing morsel body skipped — leaving the enclosing trace
 /// span with zero deltas. Declare a folder *after* the operator's
-/// TraceScope (and before launching workers): during unwinding it runs
+/// OpScope (and before launching workers): during unwinding it runs
 /// first, so the fold lands before the span snapshots its delta whether
 /// the operator returns or throws. Fold() folds early and disarms (the
 /// success path, so totals are available before scope exit).

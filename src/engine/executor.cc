@@ -12,8 +12,7 @@
 #include "engine/nested_loop_join.h"
 #include "fuzzy/interval_order.h"
 #include "obs/metrics.h"
-#include "obs/query_registry.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 #include "parallel/thread_pool.h"
 #include "sort/external_sort.h"
 #include "storage/temp_file_guard.h"
@@ -71,8 +70,9 @@ Result<RunResult> RunTypeJNestedLoop(PageFile* r_file, PageFile* s_file,
   Stopwatch wall;
   CpuStopwatch cpu_clock;
   ExecTrace* trace = options == nullptr ? nullptr : options->trace;
-  TraceScope span(trace, "query", &result.stats.cpu, &result.stats.io,
-                  "typeJ nested-loop");
+  QueryProgress* progress = options == nullptr ? nullptr : options->progress;
+  OpScope op(Op::kQuery, trace, progress, &result.stats.cpu, &result.stats.io,
+             "typeJ nested-loop");
 
   FuzzyJoinSpec join;
   join.outer_key = spec.r_y;
@@ -87,10 +87,10 @@ Result<RunResult> RunTypeJNestedLoop(PageFile* r_file, PageFile* s_file,
         (void)s;
         acc.Add(r.ValueAt(spec.r_x), d);
         return Status::OK();
-      }, trace, options == nullptr ? nullptr : options->context));
+      }, trace, options == nullptr ? nullptr : options->context, progress));
 
   result.answer = acc.Finish(spec.threshold);
-  span.SetOutputRows(result.answer.NumTuples());
+  op.SetOutputRows(result.answer.NumTuples());
   result.stats.join_seconds = wall.ElapsedSeconds();
   result.stats.total_seconds = wall.ElapsedSeconds();
   result.stats.cpu_seconds = cpu_clock.ElapsedSeconds();
@@ -112,8 +112,9 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
   CpuStopwatch cpu_clock;
   BufferPool pool(buffer_pages, &result.stats.io);
   ExecTrace* trace = options == nullptr ? nullptr : options->trace;
-  TraceScope span(trace, "query", &result.stats.cpu, &result.stats.io,
-                  "typeJ merge");
+  QueryProgress* progress = options == nullptr ? nullptr : options->progress;
+  OpScope op(Op::kQuery, trace, progress, &result.stats.cpu, &result.stats.io,
+             "typeJ merge");
 
   // Worker pool for the CPU-bound run sorts. Only engaged with > 1
   // thread: the parallel run-sort path's comparison count differs from
@@ -122,8 +123,6 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
   ParallelContext parallel_ctx;
   const ParallelContext* parallel = nullptr;
   QueryContext* query = options == nullptr ? nullptr : options->context;
-  QueryProgress* progress =
-      options == nullptr ? nullptr : options->progress;
   if (options != nullptr && options->ResolvedThreads() > 1) {
     workers = std::make_unique<ThreadPool>(options->ResolvedThreads());
     parallel_ctx.pool = workers.get();
@@ -136,9 +135,9 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
   // ---- Sort phase (charged to sort_seconds; Table 3) ----------------
   // With a WITH threshold the sort key is the threshold-cut interval
   // (the [42] indicator optimization); the join window then prunes on
-  // the same cuts.
+  // the same cuts. Each sort op (external or cached) charges the sort
+  // phase.
   Stopwatch sort_watch;
-  PhaseScope sort_phase(progress, QueryPhase::kSort);
   SortStats sort_stats;
   // Both sorted temporaries are tracked until the success-path cleanup
   // below: if the second sort (or the join) fails, the first sort's
@@ -181,8 +180,8 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
       if (cache->LookupSortedFile(*key, &cached_path)) {
         auto reopened = PageFile::Open(cached_path);
         if (reopened.ok()) {
-          TraceScope cached(trace, "sort", nullptr, nullptr,
-                            input->path() + " (cached)");
+          OpScope cached(Op::kCachedSort, trace, progress, nullptr, nullptr,
+                         input->path() + " (cached)");
           *from_cache = true;
           return std::move(reopened).value();
         }
@@ -193,7 +192,7 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
         ExternalSort(input, &pool,
                      IntervalLessOnColumn(col, nullptr, spec.threshold),
                      run_prefix, sorted_path, buffer_pages, min_record_size,
-                     &sort_stats, parallel, trace, query));
+                     &sort_stats, parallel, trace, query, progress));
     sorted_guard.Track(sorted->path());
     return sorted;
   };
@@ -215,9 +214,8 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
         static_cast<uint64_t>(result.stats.sort_seconds * 1e6));
   }
 
-  // ---- Join phase ----------------------------------------------------
+  // ---- Join phase (the merge-join op charges the join phase) ---------
   Stopwatch join_watch;
-  PhaseScope join_phase(progress, QueryPhase::kJoin);
   pool.Clear();  // the paper's join phase starts with a cold buffer
 
   FuzzyJoinSpec join;
@@ -235,10 +233,10 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
         acc.Add(r.ValueAt(spec.r_x), d);
         return Status::OK();
       }, trace, query,
-      options == nullptr ? size_t{1024} : options->batch_size));
+      options == nullptr ? size_t{1024} : options->batch_size, progress));
 
   result.answer = acc.Finish(spec.threshold);
-  span.SetOutputRows(result.answer.NumTuples());
+  op.SetOutputRows(result.answer.NumTuples());
   result.stats.join_seconds = join_watch.ElapsedSeconds();
   result.stats.total_seconds = wall.ElapsedSeconds();
   result.stats.cpu_seconds = cpu_clock.ElapsedSeconds();

@@ -11,7 +11,7 @@
 #include "fuzzy/degree_batch.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 
 namespace fuzzydb {
 
@@ -26,7 +26,7 @@ struct JoinScratch {
   std::array<double, TrapezoidBatch::kCapacity> degree;
   std::array<double, TrapezoidBatch::kCapacity> result;
   std::array<uint32_t, TrapezoidBatch::kCapacity> active;
-  uint64_t batches = 0;  // kernel invocations (span/metric annotation)
+  uint64_t batches = 0;  // kernel invocations (the op's batch tally)
   uint64_t rows = 0;     // lanes those invocations evaluated
 };
 
@@ -124,9 +124,10 @@ double FuzzyJoinSpec::PairDegree(const Tuple& r, const Tuple& s,
 Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
                      BufferPool* pool, const FuzzyJoinSpec& spec,
                      CpuStats* cpu, const JoinEmit& emit, ExecTrace* trace,
-                     QueryContext* query, size_t batch_size) {
-  TraceScope span(trace, "merge-join", cpu,
-                  pool == nullptr ? nullptr : &pool->stats());
+                     QueryContext* query, size_t batch_size,
+                     QueryProgress* progress) {
+  OpScope op(Op::kMergeJoin, trace, progress, cpu,
+             pool == nullptr ? nullptr : &pool->stats());
   uint64_t outer_rows = 0;
   uint64_t emitted = 0;
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
@@ -238,17 +239,9 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
       }
     }
   }
-  if (metrics != nullptr) {
-    metrics->merge_join_rows_in->Add(outer_rows);
-    metrics->merge_join_rows_out->Add(emitted);
-    if (scratch->batches > 0) {
-      metrics->batch_batches->Add(scratch->batches);
-      metrics->batch_rows->Add(scratch->rows);
-    }
-  }
-  if (scratch->batches > 0) span.SetBatches(scratch->batches, scratch->rows);
-  span.SetInputRows(outer_rows);
-  span.SetOutputRows(emitted);
+  op.AddBatches(scratch->batches, scratch->rows);
+  op.SetInputRows(outer_rows);
+  op.SetOutputRows(emitted);
   return Status::OK();
 }
 

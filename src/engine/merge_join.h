@@ -21,6 +21,7 @@ namespace fuzzydb {
 
 class ExecTrace;
 class QueryContext;
+class QueryProgress;
 
 /// Describes the fuzzy join R |x| S.
 struct FuzzyJoinSpec {
@@ -61,7 +62,8 @@ using JoinEmit =
 
 /// Runs the extended merge-join over two interval-order-sorted heap
 /// files. CPU work is tallied in `cpu` (may be null). With `trace` set,
-/// records a "merge-join" span (counter deltas, scanned/emitted rows).
+/// records a "merge-join" span (counter deltas, scanned/emitted rows);
+/// with `progress` set, charges its time to the join phase.
 /// With `query` set, cancellation/deadline are polled once per outer
 /// tuple and the in-memory window is charged against the memory budget.
 ///
@@ -74,7 +76,8 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
                      CpuStats* cpu, const JoinEmit& emit,
                      ExecTrace* trace = nullptr,
                      QueryContext* query = nullptr,
-                     size_t batch_size = 1024);
+                     size_t batch_size = 1024,
+                     QueryProgress* progress = nullptr);
 
 }  // namespace fuzzydb
 

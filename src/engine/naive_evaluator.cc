@@ -7,7 +7,7 @@
 #include "common/query_context.h"
 #include "engine/aggregate.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 
 namespace fuzzydb {
 
@@ -36,16 +36,13 @@ struct TupleValueLess {
 }  // namespace
 
 Result<Relation> NaiveEvaluator::Evaluate(const sql::BoundQuery& query) {
-  TraceScope span(trace_, "naive-evaluate", cpu_, nullptr,
-                  query.tables.empty() ? std::string()
-                                       : query.tables[0].relation->name());
+  OpScope op(Op::kNaiveEvaluate, trace_, progress_, cpu_, nullptr,
+             query.tables.empty() ? std::string()
+                                  : query.tables[0].relation->name());
   Frames frames;
   FUZZYDB_ASSIGN_OR_RETURN(Relation answer, EvaluateBlock(query, &frames));
   ApplyOrderBy(query.order_by, &answer);
-  span.SetOutputRows(answer.NumTuples());
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    m->naive_rows_out->Add(answer.NumTuples());
-  }
+  op.SetOutputRows(answer.NumTuples());
   return answer;
 }
 

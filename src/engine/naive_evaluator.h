@@ -23,16 +23,20 @@ namespace fuzzydb {
 
 class ExecTrace;
 class QueryContext;
+class QueryProgress;
 
 /// Evaluates bound queries by their literal semantics.
 class NaiveEvaluator {
  public:
   /// With `query` set, cancellation/deadline are polled once per
   /// complete tuple combination, so even the O(n_R x n_S) baseline
-  /// stops within one combination of the trigger.
+  /// stops within one combination of the trigger. Each Evaluate() is
+  /// one "naive-evaluate" op: a span in `trace` and, in `progress`,
+  /// time charged to the join phase (it is the nested loop).
   explicit NaiveEvaluator(CpuStats* cpu = nullptr, ExecTrace* trace = nullptr,
-                          const QueryContext* query = nullptr)
-      : cpu_(cpu), trace_(trace), query_(query) {}
+                          const QueryContext* query = nullptr,
+                          QueryProgress* progress = nullptr)
+      : cpu_(cpu), trace_(trace), query_(query), progress_(progress) {}
 
   /// Evaluates a bound query; the result relation is duplicate-free and
   /// respects the query's WITH threshold.
@@ -58,6 +62,7 @@ class NaiveEvaluator {
   CpuStats* cpu_;
   ExecTrace* trace_;
   const QueryContext* query_;
+  QueryProgress* progress_;
 };
 
 }  // namespace fuzzydb

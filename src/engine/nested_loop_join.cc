@@ -3,20 +3,20 @@
 #include <algorithm>
 
 #include "common/query_context.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 
 namespace fuzzydb {
 
 Status FileNestedLoopJoin(PageFile* outer, PageFile* inner, IoStats* io,
                           size_t buffer_pages, const FuzzyJoinSpec& spec,
                           CpuStats* cpu, const JoinEmit& emit,
-                          ExecTrace* trace, QueryContext* query) {
+                          ExecTrace* trace, QueryContext* query,
+                          QueryProgress* progress) {
   if (buffer_pages < 2) {
     return Status::InvalidArgument("nested-loop join needs >= 2 buffer pages");
   }
-  TraceScope span(trace, "nested-loop-join", cpu, io,
-                  "block=" + std::to_string(buffer_pages - 1) + "p");
+  OpScope op(Op::kNestedLoopJoin, trace, progress, cpu, io,
+             "block=" + std::to_string(buffer_pages - 1) + "p");
   uint64_t outer_rows = 0;
   uint64_t emitted = 0;
   // Dedicated pools so the inner relation really only gets one page of
@@ -72,12 +72,8 @@ Status FileNestedLoopJoin(PageFile* outer, PageFile* inner, IoStats* io,
       }
     }
   }
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    m->nested_loop_rows_in->Add(outer_rows);
-    m->nested_loop_rows_out->Add(emitted);
-  }
-  span.SetInputRows(outer_rows);
-  span.SetOutputRows(emitted);
+  op.SetInputRows(outer_rows);
+  op.SetOutputRows(emitted);
   return Status::OK();
 }
 

@@ -16,14 +16,16 @@ namespace fuzzydb {
 /// Runs the block nested-loop join of `spec` with `buffer_pages` total
 /// buffer pages (>= 2). Emits every pair with positive combined degree.
 /// Page traffic is charged to `io`. With `trace` set, records a
-/// "nested-loop-join" span. With `query` set, cancellation/deadline are
+/// "nested-loop-join" span; with `progress` set, charges its time to
+/// the join phase. With `query` set, cancellation/deadline are
 /// polled once per inner tuple and each resident outer block is charged
 /// against the memory budget.
 Status FileNestedLoopJoin(PageFile* outer, PageFile* inner, IoStats* io,
                           size_t buffer_pages, const FuzzyJoinSpec& spec,
                           CpuStats* cpu, const JoinEmit& emit,
                           ExecTrace* trace = nullptr,
-                          QueryContext* query = nullptr);
+                          QueryContext* query = nullptr,
+                          QueryProgress* progress = nullptr);
 
 }  // namespace fuzzydb
 

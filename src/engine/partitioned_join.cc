@@ -7,7 +7,7 @@
 #include "engine/merge_window.h"
 #include "fuzzy/interval_order.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 #include "storage/heap_file.h"
 #include "storage/temp_file_guard.h"
 
@@ -101,9 +101,10 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
   if (num_partitions == 0) num_partitions = 1;
   PartitionedJoinStats local;
   if (stats == nullptr) stats = &local;
-  TraceScope span(trace, "partitioned-join", cpu,
-                  pool == nullptr ? nullptr : &pool->stats());
-  if (parallel != nullptr) span.SetThreads(WorkerSlots(*parallel));
+  OpScope op(Op::kPartitionedJoin, trace,
+             parallel == nullptr ? nullptr : parallel->progress, cpu,
+             pool == nullptr ? nullptr : &pool->stats());
+  if (parallel != nullptr) op.SetThreads(WorkerSlots(*parallel));
   uint64_t emitted = 0;
 
   // ---- Pass 0: sample inner key supports ----------------------------
@@ -231,8 +232,8 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
       ctx.pool != nullptr && ctx.pool->size() > 1 && partitions > 1;
   Status status = Status::OK();
   std::vector<CpuStats> part_cpu(partitions);
-  // Declared after `span`: a throwing sort/probe still folds the
-  // per-partition tallies into *cpu before the span closes.
+  // Declared after `op`: a throwing sort/probe still folds the
+  // per-partition tallies into *cpu before the op closes.
   CpuStatsFolder folder(cpu == nullptr ? nullptr : &part_cpu, cpu);
   // Concurrent pass 3 materializes every partition pair at once; the
   // tracker's peak is what a served workload would size join memory by.
@@ -334,14 +335,10 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
     }
   }
   folder.Fold();
-  if (metrics != nullptr) {
-    metrics->partitioned_join_rows_in->Add(stats->outer_replicas);
-    metrics->partitioned_join_rows_out->Add(emitted);
-  }
-  span.SetDetail("partitions=" + std::to_string(partitions) + " replicas=" +
-                 std::to_string(stats->outer_replicas));
-  span.SetInputRows(stats->outer_replicas);
-  span.SetOutputRows(emitted);
+  op.SetDetail("partitions=" + std::to_string(partitions) + " replicas=" +
+               std::to_string(stats->outer_replicas));
+  op.SetInputRows(stats->outer_replicas);
+  op.SetOutputRows(emitted);
 
   // Cleanup.
   for (Partition& part : parts) {

@@ -51,7 +51,8 @@ struct PartitionedJoinStats {
 /// run: each worker buffers its partition's matches and counts into a
 /// per-partition CpuStats, both folded in partition order at the
 /// barrier. The parallel probe materializes every partition pair in
-/// memory at once (the serial path holds one pair at a time).
+/// memory at once (the serial path holds one pair at a time). The
+/// context's progress block, if any, is charged the join phase.
 ///
 /// With `query` set, cancellation/deadline are polled per scanned tuple
 /// and per partition, loaded partition pairs are charged against the

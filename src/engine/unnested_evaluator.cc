@@ -26,9 +26,8 @@
 #include "fuzzy/interval_order.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
+#include "obs/op_scope.h"
 #include "obs/query_journal.h"
-#include "obs/query_registry.h"
-#include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "relational/column_gather.h"
@@ -87,25 +86,6 @@ struct BatchTally {
   uint64_t batches = 0;  // batch-kernel invocations
   uint64_t rows = 0;     // lanes those invocations evaluated
 };
-
-/// Sums the per-worker tallies into the span annotation and the
-/// fuzzydb_batch_* counters. Spans with zero batches (no batchable
-/// work) stay unannotated.
-void PublishBatchTally(const std::vector<BatchTally>& tallies,
-                       TraceScope* span) {
-  uint64_t batches = 0;
-  uint64_t rows = 0;
-  for (const BatchTally& t : tallies) {
-    batches += t.batches;
-    rows += t.rows;
-  }
-  if (batches == 0) return;
-  span->SetBatches(batches, rows);
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    m->batch_batches->Add(batches);
-    m->batch_rows->Add(rows);
-  }
-}
 
 /// One side of a predicate resolved for batch evaluation: a column of
 /// the local (innermost) frame, a column of the enclosing frame
@@ -305,17 +285,6 @@ uint64_t RoundEstimate(double est) {
   return static_cast<uint64_t>(std::llround(est));
 }
 
-/// Records one operator's q-error, max(est/act, act/est) with both
-/// sides floored at one row, scaled by 100 (100 = perfect).
-void RecordQError(uint64_t est, uint64_t act) {
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    const double e = static_cast<double>(std::max<uint64_t>(est, 1));
-    const double a = static_cast<double>(std::max<uint64_t>(act, 1));
-    m->planner_q_error->Record(
-        static_cast<uint64_t>(std::llround(std::max(e / a, a / e) * 100.0)));
-  }
-}
-
 /// `op` as seen from the other side of the comparison (column and
 /// constant swapped).
 CompareOp MirrorCompareOp(CompareOp op) {
@@ -377,12 +346,15 @@ uint64_t EstimateFilterRows(const BoundQuery& block, size_t n) {
 std::vector<FT> FilterBlock(const BoundQuery& block,
                             const ParallelContext& ctx, CpuStats* cpu,
                             ExecTrace* trace) {
-  TraceScope span(trace, "filter", cpu, nullptr,
-                  block.tables[0].relation->name());
-  span.SetThreads(WorkerSlots(ctx));
-  PhaseScope phase(ctx.progress, QueryPhase::kFilter);
-  const std::vector<Tuple>& tuples = block.tables[0].relation->tuples();
+  const Relation& rel = *block.tables[0].relation;
+  OpScope op(Op::kFilter, trace, ctx.progress, cpu, nullptr, rel.name());
+  op.SetThreads(WorkerSlots(ctx));
+  const std::vector<Tuple>& tuples = rel.tuples();
   const size_t n = tuples.size();
+  op.SetInputRows(n);
+  if (op.traced() && ctx.cost_based) {
+    op.SetEstimatedRows(EstimateFilterRows(block, n));
+  }
   // Cross-query reuse: the survivors depend only on the block plan and
   // the relation contents, and the fingerprint pins both (relations
   // appear as id@version). Cached filters replay as (index, degree)
@@ -398,18 +370,8 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
       for (const auto& [index, degree] : *cached) {
         out.push_back(FT{&tuples[index], degree});
       }
-      span.SetDetail(block.tables[0].relation->name() + " (cached)");
-      span.SetInputRows(n);
-      span.SetOutputRows(out.size());
-      if (span.enabled() && ctx.cost_based) {
-        const uint64_t est = EstimateFilterRows(block, n);
-        span.SetEstimatedRows(est);
-        RecordQError(est, out.size());
-      }
-      if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-        m->filter_rows_in->Add(n);
-        m->filter_rows_out->Add(out.size());
-      }
+      op.SetDetail(rel.name() + " (cached)");
+      op.SetOutputRows(out.size());
       return out;
     }
   }
@@ -431,9 +393,9 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   std::vector<BatchTally> tallies(WorkerSlots(ctx));
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
   Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
-  // Declared after `span`: if a morsel body throws, the folder's
+  // Declared after `op`: if a morsel body throws, the folder's
   // destructor runs first during unwinding, so whatever the workers
-  // tallied still lands in *cpu before the span snapshots its delta.
+  // tallied still lands in *cpu before the op's span takes its delta.
   CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
   ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
     CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
@@ -454,18 +416,8 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
     out.insert(out.end(), part.begin(), part.end());
   }
   folder.Fold();
-  PublishBatchTally(tallies, &span);
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    m->filter_rows_in->Add(n);
-    m->filter_rows_out->Add(out.size());
-  }
-  span.SetInputRows(n);
-  span.SetOutputRows(out.size());
-  if (span.enabled() && ctx.cost_based) {
-    const uint64_t est = EstimateFilterRows(block, n);
-    span.SetEstimatedRows(est);
-    RecordQError(est, out.size());
-  }
+  for (const BatchTally& t : tallies) op.AddBatches(t.batches, t.rows);
+  op.SetOutputRows(out.size());
   if (!cache_key.empty()) {
     auto payload = std::make_shared<CacheManager::FilteredBlock>();
     payload->reserve(out.size());
@@ -507,11 +459,10 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
 Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
                            const ParallelContext& ctx, CpuStats* cpu,
                            ExecTrace* trace, const Relation* rel) {
-  TraceScope span(trace, "interval-sort", cpu, nullptr,
-                  "col" + std::to_string(col));
-  span.SetInputRows(tuples->size());
-  span.SetThreads(WorkerSlots(ctx));
-  PhaseScope phase(ctx.progress, QueryPhase::kSort);
+  OpScope op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
+             "col" + std::to_string(col));
+  op.SetInputRows(tuples->size());
+  op.SetThreads(WorkerSlots(ctx));
   std::string cache_key;
   if (rel != nullptr && CacheOn(ctx)) {
     cache_key = "perm|" + std::to_string(rel->id()) + "@" +
@@ -532,10 +483,7 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
         }
       }
       *tuples = std::move(ordered);
-      span.SetDetail("col" + std::to_string(col) + " (cached)");
-      if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-        m->sort_rows->Add(tuples->size());
-      }
+      op.SetDetail("col" + std::to_string(col) + " (cached)");
       return Status::OK();
     }
   }
@@ -550,9 +498,6 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
         };
       }));
   if (cpu != nullptr) cpu->comparisons += comparisons;
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-    m->sort_rows->Add(tuples->size());
-  }
   if (!cache_key.empty() && tuples->size() == rel->tuples().size()) {
     auto perm = std::make_shared<CacheManager::Permutation>();
     perm->reserve(tuples->size());
@@ -592,11 +537,11 @@ std::vector<SupportBounds> HoistKeyBounds(const std::vector<FT>& tuples,
 /// worker stats go to worker_cpu (null = don't count, the serial
 /// convention for cpu == nullptr). The worker slots -- including
 /// whatever the emit callback tallied into them -- are folded into
-/// `total_cpu` at the barrier, inside this operator's trace span.
+/// `total_cpu` at the barrier, inside this operator's OpScope.
 ///
 /// The emit callback buffers pairs into batches; `morsel_flush(worker)`
 /// runs at the end of every morsel body so batches never span morsels.
-/// `batch_tallies` is published into this operator's span after the fold.
+/// `batch_tallies` is added to this operator's batch tally after the fold.
 void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
                  const std::vector<FT>& inner, size_t inner_col,
                  const ParallelContext& ctx,
@@ -607,12 +552,11 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
                  const std::function<void(size_t)>& morsel_flush,
                  const std::vector<BatchTally>& batch_tallies,
                  uint64_t est_pairs) {
-  TraceScope span(trace, "merge-window", total_cpu, nullptr,
-                  "inner=" + std::to_string(inner.size()));
-  span.SetInputRows(outer.size());
-  span.SetThreads(WorkerSlots(ctx));
-  PhaseScope phase(ctx.progress, QueryPhase::kWindow);
-  // Declared after `span` so a throwing emit callback still folds the
+  OpScope op(Op::kMergeWindow, trace, ctx.progress, total_cpu, nullptr,
+             "inner=" + std::to_string(inner.size()));
+  op.SetInputRows(outer.size());
+  op.SetThreads(WorkerSlots(ctx));
+  // Declared after `op` so a throwing emit callback still folds the
   // worker tallies before the span records its delta (see CpuStatsFolder).
   CpuStatsFolder folder(worker_cpu, total_cpu);
   // Hoisted out of the scan: the enabled path per outer tuple is one
@@ -632,9 +576,10 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
   }
 
   // Windowed (= emitted) pairs per worker; the post-barrier sum is
-  // permutation-invariant, so the span's rows_out -- the actual
-  // cardinality the q-error gate compares est_pairs against -- is
-  // thread-count-invariant like the counters.
+  // permutation-invariant, so the op's rows_out -- the actual
+  // cardinality the q-error gate compares est_pairs against, and the
+  // pairs sys.queries reports -- is thread-count-invariant like the
+  // counters.
   std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
 
   ParallelFor(ctx, outer.size(), [&](size_t worker, size_t begin,
@@ -661,15 +606,9 @@ void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
   folder.Fold();
   uint64_t emitted = 0;
   for (uint64_t p : worker_pairs) emitted += p;
-  if (ctx.progress != nullptr) ctx.progress->AddPairs(emitted);
-  if (span.enabled()) {
-    span.SetOutputRows(emitted);
-    if (est_pairs != TraceNode::kNoCount) {
-      span.SetEstimatedRows(est_pairs);
-      RecordQError(est_pairs, emitted);
-    }
-  }
-  PublishBatchTally(batch_tallies, &span);
+  op.SetOutputRows(emitted);
+  op.SetEstimatedRows(est_pairs);
+  for (const BatchTally& t : batch_tallies) op.AddBatches(t.batches, t.rows);
 }
 
 /// The decomposed shape of one subquery predicate and its inner block.
@@ -951,8 +890,9 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
                                             const ParallelContext& ctx,
                                             CpuStats* cpu,
                                             ExecTrace* trace) {
-  TraceScope span(trace, "subquery", cpu, nullptr, LinkDetail(shape));
-  span.SetInputRows(outer.size());
+  OpScope op(Op::kSubquery, trace, ctx.progress, cpu, nullptr,
+             LinkDetail(shape));
+  op.SetInputRows(outer.size());
   std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
   // FilterBlock/MergeWindow stop dispatching morsels on a governed stop,
   // leaving partial output; surface the stop before using it.
@@ -998,10 +938,10 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     std::vector<size_t> order(outer.size());
     std::iota(order.begin(), order.end(), 0);
     {
-      TraceScope sort_span(trace, "interval-sort", cpu, nullptr,
-                           "outer-view col" + std::to_string(outer_key));
-      sort_span.SetInputRows(outer.size());
-      sort_span.SetThreads(WorkerSlots(ctx));
+      OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
+                      "outer-view col" + std::to_string(outer_key));
+      sort_op.SetInputRows(outer.size());
+      sort_op.SetThreads(WorkerSlots(ctx));
       uint64_t order_comparisons = 0;
       FUZZYDB_RETURN_IF_ERROR(ParallelSort(
           ctx, &order, cpu == nullptr ? nullptr : &order_comparisons,
@@ -1076,9 +1016,8 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     // Uncorrelated, non-mergeable link (e.g. op ALL without correlation):
     // materialize the inner fuzzy set once -- the paper's intermediate
     // relation optimization for type N -- and probe it per outer tuple.
-    TraceScope probe_span(trace, "probe-materialized", cpu, nullptr);
-    probe_span.SetInputRows(outer.size());
-    PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    OpScope probe_op(Op::kProbeMaterialized, trace, ctx.progress, cpu);
+    probe_op.SetInputRows(outer.size());
     Relation t("", shape.inner->output_schema);
     for (const FT& s : inner) {
       FUZZYDB_RETURN_IF_ERROR(t.AppendOrMax(
@@ -1101,10 +1040,9 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     }
   } else {
     // Correlated but no usable merge key: unnested full pairing.
-    TraceScope pairing_span(trace, "nested-pairing", cpu, nullptr,
-                            "inner=" + std::to_string(inner.size()));
-    pairing_span.SetInputRows(outer.size());
-    PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    OpScope pairing_op(Op::kNestedPairing, trace, ctx.progress, cpu, nullptr,
+                       "inner=" + std::to_string(inner.size()));
+    pairing_op.SetInputRows(outer.size());
     auto ps = std::make_unique<PairScratch>();
     ps->entries.reserve(batch);
     BatchTally tally;
@@ -1121,7 +1059,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     }
     FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(), cpu,
                    &tally, fill_hist, &m);
-    PublishBatchTally({tally}, &pairing_span);
+    pairing_op.AddBatches(tally.batches, tally.rows);
   }
 
   std::vector<double> degrees(outer.size());
@@ -1136,9 +1074,9 @@ Result<std::vector<double>> AggregateFamilyDegrees(
     const std::vector<FT>& outer, const LinkShape& shape,
     const ParallelContext& ctx, CpuStats* cpu, ExecTrace* trace) {
   const sql::AggFunc agg = shape.inner->select[0].agg;
-  TraceScope span(trace, "subquery", cpu, nullptr,
-                  std::string("AGG ") + sql::AggFuncName(agg));
-  span.SetInputRows(outer.size());
+  OpScope op(Op::kSubquery, trace, ctx.progress, cpu, nullptr,
+             std::string("AGG ") + sql::AggFuncName(agg));
+  op.SetInputRows(outer.size());
   std::vector<double> degrees(outer.size(), 0.0);
 
   if (shape.correlations.empty()) {
@@ -1157,12 +1095,12 @@ Result<std::vector<double>> AggregateFamilyDegrees(
       if (auto cached = ctx.cache->LookupResult(cache_key, 0.0)) {
         t2 = *cached;
         from_cache = true;
-        span.SetDetail(std::string("AGG ") + sql::AggFuncName(agg) +
-                       " (cached)");
+        op.SetDetail(std::string("AGG ") + sql::AggFuncName(agg) +
+                     " (cached)");
       }
     }
     if (!from_cache) {
-      NaiveEvaluator naive(cpu, trace, ctx.query);
+      NaiveEvaluator naive(cpu, trace, ctx.query, ctx.progress);
       FUZZYDB_ASSIGN_OR_RETURN(t2, naive.Evaluate(*shape.inner));
       if (!cache_key.empty()) {
         ctx.cache->InsertResult(cache_key, 0.0,
@@ -1221,10 +1159,9 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   };
 
   if (mergeable) {
-    TraceScope group_span(trace, "group-aggregate", cpu, nullptr,
-                          "merge t1=" + std::to_string(t1.size()));
-    group_span.SetInputRows(inner.size());
-    PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    OpScope group_op(Op::kGroupAggregate, trace, ctx.progress, cpu, nullptr,
+                     "merge t1=" + std::to_string(t1.size()));
+    group_op.SetInputRows(inner.size());
     std::vector<Value> t1_sorted;
     t1_sorted.reserve(t1.size());
     for (const auto& [u, unused] : t1) t1_sorted.push_back(u);
@@ -1257,12 +1194,11 @@ Result<std::vector<double>> AggregateFamilyDegrees(
       }
       FUZZYDB_RETURN_IF_ERROR(aggregate_group(u, group));
     }
-    group_span.SetOutputRows(t2.size());
+    group_op.SetOutputRows(t2.size());
   } else {
-    TraceScope group_span(trace, "group-aggregate", cpu, nullptr,
-                          "nested t1=" + std::to_string(t1.size()));
-    group_span.SetInputRows(inner.size());
-    PhaseScope phase(ctx.progress, QueryPhase::kJoin);
+    OpScope group_op(Op::kGroupAggregate, trace, ctx.progress, cpu, nullptr,
+                     "nested t1=" + std::to_string(t1.size()));
+    group_op.SetInputRows(inner.size());
     for (const auto& [u, unused] : t1) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
       Relation group("", Schema{Column{"Z", ValueType::kFuzzy}});
@@ -1350,9 +1286,8 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
     }
   }
 
-  TraceScope emit_span(trace, "emit", cpu, nullptr);
-  emit_span.SetInputRows(outer.size());
-  PhaseScope phase(ctx.progress, QueryPhase::kEmit);
+  OpScope emit_op(Op::kEmit, trace, ctx.progress, cpu);
+  emit_op.SetInputRows(outer.size());
   Relation answer("", query.output_schema);
   for (size_t i = 0; i < outer.size(); ++i) {
     FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
@@ -1361,8 +1296,7 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
                    std::min(outer[i].degree, combined[i]), &answer));
   }
   answer.EliminateDuplicates(query.with_threshold);
-  emit_span.SetOutputRows(answer.NumTuples());
-  if (ctx.progress != nullptr) ctx.progress->AddRows(answer.NumTuples());
+  emit_op.SetOutputRows(answer.NumTuples());
   return answer;
 }
 
@@ -1473,8 +1407,8 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
           EstimateJoinSelectivity(edge_outer_stats[e], edge_inner_stats[e])));
     }
     if (k_levels > 2) {
-      TraceScope plan_span(trace, "plan-join-order", cpu, nullptr,
-                           "levels=" + std::to_string(k_levels));
+      OpScope plan_op(Op::kPlanJoinOrder, trace, ctx.progress, cpu, nullptr,
+                      "levels=" + std::to_string(k_levels));
       order = PlanChainJoinOrder(est_stats).levels;
       if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
         m->planner_plans->Add();
@@ -1499,10 +1433,9 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
 
   for (size_t step = 1; step < k_levels; ++step) {
     const size_t level = order[step];
-    TraceScope step_span(trace, "chain-join", cpu, nullptr,
-                         "level=" + std::to_string(level));
-    step_span.SetInputRows(rows.size());
-    PhaseScope step_phase(ctx.progress, QueryPhase::kJoin);
+    OpScope step_op(Op::kChainJoin, trace, ctx.progress, cpu, nullptr,
+                    "level=" + std::to_string(level));
+    step_op.SetInputRows(rows.size());
     const bool extend_left = level + 1 == joined_lo;
     if (!extend_left && level != joined_hi + 1) {
       return Status::Internal("non-contiguous chain join order");
@@ -1566,12 +1499,11 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
     // Step planning. Fixed rule: merge whenever both key columns are
     // fuzzy. Cost-based: among the legal algorithms, the cheaper one
     // under the cost model, with the expected windowed pairs predicted
-    // from the edge's column summaries; the span gets the interval's
+    // from the edge's column summaries; the op gets the interval's
     // estimated output cardinality for the q-error loop.
     const bool merge_legal =
         rows_key_fuzzy() && ColumnIsFuzzy(incoming, new_col);
     bool use_merge = merge_legal;
-    uint64_t step_est = TraceNode::kNoCount;
     if (ctx.cost_based && !edge_outer_stats.empty()) {
       const ColumnStats& from_stats =
           extend_left ? edge_inner_stats[edge] : edge_outer_stats[edge];
@@ -1588,13 +1520,12 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
       if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
         (use_merge ? m->planner_merge_steps : m->planner_nested_steps)->Add();
       }
-      if (step_span.enabled()) {
-        step_est = RoundEstimate(EstimateIntervalSize(
+      if (step_op.traced()) {
+        step_op.SetEstimatedRows(RoundEstimate(EstimateIntervalSize(
             est_stats, std::min(joined_lo, level),
-            std::max(joined_hi, level)));
-        step_span.SetEstimatedRows(step_est);
-        step_span.SetDetail("level=" + std::to_string(level) +
-                            (use_merge ? " alg=merge" : " alg=nested"));
+            std::max(joined_hi, level))));
+        step_op.SetDetail("level=" + std::to_string(level) +
+                          (use_merge ? " alg=merge" : " alg=nested"));
       }
     }
 
@@ -1632,24 +1563,43 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
       }
     }
     rows = std::move(joined);
-    step_span.SetOutputRows(rows.size());
-    if (step_est != TraceNode::kNoCount) RecordQError(step_est, rows.size());
+    step_op.SetOutputRows(rows.size());
     joined_lo = std::min(joined_lo, level);
     joined_hi = std::max(joined_hi, level);
   }
 
-  TraceScope emit_span(trace, "emit", cpu, nullptr);
-  emit_span.SetInputRows(rows.size());
-  PhaseScope emit_phase(ctx.progress, QueryPhase::kEmit);
+  OpScope emit_op(Op::kEmit, trace, ctx.progress, cpu);
+  emit_op.SetInputRows(rows.size());
   Relation answer("", query.output_schema);
   for (const Row& row : rows) {
     FUZZYDB_RETURN_IF_ERROR(
         EmitAnswer(query, *row.tuples[0], row.degree, &answer));
   }
   answer.EliminateDuplicates(query.with_threshold);
-  emit_span.SetOutputRows(answer.NumTuples());
-  if (ctx.progress != nullptr) ctx.progress->AddRows(answer.NumTuples());
+  emit_op.SetOutputRows(answer.NumTuples());
   return answer;
+}
+
+/// A finished query's journal status and the governance counter its
+/// stop feeds (null for successes and plain failures).
+struct Outcome {
+  const char* status;
+  Counter* EngineMetrics::*counter;
+};
+
+Outcome OutcomeOf(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk:
+      return {"OK", nullptr};
+    case StatusCode::kCancelled:
+      return {"CANCELLED", &EngineMetrics::queries_cancelled};
+    case StatusCode::kDeadlineExceeded:
+      return {"DEADLINE_EXCEEDED", &EngineMetrics::queries_deadline_exceeded};
+    case StatusCode::kResourceExhausted:
+      return {"RESOURCE_EXHAUSTED", &EngineMetrics::queries_resource_exhausted};
+    default:
+      return {"FAILED", nullptr};
+  }
 }
 
 }  // namespace
@@ -1709,34 +1659,22 @@ Result<Relation> UnnestingEvaluator::Evaluate(const sql::BoundQuery& query) {
   }
   Stopwatch watch;
   Result<Relation> result = [&] {
-    // kPlan is the residual phase: everything EvaluateTraced does
-    // outside an operator's own PhaseScope (classification, planning,
-    // cache lookups) is charged here, so the phases sum to wall time.
-    PhaseScope plan_phase(options_.progress, QueryPhase::kPlan);
-    return EvaluateTraced(query);
+    // The root op opens before classification and charges kPlan, the
+    // residual phase: everything outside the nested operators
+    // (classification, planning, cache lookups) is charged there, so
+    // the phases sum to wall time.
+    OpScope op(Op::kEvaluate, options_.trace, options_.progress, cpu_);
+    return EvaluateTraced(query, &op);
   }();
   const double elapsed_ms = watch.ElapsedSeconds() * 1e3;
+  const Outcome outcome = OutcomeOf(result.status().code());
 
   if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
     m->queries_total->Add();
     m->query_latency_us->Record(static_cast<uint64_t>(elapsed_ms * 1e3));
     if (!last_was_unnested_) m->queries_naive_fallback->Add();
-    if (!result.ok()) {
-      m->queries_failed->Add();
-      switch (result.status().code()) {
-        case StatusCode::kCancelled:
-          m->queries_cancelled->Add();
-          break;
-        case StatusCode::kDeadlineExceeded:
-          m->queries_deadline_exceeded->Add();
-          break;
-        case StatusCode::kResourceExhausted:
-          m->queries_resource_exhausted->Add();
-          break;
-        default:
-          break;
-      }
-    }
+    if (!result.ok()) m->queries_failed->Add();
+    if (outcome.counter != nullptr) (m->*outcome.counter)->Add();
     if (options_.context != nullptr) {
       const uint64_t denied = options_.context->memory().denied_bytes();
       if (denied > 0) m->budget_denied_bytes->Add(denied);
@@ -1749,8 +1687,8 @@ Result<Relation> UnnestingEvaluator::Evaluate(const sql::BoundQuery& query) {
     SlowQueryLog::Entry entry;
     entry.query_text = options_.query_text;
     entry.elapsed_ms = elapsed_ms;
-    // All spans are closed here (EvaluateTraced returned), so the
-    // rendered tree is complete even for failed queries.
+    // All spans are closed here (the root op closed), so the rendered
+    // tree is complete even for failed queries.
     entry.trace_text = options_.trace->ToString();
     SlowQueryLog::Global().Add(std::move(entry));
   }
@@ -1763,23 +1701,7 @@ Result<Relation> UnnestingEvaluator::Evaluate(const sql::BoundQuery& query) {
         PlanFingerprint(query, /*include_threshold=*/true, nullptr);
     rec.type = QueryTypeName(last_type_);
     rec.engine = last_was_unnested_ ? "unnested" : "naive-fallback";
-    switch (result.status().code()) {
-      case StatusCode::kOk:
-        rec.status = "OK";
-        break;
-      case StatusCode::kCancelled:
-        rec.status = "CANCELLED";
-        break;
-      case StatusCode::kDeadlineExceeded:
-        rec.status = "DEADLINE_EXCEEDED";
-        break;
-      case StatusCode::kResourceExhausted:
-        rec.status = "RESOURCE_EXHAUSTED";
-        break;
-      default:
-        rec.status = "FAILED";
-        break;
-    }
+    rec.status = outcome.status;
     if (result.ok()) rec.rows = result.value().NumTuples();
     // The planner's top-most cardinality estimate: the first estimated
     // span in preorder (nodes() append in open order).
@@ -1817,13 +1739,12 @@ Result<Relation> UnnestingEvaluator::Evaluate(const sql::BoundQuery& query) {
 }
 
 Result<Relation> UnnestingEvaluator::EvaluateTraced(
-    const sql::BoundQuery& query) {
+    const sql::BoundQuery& query, OpScope* op) {
   // A pre-cancelled or already-expired context never starts executing.
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(options_.context));
   last_type_ = Classify(query);
   last_was_unnested_ = true;
-  TraceScope span(options_.trace, "evaluate", cpu_, nullptr,
-                  QueryTypeName(last_type_));
+  op->SetDetail(QueryTypeName(last_type_));
   // Whole-query result cache with theta-subsumption: the key excludes the
   // WITH threshold, so one entry (stored at the threshold it was computed
   // at) answers any repeat of the query at an equal or higher threshold
@@ -1841,8 +1762,8 @@ Result<Relation> UnnestingEvaluator::EvaluateTraced(
       Relation answer = *cached;
       answer.ApplyThreshold(theta);
       last_chain_order_.clear();
-      span.SetDetail(std::string(QueryTypeName(last_type_)) + " (cached)");
-      span.SetOutputRows(answer.NumTuples());
+      op->SetDetail(std::string(QueryTypeName(last_type_)) + " (cached)");
+      op->SetOutputRows(answer.NumTuples());
       return answer;
     }
   }
@@ -1852,14 +1773,15 @@ Result<Relation> UnnestingEvaluator::EvaluateTraced(
   // I/O errors surface as-is.
   if (!result.ok() && result.status().code() == StatusCode::kUnsupported) {
     last_was_unnested_ = false;
-    NaiveEvaluator naive(cpu_, options_.trace, options_.context);
+    NaiveEvaluator naive(cpu_, options_.trace, options_.context,
+                         options_.progress);
     Result<Relation> fallback = naive.Evaluate(query);  // applies ORDER BY
-    if (fallback.ok()) span.SetOutputRows(fallback.value().NumTuples());
+    if (fallback.ok()) op->SetOutputRows(fallback.value().NumTuples());
     return fallback;
   }
   if (result.ok()) {
     ApplyOrderBy(query.order_by, &result.value());
-    span.SetOutputRows(result.value().NumTuples());
+    op->SetOutputRows(result.value().NumTuples());
     // Only unnested successes are cached: the fallback already has its
     // own cost profile and re-classification is deterministic, so a
     // future hit can only occur for a query this evaluator answered.

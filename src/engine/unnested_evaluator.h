@@ -38,6 +38,7 @@
 
 namespace fuzzydb {
 
+class OpScope;
 class ThreadPool;
 struct ParallelContext;
 
@@ -74,10 +75,12 @@ class UnnestingEvaluator {
   const ExecOptions& exec_options() const { return options_; }
 
  private:
-  /// Evaluate() minus the cross-query accounting: runs under the
-  /// "evaluate" trace span; Evaluate() wraps it with the metrics-registry
-  /// counters, the latency histogram, and the slow-query log.
-  Result<Relation> EvaluateTraced(const sql::BoundQuery& query);
+  /// Evaluate() minus the cross-query accounting: runs under the root
+  /// "evaluate" op `op`, whose detail and output rows it sets;
+  /// Evaluate() opens the op and wraps the call with the
+  /// metrics-registry counters, the latency histogram, the slow-query
+  /// log and the journal.
+  Result<Relation> EvaluateTraced(const sql::BoundQuery& query, OpScope* op);
   Result<Relation> EvaluateInType(const sql::BoundQuery& query,
                                   QueryType type);
 

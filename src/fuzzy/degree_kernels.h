@@ -203,29 +203,6 @@ inline double ApproxEqualLane(double xa, double xb, double xc, double xd,
   return EqualityLane(xa, xb, xc, xd, ya - tolerance, yb, yc, yd + tolerance);
 }
 
-/// Dispatches one lane of SatisfactionDegree (kGt / kGe swap operands).
-inline double SatisfactionLane(CompareOp op, double xa, double xb, double xc,
-                               double xd, double ya, double yb, double yc,
-                               double yd, double approx_tolerance) {
-  switch (op) {
-    case CompareOp::kEq:
-      return EqualityLane(xa, xb, xc, xd, ya, yb, yc, yd);
-    case CompareOp::kNe:
-      return NotEqualLane(xa, xd, ya, yd);
-    case CompareOp::kLt:
-      return LessLane(xa, xb, xc, xd, ya, yb, yc, yd);
-    case CompareOp::kLe:
-      return LessEqualLane(xa, xb, ya, yb, yc, yd);
-    case CompareOp::kGt:
-      return LessLane(ya, yb, yc, yd, xa, xb, xc, xd);
-    case CompareOp::kGe:
-      return LessEqualLane(ya, yb, xa, xb, xc, xd);
-    case CompareOp::kApproxEq:
-      return ApproxEqualLane(xa, xb, xc, xd, ya, yb, yc, yd, approx_tolerance);
-  }
-  return 0.0;
-}
-
 /// Lexicographic (SupportBegin, SupportEnd) comparison of Definition
 /// 3.1. Mirrors CompareIntervalOrder.
 inline int CompareIntervalOrderLane(double xa, double xd, double ya,

@@ -39,48 +39,29 @@ const char* QueryPhaseName(QueryPhase phase) {
   return "none";
 }
 
-QueryPhase QueryProgress::EnterPhase(QueryPhase phase) {
-  const auto now = std::chrono::steady_clock::now();
+QueryPhase QueryProgress::EnterPhase(QueryPhase phase, Clock::time_point at) {
   const QueryPhase prev = this->phase();
-  if (!started_) {
-    started_ = true;
-    queue_wait_micros_.store(MicrosBetween(created_, now),
-                             std::memory_order_relaxed);
-  } else {
-    phase_micros_[static_cast<size_t>(prev)].fetch_add(
-        MicrosBetween(mark_, now), std::memory_order_relaxed);
-  }
-  mark_ = now;
+  SwitchTo(phase, at);
   phase_enters_[static_cast<size_t>(phase)].fetch_add(
       1, std::memory_order_relaxed);
-  phase_.store(static_cast<uint32_t>(phase), std::memory_order_relaxed);
   return prev;
 }
 
-void QueryProgress::SwitchTo(QueryPhase phase) {
-  const auto now = std::chrono::steady_clock::now();
+void QueryProgress::SwitchTo(QueryPhase phase, Clock::time_point at) {
   if (started_) {
     phase_micros_[static_cast<size_t>(this->phase())].fetch_add(
-        MicrosBetween(mark_, now), std::memory_order_relaxed);
+        MicrosBetween(mark_, at), std::memory_order_relaxed);
   } else {
     started_ = true;
-    queue_wait_micros_.store(MicrosBetween(created_, now),
+    queue_wait_micros_.store(MicrosBetween(created_, at),
                              std::memory_order_relaxed);
   }
-  mark_ = now;
+  mark_ = at;
   phase_.store(static_cast<uint32_t>(phase), std::memory_order_relaxed);
 }
 
-void QueryProgress::FinishPhases() { SwitchTo(QueryPhase::kNone); }
-
-uint64_t QueryProgress::TotalPhaseMicros() const {
-  uint64_t total = 0;
-  // Index 0 (kNone) holds time flushed after the query parked; it is
-  // not a pipeline phase, so it stays out of the total.
-  for (size_t i = 1; i < kNumQueryPhases; ++i) {
-    total += phase_micros_[i].load(std::memory_order_relaxed);
-  }
-  return total;
+void QueryProgress::FinishPhases() {
+  SwitchTo(QueryPhase::kNone, Clock::now());
 }
 
 std::string QueryProgress::PhasesText() const {

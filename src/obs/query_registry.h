@@ -6,13 +6,13 @@
 //  - QueryProgress is one query's live state: the phase currently
 //    executing (plan / filter / sort / window / join / emit), monotonic
 //    per-phase timers, and progress counters (items scanned, morsels
-//    completed, rows emitted, pairs considered). Workers bump the
-//    counters with relaxed atomic adds; phase switches happen only on
-//    the control thread (PhaseScope opens and closes strictly outside
-//    the parallel barriers, exactly like TraceScope), so concurrent
-//    readers -- SHOW QUERIES from another thread -- see a coherent
-//    snapshot without locks. A null QueryProgress costs one pointer
-//    test per touch point, matching the trace discipline.
+//    completed, rows emitted, merge-window pairs). Workers bump the
+//    morsel counters with relaxed atomic adds; phase switches and the
+//    row/pair folds happen only on the control thread (each operator's
+//    OpScope, obs/op_scope.h, opens and closes strictly outside the
+//    parallel barriers), so concurrent readers -- SHOW QUERIES from
+//    another thread -- see a coherent snapshot without locks. A null
+//    QueryProgress costs one pointer test per operator.
 //
 //  - ActiveQueryRegistry is the process-wide table of in-flight
 //    queries. Registration at admission publishes the query's
@@ -66,22 +66,25 @@ const char* QueryPhaseName(QueryPhase phase);
 /// sample any accessor from any thread at any time.
 class QueryProgress {
  public:
-  QueryProgress() : created_(std::chrono::steady_clock::now()) {}
+  /// The phase clock: the same steady clock as ExecTrace's span clock.
+  using Clock = std::chrono::steady_clock;
+
+  QueryProgress() : created_(Clock::now()) {}
   QueryProgress(const QueryProgress&) = delete;
   QueryProgress& operator=(const QueryProgress&) = delete;
 
-  // ---- Control-thread-only phase accounting (see PhaseScope) --------
+  // ---- Control-thread-only phase accounting (see OpScope) -----------
 
-  /// Switches to `phase`, flushing the elapsed time into the previous
-  /// phase's timer and counting one enter of the new phase. The first
-  /// call also latches the queue wait (construction -> first phase).
-  /// Returns the previous phase so PhaseScope can restore it.
-  QueryPhase EnterPhase(QueryPhase phase);
+  /// Switches to `phase` at time `at`, flushing the elapsed time into
+  /// the previous phase's timer and counting one enter of the new
+  /// phase. The first call also latches the queue wait (construction ->
+  /// first phase). Returns the previous phase so OpScope can restore it.
+  QueryPhase EnterPhase(QueryPhase phase, Clock::time_point at);
 
-  /// As EnterPhase without counting an enter: PhaseScope destructors
-  /// restore the enclosing phase through this, so enter counts reflect
+  /// As EnterPhase without counting an enter: a closing OpScope
+  /// restores the enclosing phase through this, so enter counts reflect
   /// operator activations, not scope nesting.
-  void SwitchTo(QueryPhase phase);
+  void SwitchTo(QueryPhase phase, Clock::time_point at);
 
   /// Flushes the tail of the current phase and parks in kNone. Called
   /// once when the query finishes (ActiveQueryRegistration destructor).
@@ -131,7 +134,6 @@ class QueryProgress {
     return phase_enters_[static_cast<size_t>(phase)].load(
         std::memory_order_relaxed);
   }
-  uint64_t TotalPhaseMicros() const;
 
   /// "plan=1.2ms sort=0.8ms ..." over the phases entered at least once,
   /// in pipeline order (the EXPLAIN ANALYZE phases= annotation).
@@ -161,31 +163,9 @@ class QueryProgress {
   std::atomic<uint64_t> query_id_{0};
   // Control-thread-only: when the open phase started. Readers never
   // touch these; they see only the flushed atomics above.
-  std::chrono::steady_clock::time_point created_;
-  std::chrono::steady_clock::time_point mark_{};
+  Clock::time_point created_;
+  Clock::time_point mark_{};
   bool started_ = false;
-};
-
-/// RAII phase switch on the control thread. Null progress is a no-op.
-/// Nested scopes restore the enclosing phase on close, so time spent in
-/// an inner operator (e.g. the interval sort inside a group-aggregate)
-/// is charged to the inner phase and the remainder to the outer one --
-/// exclusive self-time, summing to wall time.
-class PhaseScope {
- public:
-  PhaseScope(QueryProgress* progress, QueryPhase phase)
-      : progress_(progress) {
-    if (progress_ != nullptr) prev_ = progress_->EnterPhase(phase);
-  }
-  ~PhaseScope() {
-    if (progress_ != nullptr) progress_->SwitchTo(prev_);
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  QueryProgress* progress_;
-  QueryPhase prev_ = QueryPhase::kNone;
 };
 
 /// A point-in-time copy of one registered query, safe to hold after the

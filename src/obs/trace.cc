@@ -62,20 +62,40 @@ std::string JsonEscape(const std::string& s) {
 }
 
 void AppendField(std::string* out, const char* key, uint64_t value) {
+  if (value == TraceNode::kNoCount) return;  // not reported
   char buf[64];
   std::snprintf(buf, sizeof(buf), ",\"%s\":%llu", key,
                 static_cast<unsigned long long>(value));
   *out += buf;
 }
 
+/// The counter and cardinality fields both JSON exporters write.
+void AppendNodeFields(const TraceNode& node, bool buffer_hits,
+                      std::string* out) {
+  AppendField(out, "pairs", node.cpu.tuple_pairs);
+  AppendField(out, "degree_evals", node.cpu.degree_evaluations);
+  AppendField(out, "comparisons", node.cpu.comparisons);
+  AppendField(out, "subquery_evals", node.cpu.subquery_evaluations);
+  AppendField(out, "page_reads", node.io.page_reads);
+  AppendField(out, "page_writes", node.io.page_writes);
+  if (buffer_hits) AppendField(out, "buffer_hits", node.io.buffer_hits);
+  AppendField(out, "threads", node.threads);
+  AppendField(out, "rows_in", node.input_rows);
+  AppendField(out, "rows_out", node.output_rows);
+  AppendField(out, "est_rows", node.est_rows);
+  AppendField(out, "batches", node.batches);
+  AppendField(out, "batch_rows", node.batch_rows);
+}
+
 }  // namespace
 
-size_t ExecTrace::OpenSpan(std::string name, std::string detail) {
+size_t ExecTrace::OpenSpan(std::string name, std::string detail,
+                           Clock::time_point at) {
   const size_t id = nodes_.size();
   TraceNode node;
   node.name = std::move(name);
   node.detail = std::move(detail);
-  node.start_seconds = epoch_.ElapsedSeconds();
+  node.start_seconds = SecondsAt(at);
   nodes_.push_back(std::move(node));
   if (open_.empty()) {
     roots_.push_back(id);
@@ -86,15 +106,14 @@ size_t ExecTrace::OpenSpan(std::string name, std::string detail) {
   return id;
 }
 
-void ExecTrace::CloseSpan(size_t id) {
+void ExecTrace::CloseSpan(size_t id, Clock::time_point at) {
   assert(!open_.empty() && open_.back() == id && "mis-nested trace spans");
   // Tolerate (and close) spans a misbehaving operator left open below
   // `id` so the tree stays well formed in Release builds.
   while (!open_.empty()) {
     const size_t top = open_.back();
     open_.pop_back();
-    nodes_[top].wall_seconds =
-        epoch_.ElapsedSeconds() - nodes_[top].start_seconds;
+    nodes_[top].wall_seconds = SecondsAt(at) - nodes_[top].start_seconds;
     if (top == id) break;
   }
 }
@@ -115,12 +134,6 @@ CpuStats ExecTrace::SelfCpu(size_t id) const {
   CpuStats children;
   for (size_t child : nodes_[id].children) children += nodes_[child].cpu;
   return nodes_[id].cpu.CheckedDelta(children);
-}
-
-IoStats ExecTrace::SelfIo(size_t id) const {
-  IoStats children;
-  for (size_t child : nodes_[id].children) children += nodes_[child].io;
-  return nodes_[id].io.CheckedDelta(children);
 }
 
 void ExecTrace::AppendText(size_t id, int depth, bool include_timing,
@@ -198,26 +211,7 @@ std::string ExecTrace::ToChromeTraceJson() const {
                   node.wall_seconds * 1e6);
     out += buf;
     out += "\"detail\":\"" + JsonEscape(node.detail) + "\"";
-    AppendField(&out, "pairs", node.cpu.tuple_pairs);
-    AppendField(&out, "degree_evals", node.cpu.degree_evaluations);
-    AppendField(&out, "comparisons", node.cpu.comparisons);
-    AppendField(&out, "subquery_evals", node.cpu.subquery_evaluations);
-    AppendField(&out, "page_reads", node.io.page_reads);
-    AppendField(&out, "page_writes", node.io.page_writes);
-    AppendField(&out, "threads", node.threads);
-    if (node.input_rows != TraceNode::kNoCount) {
-      AppendField(&out, "rows_in", node.input_rows);
-    }
-    if (node.output_rows != TraceNode::kNoCount) {
-      AppendField(&out, "rows_out", node.output_rows);
-    }
-    if (node.est_rows != TraceNode::kNoCount) {
-      AppendField(&out, "est_rows", node.est_rows);
-    }
-    if (node.batches != TraceNode::kNoCount) {
-      AppendField(&out, "batches", node.batches);
-      AppendField(&out, "batch_rows", node.batch_rows);
-    }
+    AppendNodeFields(node, /*buffer_hits=*/false, &out);
     out += "}}";
   }
   out += "\n]}\n";
@@ -237,27 +231,7 @@ void ExecTrace::AppendSummary(size_t id, int depth, bool* first,
   std::snprintf(buf, sizeof(buf), ",\"wall_ms\":%.4f",
                 node.wall_seconds * 1000.0);
   *out += buf;
-  AppendField(out, "pairs", node.cpu.tuple_pairs);
-  AppendField(out, "degree_evals", node.cpu.degree_evaluations);
-  AppendField(out, "comparisons", node.cpu.comparisons);
-  AppendField(out, "subquery_evals", node.cpu.subquery_evaluations);
-  AppendField(out, "page_reads", node.io.page_reads);
-  AppendField(out, "page_writes", node.io.page_writes);
-  AppendField(out, "buffer_hits", node.io.buffer_hits);
-  AppendField(out, "threads", node.threads);
-  if (node.input_rows != TraceNode::kNoCount) {
-    AppendField(out, "rows_in", node.input_rows);
-  }
-  if (node.output_rows != TraceNode::kNoCount) {
-    AppendField(out, "rows_out", node.output_rows);
-  }
-  if (node.est_rows != TraceNode::kNoCount) {
-    AppendField(out, "est_rows", node.est_rows);
-  }
-  if (node.batches != TraceNode::kNoCount) {
-    AppendField(out, "batches", node.batches);
-    AppendField(out, "batch_rows", node.batch_rows);
-  }
+  AppendNodeFields(node, /*buffer_hits=*/true, out);
   *out += "}";
   for (size_t child : node.children) {
     AppendSummary(child, depth + 1, first, out);
@@ -270,31 +244,6 @@ std::string ExecTrace::ToJsonSummary() const {
   for (size_t root : roots_) AppendSummary(root, 0, &first, &out);
   out += "]";
   return out;
-}
-
-TraceScope::TraceScope(ExecTrace* trace, std::string_view name,
-                       const CpuStats* cpu, const IoStats* io,
-                       std::string detail)
-    : trace_(trace) {
-  if (trace_ == nullptr) return;
-  id_ = trace_->OpenSpan(std::string(name), std::move(detail));
-  cpu_source_ = cpu;
-  io_source_ = io;
-  if (cpu_source_ != nullptr) cpu_before_ = *cpu_source_;
-  if (io_source_ != nullptr) io_before_ = *io_source_;
-}
-
-void TraceScope::Close() {
-  if (trace_ == nullptr) return;
-  TraceNode& node = trace_->node(id_);
-  if (cpu_source_ != nullptr) {
-    node.cpu = cpu_source_->CheckedDelta(cpu_before_, &node.clamped);
-  }
-  if (io_source_ != nullptr) {
-    node.io = io_source_->CheckedDelta(io_before_, &node.clamped);
-  }
-  trace_->CloseSpan(id_);
-  trace_ = nullptr;
 }
 
 }  // namespace fuzzydb

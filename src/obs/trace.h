@@ -4,33 +4,24 @@
 //
 // An ExecTrace is a tree of spans, one TraceNode per operator instance
 // (filter, interval sort, merge window, aggregation, external sort,
-// file join, ...). Operators open a span with TraceScope; on close the
-// span records its wall time and the *deltas* of the CpuStats/IoStats
-// accumulators it was given -- the same accumulators the operators
-// already tally into, folded from per-worker slots at the parallel
-// barriers (see parallel/parallel_for.h). Because spans open and close
-// on the control thread, strictly outside those barriers, every
-// recorded counter delta is thread-count-invariant: the same query
-// yields the same trace (names, cardinalities, counters) on 1 or 16
-// threads; only wall times differ.
-//
-// Tracing is off by default (ExecOptions::trace == nullptr) and the
-// disabled path costs one pointer test per span -- no allocation, no
-// clock read, no counter snapshot.
-//
-// Deltas are computed with the checked helpers (CpuStats::CheckedDelta,
+// file join, ...). Each operator's OpScope (obs/op_scope.h) opens its
+// span and on close records its wall time and the *deltas* of the
+// CpuStats/IoStats accumulators the operator tallies into, folded from
+// per-worker slots at the parallel barriers. Spans open and close on
+// the control thread, outside those barriers, so every recorded counter
+// delta is thread-count-invariant: the same query yields the same trace
+// (names, cardinalities, counters) on 1 or 16 threads; only wall times
+// differ. Deltas use the checked helpers (CpuStats::CheckedDelta,
 // IoStats::CheckedDelta), which clamp at zero and flag instead of
-// wrapping, so a mis-nested span can never report 2^64-ish counters in
-// a Release build.
+// wrapping, so a mis-nested span never reports 2^64-ish counters.
 #ifndef FUZZYDB_OBS_TRACE_H_
 #define FUZZYDB_OBS_TRACE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "engine/exec_stats.h"
 #include "storage/io_stats.h"
 
@@ -75,15 +66,22 @@ struct TraceNode {
 /// operators fold their per-worker tallies before their span closes.
 class ExecTrace {
  public:
-  ExecTrace() = default;
+  /// The span clock. OpScope reads it once per open and once per close
+  /// and hands the same readings to QueryProgress, so span times and
+  /// phase times are one measurement.
+  using Clock = std::chrono::steady_clock;
 
-  /// Opens a span as a child of the innermost open span (or as a root).
-  /// Returns the node id used by CloseSpan and node().
-  size_t OpenSpan(std::string name, std::string detail = "");
+  ExecTrace() : epoch_(Clock::now()) {}
 
-  /// Closes span `id`, recording its wall time. Out-of-order closes are
-  /// tolerated by closing every span opened after `id` first.
-  void CloseSpan(size_t id);
+  /// Opens a span at time `at` as a child of the innermost open span
+  /// (or as a root). Returns the node id used by CloseSpan and node().
+  size_t OpenSpan(std::string name, std::string detail = "",
+                  Clock::time_point at = Clock::now());
+
+  /// Closes span `id` at time `at`, recording its wall time.
+  /// Out-of-order closes are tolerated by closing every span opened
+  /// after `id` first.
+  void CloseSpan(size_t id, Clock::time_point at = Clock::now());
 
   TraceNode& node(size_t id) { return nodes_[id]; }
   const std::vector<TraceNode>& nodes() const { return nodes_; }
@@ -91,12 +89,9 @@ class ExecTrace {
   bool empty() const { return nodes_.empty(); }
 
   /// Number of spans still open. A well-formed trace — including one cut
-  /// short by a throwing operator — ends at zero: TraceScope destructors
+  /// short by a throwing operator — ends at zero: OpScope destructors
   /// close their spans during unwinding.
   size_t open_span_count() const { return open_.size(); }
-
-  /// Seconds since this trace was constructed (the span clock).
-  double ElapsedSeconds() const { return epoch_.ElapsedSeconds(); }
 
   /// Sum of the root spans' inclusive deltas. When every operator of a
   /// run is spanned, these equal the run's whole-query totals.
@@ -106,7 +101,6 @@ class ExecTrace {
   /// Exclusive share of node `id`: its inclusive delta minus its
   /// children's (clamped, never negative).
   CpuStats SelfCpu(size_t id) const;
-  IoStats SelfIo(size_t id) const;
 
   /// The annotated tree, one indented line per span, e.g.
   ///   merge-window [R.Y=S.Z] wall=1.234ms rows=300 threads=4
@@ -128,64 +122,15 @@ class ExecTrace {
   void AppendSummary(size_t id, int depth, bool* first,
                      std::string* out) const;
 
-  Stopwatch epoch_;
+  /// Seconds from the trace epoch to `at`.
+  double SecondsAt(Clock::time_point at) const {
+    return std::chrono::duration<double>(at - epoch_).count();
+  }
+
+  Clock::time_point epoch_;
   std::vector<TraceNode> nodes_;
   std::vector<size_t> roots_;
   std::vector<size_t> open_;  // stack of open span ids
-};
-
-/// RAII span. With a null trace every member is a no-op; otherwise the
-/// constructor snapshots the given counter accumulators and the
-/// destructor records the checked deltas.
-class TraceScope {
- public:
-  /// `cpu` / `io` point at the accumulators the spanned operator
-  /// tallies into (either may be null: that delta stays zero).
-  TraceScope(ExecTrace* trace, std::string_view name,
-             const CpuStats* cpu = nullptr, const IoStats* io = nullptr,
-             std::string detail = "");
-  ~TraceScope() { Close(); }
-
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  bool enabled() const { return trace_ != nullptr; }
-
-  void SetInputRows(uint64_t n) {
-    if (trace_ != nullptr) trace_->node(id_).input_rows = n;
-  }
-  void SetOutputRows(uint64_t n) {
-    if (trace_ != nullptr) trace_->node(id_).output_rows = n;
-  }
-  void SetEstimatedRows(uint64_t n) {
-    if (trace_ != nullptr) trace_->node(id_).est_rows = n;
-  }
-  void SetThreads(size_t n) {
-    if (trace_ != nullptr) trace_->node(id_).threads = n;
-  }
-  void SetDetail(std::string detail) {
-    if (trace_ != nullptr) trace_->node(id_).detail = std::move(detail);
-  }
-  /// Records batch-path usage (EXPLAIN ANALYZE renders it as
-  /// "batches=N rows/batch=M"). Call only when batches > 0; spans
-  /// without batch work stay unannotated.
-  void SetBatches(uint64_t batches, uint64_t batch_rows) {
-    if (trace_ != nullptr) {
-      trace_->node(id_).batches = batches;
-      trace_->node(id_).batch_rows = batch_rows;
-    }
-  }
-
-  /// Closes the span early (idempotent).
-  void Close();
-
- private:
-  ExecTrace* trace_;
-  size_t id_ = 0;
-  const CpuStats* cpu_source_ = nullptr;
-  const IoStats* io_source_ = nullptr;
-  CpuStats cpu_before_;
-  IoStats io_before_;
 };
 
 }  // namespace fuzzydb

@@ -21,7 +21,6 @@ class Tuple {
 
   size_t NumValues() const { return values_.size(); }
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
 
   double degree() const { return degree_; }

@@ -226,12 +226,30 @@ void Server::ServeConnection(Connection* connection) {
   std::string buffer;
   char chunk[4096];
   bool open = true;
+  // Answers a statement line longer than kMaxStatementBytes with one
+  // INVALID_ARGUMENT frame; the caller then closes the connection.
+  auto reject_oversized = [&] {
+    ReplyFrame frame;
+    frame.session_id = connection->session->id();
+    frame.seq = connection->session->statements() + 1;
+    frame.status = "INVALID_ARGUMENT";
+    frame.error = "statement exceeds the " +
+                  std::to_string(kMaxStatementBytes) +
+                  "-byte limit; closing the connection";
+    metrics->errors_total->Add();
+    (void)WriteAll(connection->fd, RenderReplyFrame(frame) + "\n");
+    open = false;
+  };
   while (open) {
     const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // EOF or reset (or Stop()'s SHUT_RD)
     buffer.append(chunk, static_cast<size_t>(n));
     size_t newline;
     while (open && (newline = buffer.find('\n')) != std::string::npos) {
+      if (newline > kMaxStatementBytes) {
+        reject_oversized();
+        break;
+      }
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -266,6 +284,7 @@ void Server::ServeConnection(Connection* connection) {
       }
       if (frame.goodbye) open = false;
     }
+    if (open && buffer.size() > kMaxStatementBytes) reject_oversized();
   }
   // Shut down (peer sees the close promptly) but do NOT close: the fd
   // number stays allocated until ReapConnections closes it after the

@@ -42,6 +42,12 @@
 namespace fuzzydb {
 namespace server {
 
+/// The longest statement line a connection may send. A pending line
+/// past it is answered with one INVALID_ARGUMENT frame and the
+/// connection is closed, so no client can grow server memory without
+/// bound by never sending a newline.
+inline constexpr size_t kMaxStatementBytes = size_t{1} << 20;
+
 struct ServerConfig {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port,
   /// readable from port() after Start().

@@ -356,6 +356,39 @@ void Shell::FailStatement(const Status& status, std::ostream& out) {
   out << status.ToString() << "\n";
 }
 
+Shell::QueryRun Shell::RunQuery(const sql::BoundQuery& query,
+                                const std::string& text, ExecTrace* trace,
+                                CpuStats* cpu) {
+  QueryContext qctx;
+  if (timeout_ms_ > 0) qctx.set_deadline_after_ms(timeout_ms_);
+  if (memory_budget_ > 0) qctx.memory().set_limit(memory_budget_);
+  QueryProgress progress;
+  QueryRun run;
+  if (use_naive_) {
+    ActiveQueryRegistration registration(text, &qctx, &progress, 1);
+    NaiveEvaluator naive(cpu, trace, &qctx, &progress);
+    run.answer = naive.Evaluate(query);
+  } else {
+    ExecOptions options;
+    options.trace = trace;
+    options.num_threads = num_threads_;
+    options.batch_size = batch_size_;
+    options.slow_query_ms = slow_query_ms_;
+    options.query_text = text;
+    options.context = &qctx;
+    options.cache = cache_enabled_ ? &CacheManager::Global() : nullptr;
+    options.cost_based = cost_based_;
+    options.progress = &progress;
+    ActiveQueryRegistration registration(text, &qctx, &progress,
+                                         options.ResolvedThreads());
+    UnnestingEvaluator engine(options, cpu);
+    run.answer = engine.Evaluate(query);
+    run.unnested = engine.last_was_unnested();
+  }
+  if (trace != nullptr) run.phases = progress.PhasesText();
+  return run;
+}
+
 void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
   last_status_ = Status::OK();
   auto parsed = sql::ParseStatement(text);
@@ -422,41 +455,17 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
       if (!statement.analyze) return;
       ExecTrace trace;
       CpuStats cpu;
-      QueryContext qctx;
-      if (timeout_ms_ > 0) qctx.set_deadline_after_ms(timeout_ms_);
-      if (memory_budget_ > 0) qctx.memory().set_limit(memory_budget_);
-      QueryProgress progress;
-      Result<Relation> answer = Status::Internal("unset");
-      if (use_naive_) {
-        ActiveQueryRegistration registration(text, &qctx, &progress, 1);
-        NaiveEvaluator naive(&cpu, &trace, &qctx);
-        answer = naive.Evaluate(**bound);
-      } else {
-        ExecOptions options;
-        options.trace = &trace;
-        options.num_threads = num_threads_;
-        options.batch_size = batch_size_;
-        options.slow_query_ms = slow_query_ms_;
-        options.query_text = text;
-        options.context = &qctx;
-        options.cache = cache_enabled_ ? &CacheManager::Global() : nullptr;
-        options.cost_based = cost_based_;
-        options.progress = &progress;
-        ActiveQueryRegistration registration(text, &qctx, &progress,
-                                             options.ResolvedThreads());
-        UnnestingEvaluator engine(options, &cpu);
-        answer = engine.Evaluate(**bound);
-      }
-      if (!answer.ok()) {
-        FailStatement(answer.status(), out);
+      const QueryRun run = RunQuery(**bound, text, &trace, &cpu);
+      if (!run.answer.ok()) {
+        FailStatement(run.answer.status(), out);
         return;
       }
+      const Relation& answer = *run.answer;
       out << "execution trace:\n"
           << trace.ToString()
-          << "-- " << answer->NumTuples() << " answer tuple"
-          << (answer->NumTuples() == 1 ? "" : "s") << "\n";
-      const std::string phases = progress.PhasesText();
-      if (!phases.empty()) out << "-- phases=" << phases << "\n";
+          << "-- " << answer.NumTuples() << " answer tuple"
+          << (answer.NumTuples() == 1 ? "" : "s") << "\n";
+      if (!run.phases.empty()) out << "-- phases=" << run.phases << "\n";
       if (explain_json_) {
         out << "-- trace json begin\n"
             << trace.ToJsonSummary() << "\n"
@@ -483,47 +492,23 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
         return;
       }
       Stopwatch watch;
-      QueryContext qctx;
-      if (timeout_ms_ > 0) qctx.set_deadline_after_ms(timeout_ms_);
-      if (memory_budget_ > 0) qctx.memory().set_limit(memory_budget_);
-      QueryProgress progress;
-      Result<Relation> answer = Status::Internal("unset");
-      QueryType type = Classify(**bound);
-      bool unnested = false;
-      if (use_naive_) {
-        ActiveQueryRegistration registration(text, &qctx, &progress, 1);
-        NaiveEvaluator naive(nullptr, nullptr, &qctx);
-        answer = naive.Evaluate(**bound);
-      } else {
-        ExecOptions options;
-        options.num_threads = num_threads_;
-        options.batch_size = batch_size_;
-        options.slow_query_ms = slow_query_ms_;
-        options.query_text = text;
-        options.context = &qctx;
-        options.cache = cache_enabled_ ? &CacheManager::Global() : nullptr;
-        options.cost_based = cost_based_;
-        options.progress = &progress;
-        ActiveQueryRegistration registration(text, &qctx, &progress,
-                                             options.ResolvedThreads());
-        UnnestingEvaluator engine(options);
-        answer = engine.Evaluate(**bound);
-        unnested = engine.last_was_unnested();
-      }
-      if (!answer.ok()) {
-        FailStatement(answer.status(), out);
+      const QueryType type = Classify(**bound);
+      const QueryRun run = RunQuery(**bound, text, nullptr, nullptr);
+      if (!run.answer.ok()) {
+        FailStatement(run.answer.status(), out);
         return;
       }
       if (explain_) {
         out << "-- type " << QueryTypeName(type) << ", "
-            << (use_naive_ ? "naive nested-loop"
-                           : (unnested ? "unnested plan" : "naive fallback"))
+            << (use_naive_
+                    ? "naive nested-loop"
+                    : (run.unnested ? "unnested plan" : "naive fallback"))
             << ", " << FormatDouble(watch.ElapsedSeconds() * 1000, 4)
             << " ms\n"
             << DescribePlan(**bound);
       }
-      if (result_sink_ != nullptr) result_sink_->OnAnswer(*answer);
-      out << answer->ToString(100);
+      if (result_sink_ != nullptr) result_sink_->OnAnswer(*run.answer);
+      out << run.answer->ToString(100);
       return;
     }
     case sql::Statement::Kind::kCreateTable: {

@@ -37,6 +37,12 @@
 
 namespace fuzzydb {
 
+class ExecTrace;
+struct CpuStats;
+namespace sql {
+struct BoundQuery;
+}  // namespace sql
+
 /// Receives the answer relation of each successful SELECT executed by a
 /// Shell, before it is rendered as text. The server's session layer
 /// installs one to serialize rows and degrees into structured reply
@@ -208,6 +214,19 @@ class Shell {
   /// Latches a statement failure (had_error_, last_status_) and prints
   /// the rendered status.
   void FailStatement(const Status& status, std::ostream& out);
+
+  struct QueryRun {
+    Result<Relation> answer = Status::Internal("unset");
+    bool unnested = false;  // the unnested plan ran (not naive)
+    std::string phases;     // the phases= annotation, when traced
+  };
+
+  /// Runs one bound SELECT on the configured engine with the shell's
+  /// options, query context, progress block and registration -- the
+  /// one runner of SELECT and EXPLAIN ANALYZE. `trace`, `cpu` may be
+  /// null.
+  QueryRun RunQuery(const sql::BoundQuery& query, const std::string& text,
+                    ExecTrace* trace, CpuStats* cpu);
 
   /// Re-materializes the sys.metrics relation from the registry when the
   /// statement text references it, so queries read current values.

@@ -7,7 +7,7 @@
 #include "common/failpoint.h"
 #include "common/query_context.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/op_scope.h"
 #include "storage/temp_file_guard.h"
 
 namespace fuzzydb {
@@ -41,50 +41,17 @@ class CountingLess {
   SortStats* stats_;
 };
 
-}  // namespace
-
-Result<std::unique_ptr<PageFile>> ExternalSort(
+/// ExternalSort's run generation and merge passes, tallied into
+/// `stats`; ExternalSort's op records the deltas.
+Result<std::unique_ptr<PageFile>> SortIntoFile(
     PageFile* input, BufferPool* pool, const TupleLess& less,
     const std::string& temp_prefix, const std::string& output_path,
     size_t buffer_pages, size_t min_record_size, SortStats* stats,
-    const ParallelContext* parallel, ExecTrace* trace, QueryContext* query) {
-  if (buffer_pages < 3) {
-    return Status::InvalidArgument("external sort needs >= 3 buffer pages");
-  }
+    const ParallelContext* parallel, QueryContext* query) {
   // Any early return below (I/O error, failpoint, cancellation, budget
   // denial) sweeps the temporary runs created so far.
   TempFileGuard temp_guard(pool);
-  SortStats local;
-  if (stats == nullptr) stats = &local;
   const CountingLess counting_less(less, stats);
-
-  // The span's comparison count mirrors SortStats::comparisons (the
-  // caller may fold it into a CpuStats later; see executor.cc). `stats`
-  // may be shared across sorts, so record deltas against entry.
-  CpuStats span_cpu;
-  TraceScope span(trace, "external-sort", &span_cpu,
-                  pool == nullptr ? nullptr : &pool->stats());
-  if (parallel != nullptr) span.SetThreads(WorkerSlots(*parallel));
-  const SortStats entry = *stats;
-  // RAII rather than explicit calls on the success paths: an early error
-  // return (or a throwing comparator) must still publish the counter
-  // deltas before `span` closes. Declared after `span`, so it runs first
-  // during unwinding.
-  struct SpanFinisher {
-    TraceScope* span;
-    CpuStats* span_cpu;
-    const SortStats* stats;
-    const SortStats* entry;
-    ~SpanFinisher() {
-      if (!span->enabled()) return;
-      span_cpu->comparisons = stats->comparisons - entry->comparisons;
-      span->SetInputRows(stats->input_tuples - entry->input_tuples);
-      span->SetDetail(
-          "runs=" + std::to_string(stats->runs_created - entry->runs_created) +
-          " passes=" +
-          std::to_string(stats->merge_passes - entry->merge_passes));
-    }
-  } finisher{&span, &span_cpu, stats, &entry};
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
 
   // ---- Phase 1: run generation -------------------------------------
@@ -107,10 +74,7 @@ Result<std::unique_ptr<PageFile>> ExternalSort(
       ScopedMemoryCharge batch_memory(
           metrics == nullptr ? nullptr : metrics->sort_memory);
       batch_memory.Charge(batch_bytes);
-      if (metrics != nullptr) {
-        metrics->sort_spill_bytes->Add(batch_bytes);
-        metrics->sort_rows->Add(batch.size());
-      }
+      if (metrics != nullptr) metrics->sort_spill_bytes->Add(batch_bytes);
       if (parallel != nullptr) {
         FUZZYDB_RETURN_IF_ERROR(ParallelSort(
             *parallel, &batch, &stats->comparisons, [&less](uint64_t* count) {
@@ -244,6 +208,41 @@ Result<std::unique_ptr<PageFile>> ExternalSort(
   }
   temp_guard.Dismiss();
   return PageFile::Open(output_path);
+}
+
+}  // namespace
+
+Result<std::unique_ptr<PageFile>> ExternalSort(
+    PageFile* input, BufferPool* pool, const TupleLess& less,
+    const std::string& temp_prefix, const std::string& output_path,
+    size_t buffer_pages, size_t min_record_size, SortStats* stats,
+    const ParallelContext* parallel, ExecTrace* trace, QueryContext* query,
+    QueryProgress* progress) {
+  if (buffer_pages < 3) {
+    return Status::InvalidArgument("external sort needs >= 3 buffer pages");
+  }
+  SortStats local;
+  if (stats == nullptr) stats = &local;
+  // The op's comparison count mirrors SortStats::comparisons (the
+  // caller may fold it into a CpuStats later; see executor.cc). `stats`
+  // may be shared across sorts, so the op records deltas against
+  // entry, taken once the sort returns on any path.
+  CpuStats op_cpu;
+  OpScope op(Op::kExternalSort, trace, progress, &op_cpu,
+             pool == nullptr ? nullptr : &pool->stats());
+  if (parallel != nullptr) op.SetThreads(WorkerSlots(*parallel));
+  const SortStats entry = *stats;
+  Result<std::unique_ptr<PageFile>> sorted =
+      SortIntoFile(input, pool, less, temp_prefix, output_path, buffer_pages,
+                   min_record_size, stats, parallel, query);
+  op_cpu.comparisons = stats->comparisons - entry.comparisons;
+  op.SetInputRows(stats->input_tuples - entry.input_tuples);
+  if (op.traced()) {
+    op.SetDetail(
+        "runs=" + std::to_string(stats->runs_created - entry.runs_created) +
+        " passes=" + std::to_string(stats->merge_passes - entry.merge_passes));
+  }
+  return sorted;
 }
 
 }  // namespace fuzzydb

@@ -22,6 +22,7 @@
 namespace fuzzydb {
 
 class ExecTrace;
+class QueryProgress;
 
 /// Strict weak ordering over tuples.
 using TupleLess = std::function<bool(const Tuple&, const Tuple&)>;
@@ -52,7 +53,8 @@ struct SortStats {
 ///
 /// With `trace` set, records an "external-sort" span whose comparison
 /// count mirrors SortStats::comparisons and whose I/O delta is read from
-/// the pool's local counters.
+/// the pool's local counters. With `progress` set, charges its time to
+/// the sort phase.
 ///
 /// With `query` set, the sort is governed: cancellation/deadline are
 /// polled once per scanned/merged tuple and the in-memory sort buffer is
@@ -65,7 +67,8 @@ Result<std::unique_ptr<PageFile>> ExternalSort(
     const std::string& temp_prefix, const std::string& output_path,
     size_t buffer_pages, size_t min_record_size = 0,
     SortStats* stats = nullptr, const ParallelContext* parallel = nullptr,
-    ExecTrace* trace = nullptr, QueryContext* query = nullptr);
+    ExecTrace* trace = nullptr, QueryContext* query = nullptr,
+    QueryProgress* progress = nullptr);
 
 }  // namespace fuzzydb
 

@@ -15,10 +15,6 @@ void BufferPool::SetDefaultSimulatedLatencyUs(uint64_t us) {
   g_default_simulated_latency_us = us;
 }
 
-uint64_t BufferPool::DefaultSimulatedLatencyUs() {
-  return g_default_simulated_latency_us;
-}
-
 BufferPool::BufferPool(size_t capacity, IoStats* stats)
     : capacity_(capacity == 0 ? 1 : capacity),
       simulated_latency_us_(g_default_simulated_latency_us),

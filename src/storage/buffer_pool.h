@@ -59,7 +59,6 @@ class BufferPool {
   /// Process-wide default applied to newly constructed pools (the join
   /// operators create internal pools; the bench harness sets this once).
   static void SetDefaultSimulatedLatencyUs(uint64_t us);
-  static uint64_t DefaultSimulatedLatencyUs();
 
  private:
   struct Frame {

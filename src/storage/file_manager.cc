@@ -27,12 +27,6 @@ struct VersionRegistry {
     return by_path[path] = next_lsn++;
   }
 
-  uint64_t Lookup(const std::string& path) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = by_path.find(path);
-    return it == by_path.end() ? 0 : it->second;
-  }
-
   uint64_t OpenVersion(const std::string& path) {
     std::lock_guard<std::mutex> lock(mu);
     auto [it, inserted] = by_path.emplace(path, 0);
@@ -42,10 +36,6 @@ struct VersionRegistry {
 };
 
 }  // namespace
-
-uint64_t PageFile::PathVersion(const std::string& path) {
-  return VersionRegistry::Instance().Lookup(path);
-}
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path) {
   FUZZYDB_RETURN_IF_ERROR(FailPoints::Check("storage/file-create"));

@@ -47,9 +47,6 @@ class PageFile {
   /// the version therefore cannot be served after the file changed.
   uint64_t version() const { return version_; }
 
-  /// Registry LSN currently recorded for `path` (0 if never seen).
-  static uint64_t PathVersion(const std::string& path);
-
  private:
   PageFile(std::string path, std::FILE* file, PageId num_pages,
            uint64_t version)

@@ -58,11 +58,6 @@ Status HeapFileScanner::Next(Tuple* tuple, bool* has_tuple) {
   return Status::OK();
 }
 
-void HeapFileScanner::Rewind() {
-  page_ = 0;
-  slot_ = 0;
-}
-
 void HeapFileScanner::SeekToPage(PageId page) {
   page_ = page;
   slot_ = 0;

@@ -51,9 +51,6 @@ class HeapFileScanner {
   /// Fetches the next tuple. Sets *has_tuple = false at end of file.
   Status Next(Tuple* tuple, bool* has_tuple);
 
-  /// Restarts the scan from the beginning.
-  void Rewind();
-
   /// Restarts the scan from page `page`, slot 0.
   void SeekToPage(PageId page);
 

@@ -83,15 +83,6 @@ Result<FsyncMode> ParseFsyncMode(const std::string& text) {
                                  "' (expected always, batch, or off)");
 }
 
-const char* FsyncModeName(FsyncMode mode) {
-  switch (mode) {
-    case FsyncMode::kAlways: return "always";
-    case FsyncMode::kBatch: return "batch";
-    case FsyncMode::kOff: return "off";
-  }
-  return "unknown";
-}
-
 std::string WalSegmentPath(const std::string& dir, uint64_t seq) {
   char name[32];
   std::snprintf(name, sizeof(name), "%s%08llu%s", kSegmentPrefix,

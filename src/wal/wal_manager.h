@@ -46,7 +46,6 @@ enum class FsyncMode {
 
 /// Parses "always" | "batch" | "off".
 Result<FsyncMode> ParseFsyncMode(const std::string& text);
-const char* FsyncModeName(FsyncMode mode);
 
 struct WalOptions {
   FsyncMode fsync = FsyncMode::kAlways;

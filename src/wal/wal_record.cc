@@ -128,17 +128,6 @@ bool DecodeBody(Reader* in, WalRecord* record) {
 
 }  // namespace
 
-const char* WalRecordTypeName(WalRecordType type) {
-  switch (type) {
-    case WalRecordType::kCreateTable: return "create";
-    case WalRecordType::kInsert: return "insert";
-    case WalRecordType::kDropTable: return "drop";
-    case WalRecordType::kDefineTerm: return "define";
-    case WalRecordType::kCheckpoint: return "checkpoint";
-  }
-  return "unknown";
-}
-
 void EncodeWalRecord(const WalRecord& record, std::vector<uint8_t>* out) {
   std::vector<uint8_t> payload;
   PutU64(&payload, record.lsn);

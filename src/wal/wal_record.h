@@ -46,7 +46,6 @@ enum class WalRecordType : uint8_t {
   kCheckpoint = 5,
 };
 
-const char* WalRecordTypeName(WalRecordType type);
 
 /// One logical redo record; the active fields depend on `type`.
 struct WalRecord {

@@ -22,6 +22,7 @@
 #include "engine/exec_options.h"
 #include "engine/unnested_evaluator.h"
 #include "obs/metrics.h"
+#include "obs/op_scope.h"
 #include "obs/query_journal.h"
 #include "shell/shell.h"
 #include "sql/binder.h"
@@ -61,17 +62,17 @@ class IntrospectionTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------
-// QueryProgress / PhaseScope unit semantics
+// QueryProgress / OpScope unit semantics
 // ---------------------------------------------------------------------
 
-TEST_F(IntrospectionTest, PhaseScopeCountsEntersAndRestoresNesting) {
+TEST_F(IntrospectionTest, OpScopeCountsEntersAndRestoresNesting) {
   QueryProgress progress;
   EXPECT_EQ(progress.phase(), QueryPhase::kNone);
   {
-    PhaseScope plan(&progress, QueryPhase::kPlan);
+    OpScope plan(Op::kEvaluate, nullptr, &progress);
     EXPECT_EQ(progress.phase(), QueryPhase::kPlan);
     {
-      PhaseScope sort(&progress, QueryPhase::kSort);
+      OpScope sort(Op::kIntervalSort, nullptr, &progress);
       EXPECT_EQ(progress.phase(), QueryPhase::kSort);
     }
     // The inner scope restored the enclosing phase without counting a
@@ -94,7 +95,7 @@ TEST_F(IntrospectionTest, PhaseScopeCountsEntersAndRestoresNesting) {
 TEST_F(IntrospectionTest, NullProgressIsANoOp) {
   // The whole engine runs with progress == nullptr; the scope must cost
   // one pointer test and nothing else.
-  PhaseScope scope(nullptr, QueryPhase::kJoin);
+  OpScope scope(Op::kNestedPairing, nullptr, nullptr);
   QueryProgress progress;
   progress.AddMorsel(10);
   progress.AddRows(3);

@@ -2,8 +2,8 @@
 // options, admission control with RESOURCE_EXHAUSTED shedding, the
 // multi-session determinism matrix (concurrent sessions at 1/2/4/8
 // engine threads, cache on and off, bit-identical to a serial baseline),
-// registry-routed cancellation reaching every in-flight query, and
-// graceful server shutdown -- all TSan-clean.
+// registry-routed cancellation reaching every in-flight query, the
+// statement-length cap, and graceful server shutdown -- all TSan-clean.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,6 +22,7 @@
 #include "obs/query_registry.h"
 #include "server/admission.h"
 #include "server/server.h"
+#include "server/server_metrics.h"
 #include "server/session.h"
 #include "server/wire.h"
 #include "shell/shell.h"
@@ -436,8 +437,9 @@ class TestClient {
                      sizeof(addr)) == 0;
   }
 
-  bool SendLine(const std::string& line) {
-    const std::string data = line + "\n";
+  bool SendLine(const std::string& line) { return SendRaw(line + "\n"); }
+
+  bool SendRaw(const std::string& data) {
     size_t written = 0;
     while (written < data.size()) {
       const ssize_t n = ::send(fd_, data.data() + written,
@@ -481,6 +483,11 @@ class TestClient {
   bool AtEof() {
     char byte;
     return ::recv(fd_, &byte, 1, 0) <= 0;
+  }
+
+  /// Unblocks a send or recv in flight on another thread.
+  void Shutdown() {
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
   void Close() {
@@ -590,6 +597,41 @@ TEST(ServerTest, ShedsOverloadAsResourceExhaustedAndStaysHealthy) {
   ReplyFrame frame;
   ASSERT_TRUE(clients[0]->Roundtrip(".tables", &frame,
                                     /*retry_shed=*/true));
+  EXPECT_EQ(frame.status, "OK");
+  server.Stop();
+}
+
+TEST(ServerTest, OversizedStatementIsRejectedAndServerStaysHealthy) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  Counter* errors = ServerMetrics::Instance()->errors_total;
+  const uint64_t errors_before = errors->Value();
+
+  // 2 MiB with no newline: the server must answer once the pending
+  // line passes kMaxStatementBytes, not buffer the rest. The send runs
+  // on its own thread because the server stops reading at the cap.
+  TestClient flooder;
+  ASSERT_TRUE(flooder.Connect(server.port()));
+  std::thread sender([&flooder] {
+    (void)flooder.SendRaw(std::string(2 * kMaxStatementBytes, 'x'));
+  });
+  ReplyFrame frame;
+  ASSERT_TRUE(flooder.ReadFrame(&frame));
+  EXPECT_EQ(frame.status, "INVALID_ARGUMENT");
+  EXPECT_NE(frame.error.find(std::to_string(kMaxStatementBytes)),
+            std::string::npos)
+      << frame.error;
+  EXPECT_TRUE(flooder.AtEof());
+  flooder.Shutdown();
+  sender.join();
+  EXPECT_GE(errors->Value(), errors_before + 1);
+
+  // Other connections are served as before.
+  TestClient second;
+  ASSERT_TRUE(second.Connect(server.port()));
+  ASSERT_TRUE(second.Roundtrip(".tables", &frame));
   EXPECT_EQ(frame.status, "OK");
   server.Stop();
 }

@@ -13,6 +13,7 @@
 #include "engine/executor.h"
 #include "engine/naive_evaluator.h"
 #include "engine/unnested_evaluator.h"
+#include "obs/op_scope.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -52,18 +53,18 @@ TEST(ExecTraceTest, SpansNestLifo) {
   EXPECT_LE(trace.node(b).start_seconds, trace.node(c).start_seconds);
 }
 
-TEST(ExecTraceTest, TraceScopeRecordsCounterDeltas) {
+TEST(ExecTraceTest, OpScopeRecordsCounterDeltas) {
   ExecTrace trace;
   CpuStats cpu;
   IoStats io;
   cpu.comparisons = 100;  // pre-span work must not leak into the span
   io.page_reads = 7;
   {
-    TraceScope outer(&trace, "outer", &cpu, &io);
+    OpScope outer(Op::kSubquery, &trace, nullptr, &cpu, &io);
     cpu.tuple_pairs += 10;
     io.page_writes += 3;
     {
-      TraceScope inner(&trace, "inner", &cpu);
+      OpScope inner(Op::kFilter, &trace, nullptr, &cpu);
       cpu.tuple_pairs += 5;
       cpu.degree_evaluations += 2;
       inner.SetInputRows(20);
@@ -94,10 +95,10 @@ TEST(ExecTraceTest, TraceScopeRecordsCounterDeltas) {
   EXPECT_EQ(trace.TotalCpu().tuple_pairs, 15u);
 }
 
-TEST(ExecTraceTest, NullTraceScopeIsInert) {
+TEST(ExecTraceTest, NullTraceOpScopeIsInert) {
   CpuStats cpu;
-  TraceScope scope(nullptr, "nothing", &cpu);
-  EXPECT_FALSE(scope.enabled());
+  OpScope scope(Op::kSubquery, nullptr, nullptr, &cpu);
+  EXPECT_FALSE(scope.traced());
   scope.SetInputRows(1);
   scope.SetOutputRows(2);
   scope.SetThreads(3);
@@ -110,12 +111,12 @@ TEST(ExecTraceTest, ThrowingOperatorClosesSpansAndFoldsWorkers) {
   // partial traces of failed queries are well-formed trees) and fold its
   // per-worker stats first, so the span's delta includes worker activity.
   // The ordering comes from declaration order: the CpuStatsFolder is
-  // declared after the TraceScope, so it destructs (folds) first.
+  // declared after the OpScope, so it destructs (folds) first.
   ExecTrace trace;
   CpuStats total;
   std::vector<CpuStats> workers(2);
   try {
-    TraceScope span(&trace, "throwing-op", &total);
+    OpScope span(Op::kMergeWindow, &trace, nullptr, &total);
     CpuStatsFolder folder(&workers, &total);
     workers[0].comparisons = 3;
     workers[1].comparisons = 4;
@@ -124,7 +125,7 @@ TEST(ExecTraceTest, ThrowingOperatorClosesSpansAndFoldsWorkers) {
   }
   EXPECT_EQ(trace.open_span_count(), 0u);
   ASSERT_EQ(trace.nodes().size(), 1u);
-  EXPECT_EQ(trace.nodes()[0].name, "throwing-op");
+  EXPECT_EQ(trace.nodes()[0].name, "merge-window");
   // The worker fold landed inside the span's counter delta.
   EXPECT_EQ(trace.nodes()[0].cpu.comparisons, 7u);
   EXPECT_EQ(total.comparisons, 7u);
@@ -134,7 +135,7 @@ TEST(ExecTraceTest, ThrowingOperatorClosesSpansAndFoldsWorkers) {
 TEST(ExecTraceTest, CloseIsIdempotent) {
   ExecTrace trace;
   CpuStats cpu;
-  TraceScope scope(&trace, "op", &cpu);
+  OpScope scope(Op::kSubquery, &trace, nullptr, &cpu);
   cpu.comparisons = 4;
   scope.Close();
   cpu.comparisons = 400;  // must not be re-recorded
@@ -187,7 +188,7 @@ TEST(CheckedDeltaTest, MisNestedSpanReportsClampedNotGarbage) {
   CpuStats cpu;
   cpu.degree_evaluations = 50;
   {
-    TraceScope scope(&trace, "op", &cpu);
+    OpScope scope(Op::kSubquery, &trace, nullptr, &cpu);
     cpu.degree_evaluations = 10;  // reset-style misuse
   }
   EXPECT_EQ(trace.nodes()[0].cpu.degree_evaluations, 0u);
@@ -203,9 +204,9 @@ TEST(ExecTraceTest, RenderingsAreWellFormed) {
   ExecTrace trace;
   CpuStats cpu;
   {
-    TraceScope outer(&trace, "evaluate", &cpu, nullptr, "JA");
+    OpScope outer(Op::kEvaluate, &trace, nullptr, &cpu, nullptr, "JA");
     cpu.tuple_pairs = 3;
-    TraceScope inner(&trace, "merge-window", &cpu);
+    OpScope inner(Op::kMergeWindow, &trace, nullptr, &cpu);
     inner.SetInputRows(8);
     inner.SetOutputRows(6);
   }
