@@ -17,6 +17,7 @@
 #ifndef FUZZYDB_COMMON_QUERY_CONTEXT_H_
 #define FUZZYDB_COMMON_QUERY_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -96,13 +97,21 @@ class QueryContext {
     return cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Arms a deadline `ms` milliseconds from now (monotonic clock).
-  /// Call before the query starts.
+  /// Arms a deadline `ms` milliseconds from now (monotonic clock); ms
+  /// <= 0 has already expired. The deadline saturates: one past the
+  /// clock's range (including +inf and NaN) never fires, instead of
+  /// overflowing the clock's integer ticks. Call before the query starts.
   void set_deadline_after_ms(double ms) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, Clock::period> after =
+        std::chrono::duration<double, std::milli>(std::max(ms, 0.0));
+    const std::chrono::duration<double, Clock::period> room =
+        Clock::time_point::max() - now;
     has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(ms));
+    deadline_ = after < room
+                    ? now + std::chrono::duration_cast<Clock::duration>(after)
+                    : Clock::time_point::max();
   }
   bool has_deadline() const { return has_deadline_; }
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace fuzzydb {
 
@@ -47,6 +48,58 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
     out += parts[i];
   }
   return out;
+}
+
+bool ParseCount(const std::string& text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseByteSize(const std::string& text, uint64_t* out) {
+  if (text.empty()) return false;
+  int shift = 0;
+  switch (std::tolower(static_cast<unsigned char>(text.back()))) {
+    case 'k':
+      shift = 10;
+      break;
+    case 'm':
+      shift = 20;
+      break;
+    case 'g':
+      shift = 30;
+      break;
+  }
+  uint64_t count = 0;
+  const std::string digits = text.substr(0, text.size() - (shift != 0));
+  if (!ParseCount(digits, &count) || count > (UINT64_MAX >> shift)) {
+    return false;
+  }
+  *out = count << shift;
+  return true;
+}
+
+bool ParseMillis(const std::string& text, double* out) {
+  // strtod also reads signs, spaces, "inf" and "nan"; a number starts
+  // with a digit or a point.
+  if (text.empty() ||
+      !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.')) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace fuzzydb

@@ -2,6 +2,7 @@
 #ifndef FUZZYDB_COMMON_STRING_UTIL_H_
 #define FUZZYDB_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,22 @@ std::string FormatDouble(double v, int precision = 6);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
+
+// Parsers for numeric settings (SET values and command-line flags).
+// Each reads the whole string and returns false, leaving *out alone,
+// on anything it cannot represent exactly.
+
+/// A non-negative decimal integer: digits only, no sign or whitespace.
+/// False when malformed or past 2^64 - 1.
+bool ParseCount(const std::string& text, uint64_t* out);
+
+/// A byte count with an optional k, m or g suffix (KiB, MiB, GiB; either
+/// case), so "64m" is 64 MiB. False when malformed or past 2^64 - 1.
+bool ParseByteSize(const std::string& text, uint64_t* out);
+
+/// A finite, non-negative number of milliseconds ("250", "5.5", "1e3").
+/// False when malformed, negative, infinite or NaN.
+bool ParseMillis(const std::string& text, double* out);
 
 }  // namespace fuzzydb
 

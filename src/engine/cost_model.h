@@ -1,28 +1,18 @@
 // The operator cost model behind cost-based physical planning.
 //
-// Costs are abstract microseconds built from three resource counters the
-// benchmarks already measure (BENCH_fig3 / BENCH_kernel report all
-// three, which is what the default CostWeights were calibrated against):
+// Costs are abstract microseconds built from two counters the
+// benchmarks already measure: degree evaluations
+// (CpuStats::degree_evaluations) and sort/merge comparisons
+// (CpuStats::comparisons). The absolute scale is irrelevant -- the
+// planner only compares costs -- but keeping the units physical makes
+// the weights auditable against bench output.
 //
-//   - page IOs       (IoStats::page_reads + page_writes),
-//   - degree evaluations (CpuStats::degree_evaluations),
-//   - spill bytes    (run files written by ExternalSort),
-//
-// plus a cheap per-comparison term for sort arithmetic. The absolute
-// scale is irrelevant -- the planner only compares costs -- but keeping
-// the units physical makes the weights auditable against bench output.
-//
-// Two families of estimators:
-//
-//   - File joins (Sections 3-5 of the paper): CostFileMergeJoin /
-//     CostFileNestedLoop / CostFilePartitionedJoin cost the three heap
-//     file join algorithms from table cardinalities, page counts, and
-//     the overlap fanout C estimated by stats/column_stats.h.
-//   - Chain steps (Section 8): CostChainMergeStep / CostChainNestedStep
-//     cost one in-memory extension of a partial chain-join result, and
-//     ChooseChainStepAlgorithm picks the cheaper -- replacing the fixed
-//     "merge iff both key columns fuzzy" rule when ExecOptions::
-//     cost_based is set.
+// The model costs the chain steps of Section 8: CostChainMergeStep /
+// CostChainNestedStep cost one in-memory extension of a partial
+// chain-join result, and ChooseChainStepAlgorithm picks the cheaper --
+// replacing the fixed "merge iff both key columns fuzzy" rule when
+// ExecOptions::cost_based is set. The file executor's algorithms are
+// fixed by its runners (engine/executor.h) and are not costed.
 //
 // Everything here is a pure function of its inputs, so planning is
 // deterministic and thread-count invariant.
@@ -35,59 +25,17 @@
 namespace fuzzydb {
 
 /// Per-unit resource weights in abstract microseconds. Defaults were
-/// calibrated against the Release-mode BENCH_fig3 counters (an 8 KB
-/// page read costs about three orders of magnitude more than one
-/// trapezoid equality-degree evaluation).
+/// calibrated against the Release-mode BENCH_fig3 counters.
 struct CostWeights {
-  double page_io_us = 50.0;      // one 8 KB page read or write
   double degree_eval_us = 0.05;  // one fuzzy-degree evaluation
   double comparison_us = 0.01;   // one sort/merge comparison
-  double spill_byte_us = 0.002;  // one byte written to a run file
 };
 
-/// The three physical join algorithms (Sections 3-5 of the paper).
+/// The two ways to extend a chain-join result by one relation.
 enum class JoinAlgorithm {
   kNestedLoop,
   kMergeWindow,
-  kPartitioned,
 };
-
-/// Cost of externally sorting `rows` tuples spanning `pages` pages with
-/// `buffer_pages` of memory: read + write every page once per pass
-/// (run generation, then ceil(log_{M-1} runs) merge passes), n log n
-/// comparisons, and spill bytes for every intermediate run page.
-double CostExternalSort(uint64_t rows, uint64_t pages, size_t buffer_pages,
-                        const CostWeights& w = {});
-
-/// Block nested-loop join: outer read once, inner read once per outer
-/// block of M-1 pages, a degree evaluation per tuple pair.
-double CostFileNestedLoop(uint64_t outer_rows, uint64_t outer_pages,
-                          uint64_t inner_rows, uint64_t inner_pages,
-                          size_t buffer_pages, const CostWeights& w = {});
-
-/// Extended merge join: sort both inputs, scan each once, evaluate
-/// degrees only on windowed pairs (outer_rows * fanout, the paper's C).
-double CostFileMergeJoin(uint64_t outer_rows, uint64_t outer_pages,
-                         uint64_t inner_rows, uint64_t inner_pages,
-                         size_t buffer_pages, double fanout,
-                         const CostWeights& w = {});
-
-/// Partitioned fuzzy join: read + repartition both inputs (replication
-/// factor `replication` >= 1 for supports straddling partition
-/// boundaries), then join matching partitions pairwise.
-double CostFilePartitionedJoin(uint64_t outer_rows, uint64_t outer_pages,
-                               uint64_t inner_rows, uint64_t inner_pages,
-                               double fanout, double replication,
-                               const CostWeights& w = {});
-
-/// Cheapest file algorithm for one edge given the estimated fanout.
-JoinAlgorithm ChooseFileJoinAlgorithm(uint64_t outer_rows,
-                                      uint64_t outer_pages,
-                                      uint64_t inner_rows,
-                                      uint64_t inner_pages,
-                                      size_t buffer_pages, double fanout,
-                                      double replication,
-                                      const CostWeights& w = {});
 
 /// One in-memory chain-join step, nested-loop flavor: every (partial
 /// row, incoming tuple) pair gets a degree evaluation.

@@ -1,110 +1,18 @@
 #include "engine/merge_join.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/query_context.h"
-#include "fuzzy/degree_batch.h"
+#include "engine/degree_fold.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
 
 namespace fuzzydb {
-
-namespace {
-
-/// Scratch for the batched window evaluation (docs/architecture.md,
-/// "Batch execution"): one window chunk's tuples, operand lanes, and
-/// degree lanes. Heap-allocated once per join, reused across windows.
-struct JoinScratch {
-  std::array<const Tuple*, TrapezoidBatch::kCapacity> window;
-  TrapezoidBatch operand;
-  std::array<double, TrapezoidBatch::kCapacity> degree;
-  std::array<double, TrapezoidBatch::kCapacity> result;
-  std::array<uint32_t, TrapezoidBatch::kCapacity> active;
-  uint64_t batches = 0;  // kernel invocations (the op's batch tally)
-  uint64_t rows = 0;     // lanes those invocations evaluated
-};
-
-/// Evaluates one window chunk of `count` inner tuples against `r`,
-/// leaving the combined degrees in js->degree. Mirrors
-/// FuzzyJoinSpec::PairDegree's min-fold and early exits lane for lane (a
-/// lane joins a stage only while its degree is > 0, and
-/// degree_evaluations advances once per participating lane), so degrees
-/// and CpuStats match it exactly.
-void JoinChunkDegrees(const Tuple& r, size_t count,
-                      const FuzzyJoinSpec& spec, JoinScratch* js,
-                      CpuStats* cpu, Histogram* fill_hist) {
-  double* deg = js->degree.data();
-  double* res = js->result.data();
-  uint32_t* active = js->active.data();
-  const Tuple* const* window = js->window.data();
-  const double r_degree = r.degree();
-  for (size_t k = 0; k < count; ++k) {
-    deg[k] = std::min(r_degree, window[k]->degree());
-  }
-
-  // The key stage, then each residual: identical structure, so one
-  // lambda runs them all. `outer` is r's operand (the same value for
-  // every lane); a non-fuzzy value on either side drops the whole
-  // stage to the per-lane scalar fallback with the same counting.
-  auto run_stage = [&](const Value& outer, CompareOp op, size_t inner_col) {
-    size_t live = 0;
-    for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(deg[k] > 0.0);
-    }
-    if (live == 0) return false;  // every lane exited: skip later stages
-    bool batched = outer.is_fuzzy();
-    if (batched) {
-      js->operand.Clear();
-      for (size_t j = 0; j < live; ++j) {
-        const Value& v = window[active[j]]->ValueAt(inner_col);
-        if (!v.is_fuzzy()) {
-          batched = false;
-          break;
-        }
-        js->operand.PushBack(v.AsFuzzy());
-      }
-    }
-    if (batched) {
-      BatchSatisfactionDegree(outer.AsFuzzy(), op, js->operand,
-                              /*approx_tolerance=*/1.0, res);
-      if (cpu != nullptr) cpu->degree_evaluations += live;
-      ++js->batches;
-      js->rows += live;
-      if (fill_hist != nullptr) fill_hist->Record(live);
-      for (size_t j = 0; j < live; ++j) {
-        const size_t k = active[j];
-        deg[k] = std::min(deg[k], res[j]);
-      }
-    } else {
-      for (size_t j = 0; j < live; ++j) {
-        const size_t k = active[j];
-        if (cpu != nullptr) ++cpu->degree_evaluations;
-        deg[k] = std::min(
-            deg[k], outer.Compare(op, window[k]->ValueAt(inner_col)));
-      }
-    }
-    return true;
-  };
-
-  if (!run_stage(r.ValueAt(spec.outer_key), spec.key_op, spec.inner_key)) {
-    return;
-  }
-  for (const auto& residual : spec.residuals) {
-    if (!run_stage(r.ValueAt(residual.outer_col), residual.op,
-                   residual.inner_col)) {
-      return;
-    }
-  }
-}
-
-}  // namespace
 
 double FuzzyJoinSpec::PairDegree(const Tuple& r, const Tuple& s,
                                  CpuStats* cpu) const {
@@ -133,10 +41,14 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
   EngineMetrics* metrics = EngineMetrics::IfEnabled();
   Histogram* window_hist =
       metrics == nullptr ? nullptr : metrics->merge_window_length;
-  Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
   const size_t batch =
       std::clamp<size_t>(batch_size, 1, TrapezoidBatch::kCapacity);
-  auto scratch = std::make_unique<JoinScratch>();
+  auto scratch = std::make_unique<FoldScratch>();
+  BatchTally tally = EngineBatchTally();
+  std::vector<const Tuple*> chunk(batch);
+  // r's key and residual operands, as constants: each window chunk is
+  // one scalar-vs-batch fold per comparison of the spec.
+  std::vector<FoldTerm> terms(1 + spec.residuals.size());
   HeapFileScanner outer_scan(sorted_outer, pool);
   HeapFileScanner inner_scan(sorted_inner, pool);
 
@@ -219,27 +131,42 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
       window.push_back(std::move(s));
     }
 
-    // Join r against its window Rng(r): evaluate the window in chunks,
-    // then emit the surviving pairs in window order.
+    // Join r against its window Rng(r) in chunks: lanes start at
+    // min(mu_R, mu_S), fold the key, then each residual, exactly as
+    // FuzzyJoinSpec::PairDegree does per pair. Survivors are emitted in
+    // window order.
     if (window_hist != nullptr) window_hist->Record(window.size());
+    terms[0] = FoldTerm{FoldOperand::Constant(rv), spec.key_op,
+                        FoldOperand::Local(spec.inner_key)};
+    for (size_t i = 0; i < spec.residuals.size(); ++i) {
+      const FuzzyJoinSpec::Residual& residual = spec.residuals[i];
+      terms[i + 1] =
+          FoldTerm{FoldOperand::Constant(r.ValueAt(residual.outer_col)),
+                   residual.op, FoldOperand::Local(residual.inner_col)};
+    }
+    const auto lanes = [&chunk](size_t k) { return LaneTuples{chunk[k]}; };
+    double* degree = scratch->degree.data();
     auto it = window.begin();
     size_t remaining = window.size();
     while (remaining > 0) {
       const size_t count = std::min(batch, remaining);
-      for (size_t k = 0; k < count; ++k) scratch->window[k] = &*it++;
+      for (size_t k = 0; k < count; ++k) {
+        chunk[k] = &*it++;
+        degree[k] = std::min(r.degree(), chunk[k]->degree());
+      }
       remaining -= count;
       if (cpu != nullptr) cpu->tuple_pairs += count;
-      JoinChunkDegrees(r, count, spec, scratch.get(), cpu, fill_hist);
+      FoldComparisons(lanes, count, terms, scratch.get(), cpu, &tally);
       for (size_t k = 0; k < count; ++k) {
-        const double d = scratch->degree[k];
+        const double d = degree[k];
         if (d > 0.0 && d >= spec.threshold) {
           ++emitted;
-          FUZZYDB_RETURN_IF_ERROR(emit(r, *scratch->window[k], d));
+          FUZZYDB_RETURN_IF_ERROR(emit(r, *chunk[k], d));
         }
       }
     }
   }
-  op.AddBatches(scratch->batches, scratch->rows);
+  op.AddBatches(tally.batches, tally.rows);
   op.SetInputRows(outer_rows);
   op.SetOutputRows(emitted);
   return Status::OK();

@@ -1,6 +1,7 @@
 #include "engine/unnested_evaluator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -8,7 +9,6 @@
 #include <numeric>
 #include <optional>
 
-#include <array>
 #include <memory>
 
 #include "cache/cache_manager.h"
@@ -16,13 +16,13 @@
 #include "common/query_context.h"
 #include "engine/aggregate.h"
 #include "engine/cost_model.h"
+#include "engine/degree_fold.h"
 #include "engine/join_order.h"
 #include "engine/merge_window.h"
 #include "stats/column_stats.h"
 #include "engine/naive_evaluator.h"
 #include "engine/semantics.h"
 #include "common/stopwatch.h"
-#include "fuzzy/degree_batch.h"
 #include "fuzzy/interval_order.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
@@ -30,7 +30,6 @@
 #include "obs/query_journal.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
-#include "relational/column_gather.h"
 
 namespace fuzzydb {
 
@@ -64,15 +63,14 @@ QueryContext* CacheBudget(const ParallelContext& ctx) {
 // ---------------------------------------------------------------------
 // Batch execution (docs/architecture.md, "Batch execution").
 //
-// The filter stage and the pair-term evaluation gather their fuzzy
-// operands into TrapezoidBatch SoA batches and evaluate whole batches
-// through the kernels of fuzzy/degree_batch.h. A lane takes part in a
-// predicate only while its degree is still > 0, and
-// degree_evaluations advances once per participating lane, so results,
-// CpuStats and trace counters are identical for every
-// ExecOptions::batch_size -- only wall time changes. Batches are cut
-// inside morsels and never span one, so the batch decomposition, like
-// the morsel decomposition, is independent of thread count.
+// The filter stage and the pair terms are sequences of degree folds
+// (engine/degree_fold.h) over chunks of up to batch_size lanes: a lane
+// leaves at degree 0 and degree_evaluations advances once per lane
+// still in the fold, so results, CpuStats and trace counters are
+// identical for every ExecOptions::batch_size -- only wall time
+// changes. Chunks are cut inside morsels and never span one, so the
+// chunk decomposition, like the morsel decomposition, is independent
+// of thread count.
 // ---------------------------------------------------------------------
 
 /// Lanes per batch: the knob clamped to [1, the SoA capacity].
@@ -80,175 +78,34 @@ size_t EffectiveBatchSize(const ParallelContext& ctx) {
   return std::clamp<size_t>(ctx.batch_size, 1, TrapezoidBatch::kCapacity);
 }
 
-/// Per-worker batch-path usage, summed at the barrier (sums are
-/// permutation-invariant, so the totals are thread-count-invariant).
-struct BatchTally {
-  uint64_t batches = 0;  // batch-kernel invocations
-  uint64_t rows = 0;     // lanes those invocations evaluated
-};
-
-/// One side of a predicate resolved for batch evaluation: a column of
-/// the local (innermost) frame, a column of the enclosing frame
-/// (correlation predicates only), or a fuzzy constant. Mirrors the
-/// frame shapes OperandValue resolves on the batched paths.
-struct BatchOperand {
-  enum class Kind { kLocalColumn, kOuterColumn, kConstant };
-  Kind kind = Kind::kConstant;
-  size_t column = 0;
-  const Trapezoid* constant = nullptr;  // into the plan's BoundOperand
-
-  bool is_column() const { return kind != Kind::kConstant; }
-};
-
-/// Resolves `op`, or nullopt when the operand forces the scalar
-/// fallback (a disallowed outer reference, a multi-table frame, or a
-/// non-fuzzy constant).
-std::optional<BatchOperand> ResolveBatchOperand(const BoundOperand& op,
-                                                bool allow_outer) {
-  BatchOperand out;
-  if (op.is_column) {
-    if (op.column.table != 0) return std::nullopt;
-    if (op.column.up == 0) {
-      out.kind = BatchOperand::Kind::kLocalColumn;
-    } else if (op.column.up == 1 && allow_outer) {
-      out.kind = BatchOperand::Kind::kOuterColumn;
-    } else {
-      return std::nullopt;
-    }
-    out.column = op.column.column;
-    return out;
-  }
-  if (!op.constant.is_fuzzy()) return std::nullopt;
-  out.kind = BatchOperand::Kind::kConstant;
-  out.constant = &op.constant.AsFuzzy();
-  return out;
+/// The fold side of a bound operand. The unnested plans admit only
+/// single-table blocks, so a column names the lane's own tuple (up == 0)
+/// or, in a correlation predicate, the enclosing tuple (up == 1).
+FoldOperand ToFoldOperand(const BoundOperand& op) {
+  if (!op.is_column) return FoldOperand::Constant(op.constant);
+  assert(op.column.table == 0 && op.column.up <= 1);
+  return op.column.up == 0 ? FoldOperand::Local(op.column.column)
+                           : FoldOperand::Outer(op.column.column);
 }
 
-/// A gathered operand, ready for a kernel call: either a batch of
-/// column lanes or a single scalar constant (exactly one is set;
-/// constants stay scalar so nothing is splatted).
-struct GatheredOperand {
-  const TrapezoidBatch* batch = nullptr;
-  const Trapezoid* scalar = nullptr;
-};
-
-/// One batch-kernel invocation over the gathered operand shapes.
-void RunBatchCompare(const GatheredOperand& lhs, CompareOp op,
-                     const GatheredOperand& rhs, double tolerance,
-                     double* out) {
-  if (lhs.batch != nullptr && rhs.batch != nullptr) {
-    BatchSatisfactionDegree(*lhs.batch, op, *rhs.batch, tolerance, out);
-  } else if (lhs.batch != nullptr) {
-    BatchSatisfactionDegree(*lhs.batch, op, *rhs.scalar, tolerance, out);
-  } else {
-    BatchSatisfactionDegree(*lhs.scalar, op, *rhs.batch, tolerance, out);
-  }
+/// The fold step of comparison predicate `pred`.
+FoldTerm ToFoldTerm(const BoundPredicate& pred) {
+  return FoldTerm{ToFoldOperand(pred.lhs), pred.op, ToFoldOperand(pred.rhs),
+                  pred.approx_tolerance};
 }
 
-/// A predicate with its operands resolved once per operator. A plan
-/// that is not batchable (an unresolved operand, or two constants)
-/// runs its lanes through the per-tuple ComparisonDegree fallback.
-struct BatchPredPlan {
-  const BoundPredicate* pred = nullptr;
-  std::optional<BatchOperand> lhs;
-  std::optional<BatchOperand> rhs;
-
-  bool batchable() const {
-    return lhs.has_value() && rhs.has_value() &&
-           (lhs->is_column() || rhs->is_column());
-  }
-};
-
-/// Reusable per-worker scratch for the batched filter: two operand
-/// batches plus degree/result/selection lanes (~90 KiB, heap-allocated
-/// once per worker and reused across chunks).
-struct FilterScratch {
-  TrapezoidBatch lhs;
-  TrapezoidBatch rhs;
-  std::array<double, TrapezoidBatch::kCapacity> degree;
-  std::array<double, TrapezoidBatch::kCapacity> result;
-  std::array<uint32_t, TrapezoidBatch::kCapacity> active;
-};
-
-/// Gathers one filter operand for the chunk's active lanes. The dense
-/// first-predicate case (every lane active) takes the contiguous
-/// column gather; later predicates gather through the selection.
-/// Returns false when a lane is non-fuzzy (scalar fallback).
-bool GatherFilterOperand(const BatchOperand& op, const Tuple* tuples,
-                         size_t count, const uint32_t* active, size_t live,
-                         TrapezoidBatch* storage, GatheredOperand* out) {
-  if (!op.is_column()) {
-    out->scalar = op.constant;
-    out->batch = nullptr;
-    return true;
-  }
-  // kLocalColumn -- the filter frame has no enclosing frame.
-  if (live == count) {
-    if (!GatherFuzzyColumn(tuples, count, op.column, storage)) return false;
-  } else {
-    storage->Clear();
-    for (size_t j = 0; j < live; ++j) {
-      const Value& v = tuples[active[j]].ValueAt(op.column);
-      if (!v.is_fuzzy()) return false;
-      storage->PushBack(v.AsFuzzy());
-    }
-  }
-  out->batch = storage;
-  out->scalar = nullptr;
-  return true;
-}
-
-/// Evaluates one chunk of `count` tuples of the filter's scan range
-/// batch-at-a-time, appending survivors (in scan order) to *out. Each
-/// tuple's degree is min(mu(t), d(p) for every local predicate p), with
-/// a lane leaving the fold once its degree reaches 0.
-void FilterChunkBatched(const std::vector<BatchPredPlan>& plans,
-                        const Tuple* tuples, size_t count,
-                        FilterScratch* scratch, CpuStats* slot,
-                        BatchTally* tally, Histogram* fill_hist,
-                        std::vector<FT>* out) {
-  double* deg = scratch->degree.data();
-  double* res = scratch->result.data();
-  uint32_t* active = scratch->active.data();
-  for (size_t k = 0; k < count; ++k) deg[k] = tuples[k].degree();
-  for (const BatchPredPlan& plan : plans) {
-    size_t live = 0;
-    for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(deg[k] > 0.0);
-    }
-    if (live == 0) break;
-    bool batched = false;
-    if (plan.batchable()) {
-      GatheredOperand lhs, rhs;
-      batched = GatherFilterOperand(*plan.lhs, tuples, count, active, live,
-                                    &scratch->lhs, &lhs) &&
-                GatherFilterOperand(*plan.rhs, tuples, count, active, live,
-                                    &scratch->rhs, &rhs);
-      if (batched) {
-        RunBatchCompare(lhs, plan.pred->op, rhs, plan.pred->approx_tolerance,
-                        res);
-        if (slot != nullptr) slot->degree_evaluations += live;
-        ++tally->batches;
-        tally->rows += live;
-        if (fill_hist != nullptr) fill_hist->Record(live);
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          deg[k] = std::min(deg[k], res[j]);
-        }
-      }
-    }
-    if (!batched) {
-      for (size_t j = 0; j < live; ++j) {
-        const size_t k = active[j];
-        Frames frames;
-        frames.push_back({&tuples[k]});
-        deg[k] = std::min(deg[k], ComparisonDegree(*plan.pred, frames, slot));
-      }
-    }
-  }
+/// Filters one chunk of `count` tuples, appending survivors (in scan
+/// order) to *out. Each tuple's degree is min(mu(t), d(p) for every
+/// local predicate p): lanes start at mu(t), then one fold per predicate.
+void FilterChunk(const std::vector<FoldTerm>& terms, const Tuple* tuples,
+                 size_t count, FoldScratch* scratch, CpuStats* slot,
+                 BatchTally* tally, std::vector<FT>* out) {
+  double* degree = scratch->degree.data();
+  for (size_t k = 0; k < count; ++k) degree[k] = tuples[k].degree();
+  const auto lanes = [tuples](size_t k) { return LaneTuples{&tuples[k]}; };
+  FoldComparisons(lanes, count, terms, scratch, slot, tally);
   for (size_t k = 0; k < count; ++k) {
-    if (deg[k] > 0.0) out->push_back(FT{&tuples[k], deg[k]});
+    if (degree[k] > 0.0) out->push_back(FT{&tuples[k], degree[k]});
   }
 }
 
@@ -378,21 +235,16 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   std::vector<std::vector<FT>> per_morsel((n + morsel - 1) / morsel);
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-  // Resolve each local predicate's operands once for the chunked scan.
+  // One fold step per local predicate, resolved once for the scan.
   const size_t batch = EffectiveBatchSize(ctx);
-  std::vector<BatchPredPlan> plans;
+  std::vector<FoldTerm> terms;
   for (const auto& pred : block.predicates) {
-    if (pred.subquery != nullptr || !pred.IsLocal()) continue;
-    BatchPredPlan plan;
-    plan.pred = &pred;
-    plan.lhs = ResolveBatchOperand(pred.lhs, /*allow_outer=*/false);
-    plan.rhs = ResolveBatchOperand(pred.rhs, /*allow_outer=*/false);
-    plans.push_back(plan);
+    if (pred.subquery == nullptr && pred.IsLocal()) {
+      terms.push_back(ToFoldTerm(pred));
+    }
   }
-  std::vector<std::unique_ptr<FilterScratch>> scratches(WorkerSlots(ctx));
-  std::vector<BatchTally> tallies(WorkerSlots(ctx));
-  EngineMetrics* metrics = EngineMetrics::IfEnabled();
-  Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
+  std::vector<std::unique_ptr<FoldScratch>> scratches(WorkerSlots(ctx));
+  std::vector<BatchTally> tallies(WorkerSlots(ctx), EngineBatchTally());
   // Declared after `op`: if a morsel body throws, the folder's
   // destructor runs first during unwinding, so whatever the workers
   // tallied still lands in *cpu before the op's span takes its delta.
@@ -400,12 +252,11 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
     CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
     std::vector<FT>& out = per_morsel[begin / morsel];
-    std::unique_ptr<FilterScratch>& scratch = scratches[worker];
-    if (scratch == nullptr) scratch = std::make_unique<FilterScratch>();
+    std::unique_ptr<FoldScratch>& scratch = scratches[worker];
+    if (scratch == nullptr) scratch = std::make_unique<FoldScratch>();
     for (size_t i = begin; i < end; i += batch) {
-      FilterChunkBatched(plans, &tuples[i], std::min(batch, end - i),
-                         scratch.get(), slot, &tallies[worker], fill_hist,
-                         &out);
+      FilterChunk(terms, &tuples[i], std::min(batch, end - i), scratch.get(),
+                  slot, &tallies[worker], &out);
     }
   });
   size_t survivors = 0;
@@ -682,153 +533,51 @@ struct PairEntry {
   size_t index = 0;
 };
 
-/// Reusable per-worker scratch for the batched pair terms: the pending
-/// pairs of the current morsel plus operand/degree lanes.
+/// One worker's pending pairs of the current morsel and its fold lanes.
 struct PairScratch {
   std::vector<PairEntry> entries;
-  TrapezoidBatch lhs;
-  TrapezoidBatch rhs;
-  std::array<double, TrapezoidBatch::kCapacity> corr;
-  std::array<double, TrapezoidBatch::kCapacity> term;
-  std::array<double, TrapezoidBatch::kCapacity> result;
-  std::array<uint32_t, TrapezoidBatch::kCapacity> active;
+  FoldScratch fold;
 };
 
-/// Gathers one pair operand for the active entries: lanes come from
-/// the outer tuple (up == 1), the inner tuple (up == 0), or the
-/// constant. Returns false when a lane is non-fuzzy (scalar fallback).
-bool GatherPairOperand(const BatchOperand& op, const PairEntry* entries,
-                       const uint32_t* active, size_t live,
-                       TrapezoidBatch* storage, GatheredOperand* out) {
-  if (!op.is_column()) {
-    out->scalar = op.constant;
-    out->batch = nullptr;
-    return true;
+/// The fold steps of a pair term min(d_S(s), d(corr(r, s)),
+/// f(d(r.Y op s.Z))): one per correlation predicate, then the link. The
+/// link compares with Value::Compare's default tolerance, 1.0 -- the
+/// predicate's approx_tolerance applies to its direct comparison, not
+/// the quantified link -- and is negated for ALL.
+std::vector<FoldTerm> PairTerms(const LinkShape& shape) {
+  std::vector<FoldTerm> terms;
+  for (const BoundPredicate* pred : shape.correlations) {
+    terms.push_back(ToFoldTerm(*pred));
   }
-  const bool from_outer = op.kind == BatchOperand::Kind::kOuterColumn;
-  storage->Clear();
-  for (size_t j = 0; j < live; ++j) {
-    const PairEntry& e = entries[active[j]];
-    const Tuple* t = from_outer ? e.r->tuple : e.s->tuple;
-    const Value& v = t->ValueAt(op.column);
-    if (!v.is_fuzzy()) return false;
-    storage->PushBack(v.AsFuzzy());
+  if (shape.has_link_columns) {
+    terms.push_back(FoldTerm{FoldOperand::Outer(shape.outer_link_col),
+                             shape.link_op,
+                             FoldOperand::Local(shape.inner_link_col),
+                             /*tolerance=*/1.0, shape.negate_link});
   }
-  out->batch = storage;
-  out->scalar = nullptr;
-  return true;
+  return terms;
 }
 
-/// Evaluates and drains one worker's pending pairs: the pair term
-/// min(d_S(s), d(corr(r, s)), f(d(r.Y op s.Z))) by the correlation
-/// min-fold and the linking comparison, then the max-fold into m[].
-/// Correlation lanes drop out at degree 0, and the link is only
-/// evaluated for terms still > 0. Concurrent flushes write disjoint m[]
-/// slots: a morsel's sorted positions belong to one worker and order[]
-/// is a permutation.
-void FlushPairBatch(const LinkShape& shape,
-                    const std::vector<BatchPredPlan>& corr_plans,
-                    const BatchOperand& link_lhs,
-                    const BatchOperand& link_rhs, PairScratch* ps,
-                    CpuStats* slot, BatchTally* tally, Histogram* fill_hist,
+/// Evaluates and drains one worker's pending pairs: lanes start at
+/// d_S(s) (> 0, as FilterBlock emits), fold the pair terms, then
+/// max-fold into m[]. Concurrent flushes write disjoint m[] slots: a
+/// morsel's sorted positions belong to one worker and order[] is a
+/// permutation.
+void FlushPairBatch(const std::vector<FoldTerm>& terms, PairScratch* ps,
+                    CpuStats* slot, BatchTally* tally,
                     std::vector<double>* m) {
   const size_t count = ps->entries.size();
   if (count == 0) return;
   const PairEntry* entries = ps->entries.data();
-  double* corr = ps->corr.data();
-  double* term = ps->term.data();
-  double* res = ps->result.data();
-  uint32_t* active = ps->active.data();
-
-  for (size_t k = 0; k < count; ++k) corr[k] = 1.0;
-  for (const BatchPredPlan& plan : corr_plans) {
-    size_t live = 0;
-    for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(corr[k] > 0.0);
-    }
-    if (live == 0) break;
-    bool batched = false;
-    if (plan.batchable()) {
-      GatheredOperand lhs, rhs;
-      batched = GatherPairOperand(*plan.lhs, entries, active, live,
-                                  &ps->lhs, &lhs) &&
-                GatherPairOperand(*plan.rhs, entries, active, live,
-                                  &ps->rhs, &rhs);
-      if (batched) {
-        RunBatchCompare(lhs, plan.pred->op, rhs, plan.pred->approx_tolerance,
-                        res);
-        if (slot != nullptr) slot->degree_evaluations += live;
-        ++tally->batches;
-        tally->rows += live;
-        if (fill_hist != nullptr) fill_hist->Record(live);
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          corr[k] = std::min(corr[k], res[j]);
-        }
-      }
-    }
-    if (!batched) {
-      for (size_t j = 0; j < live; ++j) {
-        const size_t k = active[j];
-        Frames frames;
-        frames.push_back({entries[k].r->tuple});
-        frames.push_back({entries[k].s->tuple});
-        corr[k] = std::min(corr[k], ComparisonDegree(*plan.pred, frames, slot));
-      }
-    }
-  }
-
-  for (size_t k = 0; k < count; ++k) {
-    term[k] = std::min(entries[k].s->degree, corr[k]);
-  }
-
-  if (shape.has_link_columns) {
-    size_t live = 0;
-    for (size_t k = 0; k < count; ++k) {
-      active[live] = static_cast<uint32_t>(k);
-      live += static_cast<size_t>(term[k] > 0.0);
-    }
-    if (live > 0) {
-      GatheredOperand lhs, rhs;
-      // The link compares with Value::Compare's default tolerance, 1.0:
-      // the predicate's approx_tolerance applies to its direct
-      // comparison, not the quantified link.
-      const bool batched =
-          GatherPairOperand(link_lhs, entries, active, live, &ps->lhs,
-                            &lhs) &&
-          GatherPairOperand(link_rhs, entries, active, live, &ps->rhs, &rhs);
-      if (batched) {
-        RunBatchCompare(lhs, shape.link_op, rhs, /*tolerance=*/1.0, res);
-        if (slot != nullptr) slot->degree_evaluations += live;
-        ++tally->batches;
-        tally->rows += live;
-        if (fill_hist != nullptr) fill_hist->Record(live);
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          const double link = res[j];
-          term[k] =
-              std::min(term[k], shape.negate_link ? 1.0 - link : link);
-        }
-      } else {
-        for (size_t j = 0; j < live; ++j) {
-          const size_t k = active[j];
-          const PairEntry& e = entries[k];
-          if (slot != nullptr) ++slot->degree_evaluations;
-          const double link =
-              e.r->tuple->ValueAt(shape.outer_link_col)
-                  .Compare(shape.link_op,
-                           e.s->tuple->ValueAt(shape.inner_link_col));
-          term[k] =
-              std::min(term[k], shape.negate_link ? 1.0 - link : link);
-        }
-      }
-    }
-  }
-
+  double* degree = ps->fold.degree.data();
+  for (size_t k = 0; k < count; ++k) degree[k] = entries[k].s->degree;
+  const auto lanes = [entries](size_t k) {
+    return LaneTuples{entries[k].s->tuple, entries[k].r->tuple};
+  };
+  FoldComparisons(lanes, count, terms, &ps->fold, slot, tally);
   for (size_t k = 0; k < count; ++k) {
     const PairEntry& e = entries[k];
-    if (term[k] > (*m)[e.index]) (*m)[e.index] = term[k];
+    if (degree[k] > (*m)[e.index]) (*m)[e.index] = degree[k];
   }
   ps->entries.clear();
 }
@@ -902,22 +651,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   // Both pairing paths below evaluate their pair terms batch-at-a-time
   // through FlushPairBatch.
   const size_t batch = EffectiveBatchSize(ctx);
-  std::vector<BatchPredPlan> corr_plans;
-  for (const BoundPredicate* pred : shape.correlations) {
-    BatchPredPlan plan;
-    plan.pred = pred;
-    plan.lhs = ResolveBatchOperand(pred->lhs, /*allow_outer=*/true);
-    plan.rhs = ResolveBatchOperand(pred->rhs, /*allow_outer=*/true);
-    corr_plans.push_back(plan);
-  }
-  BatchOperand link_lhs;
-  link_lhs.kind = BatchOperand::Kind::kOuterColumn;
-  link_lhs.column = shape.outer_link_col;
-  BatchOperand link_rhs;
-  link_rhs.kind = BatchOperand::Kind::kLocalColumn;
-  link_rhs.column = shape.inner_link_col;
-  EngineMetrics* metrics = EngineMetrics::IfEnabled();
-  Histogram* fill_hist = metrics == nullptr ? nullptr : metrics->batch_fill;
+  const std::vector<FoldTerm> terms = PairTerms(shape);
 
   const bool link_is_eq_fuzzy =
       shape.has_link_columns && shape.link_op == CompareOp::kEq &&
@@ -964,7 +698,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     // permutation, so concurrent workers write disjoint m[idx] slots.
     std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
     const FT* base = sorted_outer.data();
-    std::vector<BatchTally> tallies(WorkerSlots(ctx));
+    std::vector<BatchTally> tallies(WorkerSlots(ctx), EngineBatchTally());
     std::vector<std::unique_ptr<PairScratch>> pair_scratch(WorkerSlots(ctx));
     // Buffer window pairs per worker and evaluate them batch-at-a-time;
     // the morsel flush drains remainders so batches never span a morsel
@@ -978,17 +712,16 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
       ps->entries.push_back(
           PairEntry{&r, &s, order[static_cast<size_t>(&r - base)]});
       if (ps->entries.size() >= batch) {
-        FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(),
+        FlushPairBatch(terms, ps.get(),
                        cpu == nullptr ? nullptr : &worker_cpu[worker],
-                       &tallies[worker], fill_hist, &m);
+                       &tallies[worker], &m);
       }
     };
     auto morsel_flush = [&](size_t worker) {
       if (pair_scratch[worker] != nullptr) {
-        FlushPairBatch(shape, corr_plans, link_lhs, link_rhs,
-                       pair_scratch[worker].get(),
+        FlushPairBatch(terms, pair_scratch[worker].get(),
                        cpu == nullptr ? nullptr : &worker_cpu[worker],
-                       &tallies[worker], fill_hist, &m);
+                       &tallies[worker], &m);
       }
     };
     // Planner estimate for the window: |outer| times the overlap
@@ -1045,20 +778,18 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     pairing_op.SetInputRows(outer.size());
     auto ps = std::make_unique<PairScratch>();
     ps->entries.reserve(batch);
-    BatchTally tally;
+    BatchTally tally = EngineBatchTally();
     for (size_t i = 0; i < outer.size(); ++i) {
       FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
       if (cpu != nullptr) cpu->tuple_pairs += inner.size();
       for (const FT& s : inner) {
         ps->entries.push_back(PairEntry{&outer[i], &s, i});
         if (ps->entries.size() >= batch) {
-          FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(), cpu,
-                         &tally, fill_hist, &m);
+          FlushPairBatch(terms, ps.get(), cpu, &tally, &m);
         }
       }
     }
-    FlushPairBatch(shape, corr_plans, link_lhs, link_rhs, ps.get(), cpu,
-                   &tally, fill_hist, &m);
+    FlushPairBatch(terms, ps.get(), cpu, &tally, &m);
     pairing_op.AddBatches(tally.batches, tally.rows);
   }
 

@@ -42,19 +42,6 @@ class TrapezoidBatch {
     ++size_;
   }
 
-  /// Fills lanes [0, count) with copies of `t` (for a constant operand
-  /// facing a gathered column), replacing the previous contents.
-  void Splat(const Trapezoid& t, size_t count) {
-    assert(count <= kCapacity);
-    for (size_t i = 0; i < count; ++i) {
-      a_[i] = t.a();
-      b_[i] = t.b();
-      c_[i] = t.c();
-      d_[i] = t.d();
-    }
-    size_ = count;
-  }
-
   /// Reassembles lane i as a value object (tests and slow paths).
   Trapezoid At(size_t i) const {
     assert(i < size_);

@@ -48,6 +48,12 @@ namespace server {
 /// bound by never sending a newline.
 inline constexpr size_t kMaxStatementBytes = size_t{1} << 20;
 
+/// The most engine threads one session may ask for (SET threads,
+/// --threads). A larger count is refused with INVALID_ARGUMENT before
+/// any query tries to spawn the threads, where a failed thread creation
+/// would abort the whole server.
+inline constexpr size_t kMaxSessionThreads = 256;
+
 struct ServerConfig {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port,
   /// readable from port() after Start().

@@ -1,11 +1,11 @@
 #include "server/session.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "server/server.h"
 
 namespace fuzzydb {
 namespace server {
@@ -18,48 +18,6 @@ std::vector<std::string> Words(const std::string& line) {
   std::string word;
   while (stream >> word) words.push_back(word);
   return words;
-}
-
-/// "64m" -> 64 MiB; bare numbers are bytes. Mirrors the fuzzydb_shell
-/// --memory-budget flag syntax. Returns false on malformed input.
-bool ParseByteSize(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str()) return false;
-  uint64_t multiplier = 1;
-  if (*end != '\0') {
-    if (end[1] != '\0') return false;
-    switch (*end | 0x20) {
-      case 'k':
-        multiplier = 1024;
-        break;
-      case 'm':
-        multiplier = 1024 * 1024;
-        break;
-      case 'g':
-        multiplier = 1024ull * 1024 * 1024;
-        break;
-      default:
-        return false;
-    }
-  }
-  *out = static_cast<uint64_t>(value) * multiplier;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty() && *out >= 0;
-}
-
-bool ParseCount(const std::string& text, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return errno == 0 && end == text.c_str() + text.size() && !text.empty();
 }
 
 /// Wire status strings use the journal's UPPER_SNAKE convention
@@ -189,11 +147,11 @@ bool Session::ExecuteSet(const std::string& line, ReplyFrame* frame) {
     }
   } else if (key == "slow_query_ms") {
     double ms = 0;
-    if (!ParseDouble(value, &ms)) return fail("bad slow_query_ms: " + value);
+    if (!ParseMillis(value, &ms)) return fail("bad slow_query_ms: " + value);
     options_.slow_query_ms = ms;
   } else if (key == "timeout_ms") {
     double ms = 0;
-    if (!ParseDouble(value, &ms)) return fail("bad timeout_ms: " + value);
+    if (!ParseMillis(value, &ms)) return fail("bad timeout_ms: " + value);
     options_.timeout_ms = ms;
   } else if (key == "memory_budget") {
     uint64_t bytes = 0;
@@ -203,7 +161,10 @@ bool Session::ExecuteSet(const std::string& line, ReplyFrame* frame) {
     options_.memory_budget = bytes;
   } else if (key == "threads") {
     uint64_t threads = 0;
-    if (!ParseCount(value, &threads)) return fail("bad threads: " + value);
+    if (!ParseCount(value, &threads) || threads > kMaxSessionThreads) {
+      return fail("bad threads (want 0.." +
+                  std::to_string(kMaxSessionThreads) + "): " + value);
+    }
     options_.threads = static_cast<size_t>(threads);
   } else {
     return fail("unknown session option: " + key);

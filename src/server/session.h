@@ -14,7 +14,11 @@
 //   SET timeout_ms X        per-query deadline (0 = none)
 //   SET memory_budget N[kmg] per-query memory budget, clamped to the
 //                           admission controller's fair share
-//   SET threads N           engine worker threads (0 = hardware)
+//   SET threads N           engine worker threads (0 = hardware; at
+//                           most kMaxSessionThreads, server.h)
+//
+// Malformed, overflowing and non-finite values (SET timeout_ms inf,
+// SET memory_budget 17179869184g) are refused with INVALID_ARGUMENT.
 //
 // Everything else on a request line -- SQL statements ending in ';',
 // shell dot-commands -- is fed to the wrapped Shell verbatim.

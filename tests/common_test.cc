@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "common/rng.h"
@@ -107,6 +108,92 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({}, ", "), "");
   EXPECT_EQ(Join({"a"}, ", "), "a");
   EXPECT_EQ(Join({"a", "b", "c"}, " AND "), "a AND b AND c");
+}
+
+TEST(StringUtilTest, ParseCount) {
+  const struct {
+    const char* text;
+    bool ok;
+    uint64_t value;
+  } cases[] = {
+      {"0", true, 0},
+      {"42", true, 42},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"18446744073709551616", false, 0},  // 2^64
+      {"", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 1", false, 0},
+      {"1 ", false, 0},
+      {"12abc", false, 0},
+      {"1.5", false, 0},
+  };
+  for (const auto& c : cases) {
+    uint64_t value = 0;
+    EXPECT_EQ(ParseCount(c.text, &value), c.ok) << "'" << c.text << "'";
+    if (c.ok) {
+      EXPECT_EQ(value, c.value) << "'" << c.text << "'";
+    }
+  }
+}
+
+TEST(StringUtilTest, ParseByteSize) {
+  const struct {
+    const char* text;
+    bool ok;
+    uint64_t value;
+  } cases[] = {
+      {"0", true, 0},
+      {"4096", true, 4096},
+      {"64k", true, 64ull << 10},
+      {"64K", true, 64ull << 10},
+      {"64m", true, 64ull << 20},
+      {"2G", true, 2ull << 30},
+      {"17179869183g", true, 17179869183ull << 30},  // 2^64 - 2^30
+      {"17179869184g", false, 0},                     // 2^64: overflows
+      {"18446744073709551615", true, UINT64_MAX},
+      {"18446744073709551615k", false, 0},
+      {"", false, 0},
+      {"m", false, 0},
+      {"64t", false, 0},
+      {"64mb", false, 0},
+      {"-1m", false, 0},
+  };
+  for (const auto& c : cases) {
+    uint64_t value = 0;
+    EXPECT_EQ(ParseByteSize(c.text, &value), c.ok) << "'" << c.text << "'";
+    if (c.ok) {
+      EXPECT_EQ(value, c.value) << "'" << c.text << "'";
+    }
+  }
+}
+
+TEST(StringUtilTest, ParseMillis) {
+  const struct {
+    const char* text;
+    bool ok;
+    double value;
+  } cases[] = {
+      {"0", true, 0.0},
+      {"5.5", true, 5.5},
+      {"250", true, 250.0},
+      {"1e300", true, 1e300},  // finite: a deadline that never fires
+      {"inf", false, 0},
+      {"INF", false, 0},
+      {"nan", false, 0},
+      {"1e400", false, 0},  // overflows to inf
+      {"-1", false, 0},
+      {"", false, 0},
+      {"abc", false, 0},
+      {"5ms", false, 0},
+  };
+  for (const auto& c : cases) {
+    double value = -1;
+    EXPECT_EQ(ParseMillis(c.text, &value), c.ok) << "'" << c.text << "'";
+    if (c.ok) {
+      EXPECT_EQ(value, c.value) << "'" << c.text << "'";
+    }
+  }
 }
 
 }  // namespace

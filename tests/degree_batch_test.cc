@@ -19,8 +19,6 @@
 #include "fuzzy/degree.h"
 #include "fuzzy/interval_order.h"
 #include "fuzzy/trapezoid_batch.h"
-#include "relational/column_gather.h"
-#include "relational/tuple.h"
 
 namespace fuzzydb {
 namespace {
@@ -226,36 +224,10 @@ TEST(DegreeBatchTest, IntervalOrderBatchMatchesScalar) {
   }
 }
 
-TEST(DegreeBatchTest, GatherFuzzyColumnRoundTrips) {
-  const PairSweep sweep = MakeSweep(100, 0x9999u);
-  std::vector<Tuple> tuples;
-  for (const Trapezoid& t : sweep.xs) {
-    std::vector<Value> values;
-    values.emplace_back(Value::Fuzzy(t));
-    tuples.emplace_back(std::move(values), 1.0);
-  }
-  std::vector<const Tuple*> ptrs;
-  for (const Tuple& t : tuples) ptrs.push_back(&t);
-
-  TrapezoidBatch batch;
-  ASSERT_TRUE(GatherFuzzyColumn(ptrs.data(), ptrs.size(), 0, &batch));
-  ASSERT_EQ(batch.size(), sweep.xs.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.At(i), sweep.xs[i]);
-  }
-
-  // A null value poisons the gather.
-  std::vector<Value> null_values;
-  null_values.emplace_back(Value::Null());
-  tuples.emplace_back(std::move(null_values), 1.0);
-  ptrs.push_back(&tuples.back());
-  EXPECT_FALSE(GatherFuzzyColumn(ptrs.data(), ptrs.size(), 0, &batch));
-}
-
-TEST(TrapezoidBatchTest, SplatAndAt) {
+TEST(TrapezoidBatchTest, PushBackAndAt) {
   TrapezoidBatch batch;
   const Trapezoid t(1, 2, 3, 4);
-  batch.Splat(t, 17);
+  for (int i = 0; i < 17; ++i) batch.PushBack(t);
   ASSERT_EQ(batch.size(), 17u);
   for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(batch.At(i), t);
   batch.Clear();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,6 +136,22 @@ TEST_F(GovernanceTest, ExpiredDeadlineFailsAtEveryThreadCount) {
         << threads << " threads: " << answer.status().ToString();
     EXPECT_EQ(qctx.memory().used(), 0) << threads << " threads";
   }
+}
+
+// A deadline past the steady clock's range saturates: it never fires,
+// where an unchecked cast to the clock's integer ticks would overflow
+// and land in the past.
+TEST(QueryContextTest, DeadlinePastTheClockRangeNeverFires) {
+  for (double ms : {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    QueryContext qctx;
+    qctx.set_deadline_after_ms(ms);
+    EXPECT_TRUE(qctx.has_deadline());
+    EXPECT_FALSE(qctx.StopRequested()) << ms << " ms";
+    EXPECT_OK(qctx.Check());
+  }
+  QueryContext expired;
+  expired.set_deadline_after_ms(-1e300);
+  EXPECT_TRUE(expired.StopRequested());
 }
 
 TEST_F(GovernanceTest, NaiveEvaluatorHonoursGovernance) {

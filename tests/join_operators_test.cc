@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "engine/executor.h"
 #include "engine/merge_join.h"
@@ -78,11 +81,13 @@ TEST_P(JoinOperatorsTest, MergeJoinMatchesNestedLoopOracle) {
   };
   ASSERT_OK_AND_ASSIGN(
       auto r_sorted,
-      ExternalSort(r_file.get(), &pool, less_on(1), TempPath("rs"),
+      ExternalSort(r_file.get(), &pool, less_on(1),
+                   TempPath("rs" + std::to_string(seed)),
                    TempPath("r_sorted" + std::to_string(seed)), 8, 128));
   ASSERT_OK_AND_ASSIGN(
       auto s_sorted,
-      ExternalSort(s_file.get(), &pool, less_on(0), TempPath("ss"),
+      ExternalSort(s_file.get(), &pool, less_on(0),
+                   TempPath("ss" + std::to_string(seed)),
                    TempPath("s_sorted" + std::to_string(seed)), 8, 128));
 
   PairMap actual;
@@ -114,6 +119,85 @@ TEST_P(JoinOperatorsTest, MergeJoinMatchesNestedLoopOracle) {
   RemoveFileIfExists(s_path);
   RemoveFileIfExists(TempPath("r_sorted" + std::to_string(seed)));
   RemoveFileIfExists(TempPath("s_sorted" + std::to_string(seed)));
+}
+
+// FileMergeJoin cuts each window into batch_size lanes for the batch
+// kernels. The cut must change nothing observable: the same pairs in
+// the same order, each with exactly FuzzyJoinSpec::PairDegree's degree,
+// and the same CpuStats.
+TEST_P(JoinOperatorsTest, MergeJoinIsBatchSizeInvariant) {
+  const uint64_t seed = GetParam();
+  WorkloadConfig config;
+  config.seed = seed;
+  config.num_r = 300;
+  config.num_s = 300;
+  config.join_fanout = 6;
+  config.partial_membership_fraction = 0.5;
+  TypeJDataset dataset = GenerateTypeJDataset(config);
+
+  BufferPool pool(16);
+  const std::string tag = "batch" + std::to_string(seed) + "_";
+  ASSERT_OK_AND_ASSIGN(
+      auto r_file,
+      WriteRelationToFile(dataset.r, TempPath(tag + "R"), &pool, 128));
+  ASSERT_OK_AND_ASSIGN(
+      auto s_file,
+      WriteRelationToFile(dataset.s, TempPath(tag + "S"), &pool, 128));
+  auto less_on = [](size_t col) {
+    return TupleLess([col](const Tuple& a, const Tuple& b) {
+      return IntervalOrderLess(a.ValueAt(col).AsFuzzy(),
+                               b.ValueAt(col).AsFuzzy());
+    });
+  };
+  ASSERT_OK_AND_ASSIGN(
+      auto r_sorted,
+      ExternalSort(r_file.get(), &pool, less_on(1), TempPath(tag + "rs"),
+                   TempPath(tag + "r_sorted"), 8, 128));
+  ASSERT_OK_AND_ASSIGN(
+      auto s_sorted,
+      ExternalSort(s_file.get(), &pool, less_on(0), TempPath(tag + "ss"),
+                   TempPath(tag + "s_sorted"), 8, 128));
+
+  FuzzyJoinSpec spec;
+  spec.outer_key = 1;  // R.Y
+  spec.inner_key = 0;  // S.Z
+  spec.residuals.push_back({2, 1, CompareOp::kEq});  // R.U = S.V
+
+  // Each pair as (outer id, inner key/value corners, degree).
+  using Pair = std::tuple<double, std::string, double>;
+  std::vector<std::vector<Pair>> emitted;
+  std::vector<CpuStats> stats;
+  for (size_t batch : {1, 7, 1024}) {
+    std::vector<Pair> pairs;
+    CpuStats cpu;
+    ASSERT_OK(FileMergeJoin(
+        r_sorted.get(), s_sorted.get(), &pool, spec, &cpu,
+        [&](const Tuple& r, const Tuple& s, double d) {
+          EXPECT_EQ(d, spec.PairDegree(r, s, nullptr)) << "batch " << batch;
+          pairs.emplace_back(r.ValueAt(0).AsFuzzy().CrispValue(),
+                             s.ValueAt(0).AsFuzzy().ToString() + "/" +
+                                 s.ValueAt(1).AsFuzzy().ToString(),
+                             d);
+          return Status::OK();
+        },
+        /*trace=*/nullptr, /*query=*/nullptr, batch));
+    emitted.push_back(std::move(pairs));
+    stats.push_back(cpu);
+  }
+  EXPECT_GT(emitted[0].size(), 0u);
+  EXPECT_GT(stats[0].degree_evaluations, 0u);
+  for (size_t i = 1; i < emitted.size(); ++i) {
+    EXPECT_EQ(emitted[i], emitted[0]);
+    EXPECT_EQ(stats[i], stats[0]);
+  }
+
+  r_file.reset();
+  s_file.reset();
+  r_sorted.reset();
+  s_sorted.reset();
+  for (const char* name : {"R", "S", "r_sorted", "s_sorted"}) {
+    RemoveFileIfExists(TempPath(tag + name));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinOperatorsTest,

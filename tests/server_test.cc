@@ -148,6 +148,43 @@ TEST(SessionTest, SetOptionsValidatedAndApplied) {
   EXPECT_EQ(session.errors(), 5u);
 }
 
+// Values a session cannot honour are refused before they reach the
+// engine: a thread count past kMaxSessionThreads, a byte size past
+// 2^64 - 1 and a non-finite timeout. A finite timeout past the clock's
+// range is accepted and never fires.
+TEST(SessionTest, OutOfRangeSettingsAreRejected) {
+  Session session(1, SessionDefaults{}, /*fair_share_budget=*/0);
+  ASSERT_EQ(session.Execute("CREATE TABLE t (x FUZZY);").status, "OK");
+  ASSERT_EQ(session.Execute("INSERT INTO t VALUES (1);").status, "OK");
+  const std::string select = "SELECT x FROM t WITH D >= 0;";
+
+  EXPECT_EQ(session.Execute("SET threads 100000").status, "INVALID_ARGUMENT");
+  EXPECT_EQ(
+      session.Execute("SET threads " + std::to_string(kMaxSessionThreads + 1))
+          .status,
+      "INVALID_ARGUMENT");
+  EXPECT_EQ(
+      session.Execute("SET threads " + std::to_string(kMaxSessionThreads))
+          .status,
+      "OK");
+  EXPECT_EQ(session.Execute("SET threads 1").status, "OK");
+  EXPECT_EQ(session.Execute("SET memory_budget 17179869184g").status,
+            "INVALID_ARGUMENT");
+  EXPECT_EQ(session.effective_memory_budget(), 0u);
+  EXPECT_EQ(session.Execute("SET timeout_ms inf").status, "INVALID_ARGUMENT");
+  EXPECT_EQ(session.Execute("SET slow_query_ms nan").status,
+            "INVALID_ARGUMENT");
+  ReplyFrame frame = session.Execute(select);
+  EXPECT_EQ(frame.status, "OK") << frame.error;
+
+  EXPECT_EQ(session.Execute("SET timeout_ms 1e300").status, "OK");
+  frame = session.Execute(select);
+  EXPECT_EQ(frame.status, "OK") << frame.error;
+  ASSERT_TRUE(frame.has_answer);
+  EXPECT_EQ(frame.rows.size(), 1u);
+  EXPECT_EQ(session.errors(), 5u);
+}
+
 TEST(SessionTest, ErrorsCarryMachineReadableStatus) {
   Session session(1, SessionDefaults{}, /*fair_share_budget=*/0);
   ReplyFrame frame = session.Execute("SELEKT nonsense;");

@@ -27,7 +27,6 @@
 // query is cancelled through the registry (each client sees a
 // well-formed CANCELLED frame), the admission queue drains, and the
 // process exits 0. A second SIGINT exits immediately.
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -37,6 +36,7 @@
 #include <thread>
 
 #include "cache/cache_manager.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/query_journal.h"
 #include "server/server.h"
@@ -55,38 +55,9 @@ extern "C" void HandleInterrupt(int) {
   (void)fuzzydb::Shell::CancelActiveQuery();
 }
 
-bool ParseByteSize(const std::string& text, uint64_t* bytes) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str()) return false;
-  uint64_t multiplier = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': multiplier = 1ull << 10; break;
-      case 'm': case 'M': multiplier = 1ull << 20; break;
-      case 'g': case 'G': multiplier = 1ull << 30; break;
-      default: return false;
-    }
-    if (*(end + 1) != '\0') return false;
-  }
-  *bytes = static_cast<uint64_t>(v) * multiplier;
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* value) {
-  char* end = nullptr;
-  errno = 0;
-  *value = std::strtoull(text.c_str(), &end, 10);
-  return errno == 0 && end == text.c_str() + text.size() && !text.empty();
-}
-
-bool ParseNonNegativeDouble(const std::string& text, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty() && *value >= 0;
-}
+using fuzzydb::ParseByteSize;
+using fuzzydb::ParseCount;
+using fuzzydb::ParseMillis;
 
 int Usage() {
   std::cerr
@@ -115,17 +86,17 @@ int main(int argc, char** argv) {
     uint64_t number = 0;
     double ms = 0;
     if (arg.rfind("--port=", 0) == 0) {
-      if (!ParseUint(value_of("--port="), &number) || number > 65535) {
+      if (!ParseCount(value_of("--port="), &number) || number > 65535) {
         return Usage();
       }
       config.port = static_cast<int>(number);
     } else if (arg.rfind("--workers=", 0) == 0) {
-      if (!ParseUint(value_of("--workers="), &number) || number == 0) {
+      if (!ParseCount(value_of("--workers="), &number) || number == 0) {
         return Usage();
       }
       config.workers = static_cast<size_t>(number);
     } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      if (!ParseUint(value_of("--queue-depth="), &number)) return Usage();
+      if (!ParseCount(value_of("--queue-depth="), &number)) return Usage();
       config.queue_depth = static_cast<size_t>(number);
     } else if (arg.rfind("--memory-budget=", 0) == 0) {
       if (!ParseByteSize(value_of("--memory-budget="), &number)) {
@@ -133,28 +104,34 @@ int main(int argc, char** argv) {
       }
       config.memory_budget_total = number;
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      if (!ParseNonNegativeDouble(value_of("--timeout-ms="), &ms)) {
+      if (!ParseMillis(value_of("--timeout-ms="), &ms)) {
         return Usage();
       }
       config.session_defaults.timeout_ms = ms;
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
-      if (!ParseNonNegativeDouble(value_of("--slow-query-ms="), &ms)) {
+      if (!ParseMillis(value_of("--slow-query-ms="), &ms)) {
         return Usage();
       }
       config.session_defaults.slow_query_ms = ms;
     } else if (arg.rfind("--batch-size=", 0) == 0) {
-      if (!ParseUint(value_of("--batch-size="), &number) || number == 0) {
+      if (!ParseCount(value_of("--batch-size="), &number) || number == 0) {
         return Usage();
       }
       config.session_defaults.batch_size = static_cast<size_t>(number);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!ParseUint(value_of("--threads="), &number)) return Usage();
+      if (!ParseCount(value_of("--threads="), &number) ||
+          number > fuzzydb::server::kMaxSessionThreads) {
+        return Usage();
+      }
       config.session_defaults.threads = static_cast<size_t>(number);
     } else if (arg == "--no-cache") {
       config.session_defaults.cache = false;
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      if (!ParseUint(value_of("--cache-mb="), &number)) return Usage();
-      fuzzydb::CacheManager::Global().set_capacity_bytes(number << 20);
+      // N MiB, overflow-checked like N[m] sizes.
+      if (!ParseByteSize(value_of("--cache-mb=") + "m", &number)) {
+        return Usage();
+      }
+      fuzzydb::CacheManager::Global().set_capacity_bytes(number);
     } else if (arg.rfind("--query-log=", 0) == 0) {
       const fuzzydb::Status status =
           fuzzydb::QueryJournal::Global().SetPath(value_of("--query-log="));
@@ -163,12 +140,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--query-log-sample=", 0) == 0) {
-      if (!ParseUint(value_of("--query-log-sample="), &number)) {
+      if (!ParseCount(value_of("--query-log-sample="), &number)) {
         return Usage();
       }
       fuzzydb::QueryJournal::Global().set_sample_every(number);
     } else if (arg.rfind("--query-log-keep=", 0) == 0) {
-      if (!ParseUint(value_of("--query-log-keep="), &number)) {
+      if (!ParseCount(value_of("--query-log-keep="), &number)) {
         return Usage();
       }
       fuzzydb::QueryJournal::Global().set_keep_files(number);

@@ -37,10 +37,7 @@
 // With -c, the exit code is non-zero when any statement failed. Ctrl-C
 // during an interactive query cancels that query (CANCELLED) instead of
 // killing the shell; a second Ctrl-C while idle exits.
-#include <cerrno>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -49,6 +46,7 @@
 #include <unistd.h>
 
 #include "cache/cache_manager.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/query_journal.h"
 #include "shell/shell.h"
@@ -68,28 +66,6 @@ bool WriteDump(const std::string& path, const std::string& text) {
     return false;
   }
   file << text;
-  return true;
-}
-
-// Parses a byte size with an optional k/m/g suffix ("64m" = 64 MiB).
-// Returns false on malformed input.
-bool ParseByteSize(const std::string& text, uint64_t* bytes) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str()) return false;
-  uint64_t multiplier = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': multiplier = 1ull << 10; break;
-      case 'm': case 'M': multiplier = 1ull << 20; break;
-      case 'g': case 'G': multiplier = 1ull << 30; break;
-      default: return false;
-    }
-    if (*(end + 1) != '\0') return false;
-  }
-  *bytes = static_cast<uint64_t>(v) * multiplier;
   return true;
 }
 
@@ -150,37 +126,41 @@ int main(int argc, char** argv) {
     } else if (arg.rfind(kMetricsPromFlag, 0) == 0) {
       metrics_prom_path = arg.substr(kMetricsPromFlag.size());
     } else if (arg.rfind(kSlowFlag, 0) == 0) {
-      shell.set_slow_query_ms(std::atof(arg.c_str() + kSlowFlag.size()));
+      double ms = 0;
+      if (!fuzzydb::ParseMillis(arg.substr(kSlowFlag.size()), &ms)) {
+        std::cerr << "bad --slow-query-ms value (want N >= 0): " << arg
+                  << "\n";
+        return 2;
+      }
+      shell.set_slow_query_ms(ms);
     } else if (arg.rfind(kTimeoutFlag, 0) == 0) {
-      shell.set_timeout_ms(std::atof(arg.c_str() + kTimeoutFlag.size()));
+      double ms = 0;
+      if (!fuzzydb::ParseMillis(arg.substr(kTimeoutFlag.size()), &ms)) {
+        std::cerr << "bad --timeout-ms value (want N >= 0): " << arg << "\n";
+        return 2;
+      }
+      shell.set_timeout_ms(ms);
     } else if (arg.rfind(kBudgetFlag, 0) == 0) {
       uint64_t bytes = 0;
-      if (!ParseByteSize(arg.substr(kBudgetFlag.size()), &bytes)) {
+      if (!fuzzydb::ParseByteSize(arg.substr(kBudgetFlag.size()), &bytes)) {
         std::cerr << "bad --memory-budget value (want N[k|m|g]): " << arg
                   << "\n";
         return 2;
       }
       shell.set_memory_budget(bytes);
     } else if (arg.rfind(kCacheFlag, 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long mb =
-          std::strtoull(arg.c_str() + kCacheFlag.size(), &end, 10);
-      if (errno != 0 || end == arg.c_str() + kCacheFlag.size() ||
-          *end != '\0') {
+      uint64_t bytes = 0;  // N MiB, overflow-checked like N[m] sizes
+      if (!fuzzydb::ParseByteSize(arg.substr(kCacheFlag.size()) + "m",
+                                  &bytes)) {
         std::cerr << "bad --cache-mb value (want a number of MiB): " << arg
                   << "\n";
         return 2;
       }
-      fuzzydb::CacheManager::Global().set_capacity_bytes(
-          static_cast<uint64_t>(mb) << 20);
+      fuzzydb::CacheManager::Global().set_capacity_bytes(bytes);
     } else if (arg.rfind(kBatchFlag, 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long lanes =
-          std::strtoull(arg.c_str() + kBatchFlag.size(), &end, 10);
-      if (errno != 0 || end == arg.c_str() + kBatchFlag.size() ||
-          *end != '\0' || lanes == 0) {
+      uint64_t lanes = 0;
+      if (!fuzzydb::ParseCount(arg.substr(kBatchFlag.size()), &lanes) ||
+          lanes == 0) {
         std::cerr << "bad --batch-size value (want a lane count >= 1): "
                   << arg << "\n";
         return 2;
@@ -194,31 +174,22 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind(kQueryLogSampleFlag, 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long every = std::strtoull(
-          arg.c_str() + kQueryLogSampleFlag.size(), &end, 10);
-      if (errno != 0 || end == arg.c_str() + kQueryLogSampleFlag.size() ||
-          *end != '\0') {
+      uint64_t every = 0;
+      if (!fuzzydb::ParseCount(arg.substr(kQueryLogSampleFlag.size()),
+                               &every)) {
         std::cerr << "bad --query-log-sample value (want N >= 1): " << arg
                   << "\n";
         return 2;
       }
-      fuzzydb::QueryJournal::Global().set_sample_every(
-          static_cast<uint64_t>(every));
+      fuzzydb::QueryJournal::Global().set_sample_every(every);
     } else if (arg.rfind(kQueryLogKeepFlag, 0) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long keep = std::strtoull(
-          arg.c_str() + kQueryLogKeepFlag.size(), &end, 10);
-      if (errno != 0 || end == arg.c_str() + kQueryLogKeepFlag.size() ||
-          *end != '\0') {
+      uint64_t keep = 0;
+      if (!fuzzydb::ParseCount(arg.substr(kQueryLogKeepFlag.size()), &keep)) {
         std::cerr << "bad --query-log-keep value (want N >= 0): " << arg
                   << "\n";
         return 2;
       }
-      fuzzydb::QueryJournal::Global().set_keep_files(
-          static_cast<uint64_t>(keep));
+      fuzzydb::QueryJournal::Global().set_keep_files(keep);
     } else if (arg == "--no-cbo") {
       shell.set_cost_based(false);
     } else if (arg == "--explain-json") {
