@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 
@@ -362,104 +361,215 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
   return Status::OK();
 }
 
-/// The support bounds of fuzzy column `col` of every filtered tuple.
-std::vector<SupportBounds> HoistKeyBounds(const std::vector<FT>& tuples,
-                                          size_t col) {
-  return HoistSupportBounds(tuples, [col](const FT& ft) -> const Trapezoid& {
-    return ft.tuple->ValueAt(col).AsFuzzy();
-  });
+/// One buffered pair of a pair join: outer row `r` (its index in the
+/// caller's outer side) and inner tuple `s`.
+struct PairEntry {
+  size_t r = 0;
+  const FT* s = nullptr;
+};
+
+/// One batch of pairs, handed to a pair join's sink. Lane k is pairs[k];
+/// fold->degree[k] starts at min(weight of r, d_S(s)). A batch never
+/// spans a morsel, and each morsel's last batch (possibly empty) is
+/// marked morsel_end.
+struct PairBatch {
+  const PairEntry* pairs = nullptr;
+  size_t count = 0;
+  size_t worker = 0;  // the ParallelFor worker slot
+  size_t morsel = 0;  // the morsel's index among the outer positions
+  bool morsel_end = false;
+  FoldScratch* fold = nullptr;
+  CpuStats* cpu = nullptr;  // the worker's stats slot; null = don't count
+  BatchTally* tally = nullptr;
+};
+
+/// Consumes one batch. Runs concurrently for distinct workers.
+using PairSink = std::function<Status(const PairBatch&)>;
+
+/// The key of a keyed pair join: fuzzy column outer_col of each outer
+/// row's tuple and inner_col of the inner tuples, which are filtered
+/// from `inner_relation` (the permutation cache's source, or null).
+struct PairKey {
+  size_t outer_col = 0;
+  size_t inner_col = 0;
+  const Relation* inner_relation = nullptr;
+  uint64_t est_pairs = TraceNode::kNoCount;  // merge-window's est=
+};
+
+/// The lanes of a batch whose terms read inner tuple s as the local side
+/// and outer row r's tuple as the enclosing side.
+auto PairLanes(const PairBatch& batch, const std::vector<FT>& outer) {
+  return [&batch, &outer](size_t k) {
+    const PairEntry& e = batch.pairs[k];
+    return LaneTuples{e.s->tuple, outer[e.r].tuple};
+  };
 }
 
-/// The extended merge-join enumeration (Section 3): both inputs sorted on
-/// their key columns; for each outer tuple, emits exactly the inner tuples
-/// of Rng(r) (Definition 3.2), as found by NextWindow.
+/// One worker's pending pairs and fold lanes.
+struct PairWorker {
+  std::vector<PairEntry> pairs;
+  FoldScratch fold;
+  BatchTally tally;
+  Status status;
+};
+
+/// The unnesting engine's one in-memory join. Outer row r is outer[r]:
+/// its degree is the row's weight and, when keyed, its tuple holds the
+/// key.
 ///
-/// Parallelization: the *outer* sorted input is cut into morsels; the
+/// Keyed, it is the extended merge-join of Section 3: an index view of
+/// the outer is sorted on its keys (interval-sort [outer-view colN]),
+/// the inner is sorted on key->inner_col, and each outer row meets
+/// exactly the inner tuples of Rng(r) (Definition 3.2), as NextWindow
+/// finds them (merge-window). Unkeyed, every outer row meets every inner
+/// tuple (nested-pairing), with a stop check before each row.
+///
+/// Parallelization: the outer positions are cut into morsels. The
 /// window logic is read-only over the inner side, so morsels are
-/// independent and the enumeration is exactly degree-preserving. Each
-/// morsel replays the serial scan for its range after replaying the scan
-/// *state* at its entry: the serial window start before outer[begin] is
+/// independent. A keyed morsel replays the serial scan *state* at its
+/// entry: the serial window start before position `begin` is
 /// min{i : e(inner[i]) >= b(outer[begin - 1])}, which an (uncounted)
 /// binary search finds on the monotone prefix-max of inner support ends
 /// (the raw ends are not monotone under the interval order). Counted
 /// comparisons therefore sum to the serial totals for every thread count.
 ///
-/// `emit(worker, r, s)` may run concurrently for distinct workers; per-
-/// worker stats go to worker_cpu (null = don't count, the serial
-/// convention for cpu == nullptr). The worker slots -- including
-/// whatever the emit callback tallied into them -- are folded into
-/// `total_cpu` at the barrier, inside this operator's OpScope.
-///
-/// The emit callback buffers pairs into batches; `morsel_flush(worker)`
-/// runs at the end of every morsel body so batches never span morsels.
-/// `batch_tallies` is added to this operator's batch tally after the fold.
-void MergeWindow(const std::vector<FT>& outer, size_t outer_col,
-                 const std::vector<FT>& inner, size_t inner_col,
-                 const ParallelContext& ctx,
-                 std::vector<CpuStats>* worker_cpu, CpuStats* total_cpu,
-                 ExecTrace* trace,
-                 const std::function<void(size_t, const FT&, const FT&)>&
-                     emit,
-                 const std::function<void(size_t)>& morsel_flush,
-                 const std::vector<BatchTally>& batch_tallies,
-                 uint64_t est_pairs) {
-  OpScope op(Op::kMergeWindow, trace, ctx.progress, total_cpu, nullptr,
-             "inner=" + std::to_string(inner.size()));
-  op.SetInputRows(outer.size());
-  op.SetThreads(WorkerSlots(ctx));
-  // Declared after `op` so a throwing emit callback still folds the
-  // worker tallies before the span records its delta (see CpuStatsFolder).
-  CpuStatsFolder folder(worker_cpu, total_cpu);
-  // Hoisted out of the scan: the enabled path per outer tuple is one
-  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
-  EngineMetrics* metrics = EngineMetrics::IfEnabled();
-  Histogram* window_hist =
-      metrics == nullptr ? nullptr : metrics->merge_window_length;
-  const std::vector<SupportBounds> outer_bounds =
-      HoistKeyBounds(outer, outer_col);
-  const std::vector<SupportBounds> inner_bounds =
-      HoistKeyBounds(inner, inner_col);
-  std::vector<double> inner_end_max(inner_bounds.size());
-  double running = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < inner_bounds.size(); ++i) {
-    running = std::max(running, inner_bounds[i].end);
-    inner_end_max[i] = running;
+/// Pairs are buffered per worker and handed to `sink` in batches of at
+/// most batch_size, flushed when full and at every morsel end, so the
+/// batch decomposition is thread-count-invariant. Worker stats -- the
+/// sink's included -- and batch tallies fold into this operator's span
+/// at the barrier. Returns the first sink error, else the query's stop
+/// status.
+Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
+                const PairKey* key, const ParallelContext& ctx,
+                CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
+                const std::string& inner_note = "") {
+  const size_t n = outer.size();
+  std::vector<size_t> order;  // keyed: outer rows in interval order
+  std::vector<SupportBounds> outer_bounds;
+  std::vector<SupportBounds> inner_bounds;
+  std::vector<double> inner_end_max;
+  if (key != nullptr) {
+    const auto key_of = [&outer, key](size_t r) -> const Trapezoid& {
+      return outer[r].tuple->ValueAt(key->outer_col).AsFuzzy();
+    };
+    order.resize(n);
+    std::iota(order.begin(), order.end(), 0);
+    {
+      OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
+                      "outer-view col" + std::to_string(key->outer_col));
+      sort_op.SetInputRows(n);
+      sort_op.SetThreads(WorkerSlots(ctx));
+      uint64_t comparisons = 0;
+      FUZZYDB_RETURN_IF_ERROR(ParallelSort(
+          ctx, &order, cpu == nullptr ? nullptr : &comparisons,
+          [&key_of](uint64_t* count) {
+            return [&key_of, count](size_t a, size_t b) {
+              ++*count;
+              return IntervalOrderLess(key_of(a), key_of(b));
+            };
+          }));
+      if (cpu != nullptr) cpu->comparisons += comparisons;
+    }
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
+        inner, key->inner_col, ctx, cpu, trace, key->inner_relation));
+    outer_bounds = HoistSupportBounds(order, key_of);
+    inner_bounds =
+        HoistSupportBounds(*inner, [key](const FT& s) -> const Trapezoid& {
+          return s.tuple->ValueAt(key->inner_col).AsFuzzy();
+        });
+    inner_end_max.resize(inner_bounds.size());
+    double running = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < inner_bounds.size(); ++i) {
+      running = std::max(running, inner_bounds[i].end);
+      inner_end_max[i] = running;
+    }
   }
 
-  // Windowed (= emitted) pairs per worker; the post-barrier sum is
-  // permutation-invariant, so the op's rows_out -- the actual
-  // cardinality the q-error gate compares est_pairs against, and the
-  // pairs sys.queries reports -- is thread-count-invariant like the
-  // counters.
+  OpScope op(key != nullptr ? Op::kMergeWindow : Op::kNestedPairing, trace,
+             ctx.progress, cpu, nullptr,
+             inner_note + "inner=" + std::to_string(inner->size()));
+  op.SetInputRows(n);
+  op.SetThreads(WorkerSlots(ctx));
+  std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
+  std::vector<std::unique_ptr<PairWorker>> workers(WorkerSlots(ctx));
+  // Windowed pairs per worker; the post-barrier sum is permutation-
+  // invariant, so merge-window's rows_out -- the actual cardinality the
+  // q-error gate compares est_pairs against, and the pairs sys.queries
+  // reports -- is thread-count-invariant like the counters.
   std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
+  // Declared after `op` so a throwing sink still folds the worker
+  // tallies before the span records its delta (see CpuStatsFolder).
+  CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
+  // Hoisted out of the scan: the enabled path per outer row is one
+  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
+  EngineMetrics* metrics = EngineMetrics::IfEnabled();
+  Histogram* window_hist = key == nullptr || metrics == nullptr
+                               ? nullptr
+                               : metrics->merge_window_length;
+  const size_t batch = EffectiveBatchSize(ctx);
+  const size_t morsel_size = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
 
-  ParallelFor(ctx, outer.size(), [&](size_t worker, size_t begin,
-                                     size_t end) {
-    CpuStats* cpu = worker_cpu == nullptr ? nullptr : &(*worker_cpu)[worker];
+  ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
+    std::unique_ptr<PairWorker>& w = workers[worker];
+    if (w == nullptr) {
+      w = std::make_unique<PairWorker>();
+      w->pairs.reserve(batch);
+      w->tally = EngineBatchTally();
+    }
+    if (!w->status.ok()) return;
+    CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
+    auto flush = [&](bool morsel_end) {
+      const size_t count = w->pairs.size();
+      for (size_t k = 0; k < count; ++k) {
+        const PairEntry& e = w->pairs[k];
+        w->fold.degree[k] = std::min(outer[e.r].degree, e.s->degree);
+      }
+      w->status = sink(PairBatch{w->pairs.data(), count, worker,
+                                 begin / morsel_size, morsel_end, &w->fold,
+                                 slot, &w->tally});
+      w->pairs.clear();
+      return w->status.ok();
+    };
     size_t window_start = 0;
-    if (begin > 0) {
+    if (key != nullptr && begin > 0) {
       window_start = static_cast<size_t>(
           std::lower_bound(inner_end_max.begin(), inner_end_max.end(),
                            outer_bounds[begin - 1].begin) -
           inner_end_max.begin());
     }
-    for (size_t r = begin; r < end; ++r) {
-      const WindowRange window =
-          NextWindow(inner_bounds, outer_bounds[r], &window_start, cpu);
-      for (size_t i = window.begin; i < window.end; ++i) {
-        emit(worker, outer[r], inner[i]);
+    for (size_t pos = begin; pos < end; ++pos) {
+      size_t r = pos;
+      WindowRange window{0, inner->size()};
+      if (key != nullptr) {
+        r = order[pos];
+        window = NextWindow(inner_bounds, outer_bounds[pos], &window_start,
+                            slot);
+        if (window_hist != nullptr) window_hist->Record(window.size());
+        worker_pairs[worker] += window.size();
+      } else {
+        if (QueryStopRequested(ctx.query)) break;
+        if (slot != nullptr) slot->tuple_pairs += inner->size();
       }
-      if (window_hist != nullptr) window_hist->Record(window.size());
-      worker_pairs[worker] += window.size();
+      for (size_t i = window.begin; i < window.end; ++i) {
+        w->pairs.push_back(PairEntry{r, &(*inner)[i]});
+        if (w->pairs.size() >= batch && !flush(/*morsel_end=*/false)) return;
+      }
     }
-    morsel_flush(worker);
+    flush(/*morsel_end=*/true);
   });
   folder.Fold();
-  uint64_t emitted = 0;
-  for (uint64_t p : worker_pairs) emitted += p;
-  op.SetOutputRows(emitted);
-  op.SetEstimatedRows(est_pairs);
-  for (const BatchTally& t : batch_tallies) op.AddBatches(t.batches, t.rows);
+  if (key != nullptr) {
+    uint64_t windowed = 0;
+    for (uint64_t p : worker_pairs) windowed += p;
+    op.SetOutputRows(windowed);
+    op.SetEstimatedRows(key->est_pairs);
+  }
+  for (const auto& w : workers) {
+    if (w == nullptr) continue;
+    op.AddBatches(w->tally.batches, w->tally.rows);
+    FUZZYDB_RETURN_IF_ERROR(w->status);
+  }
+  return CheckQuery(ctx.query);
 }
 
 /// The decomposed shape of one subquery predicate and its inner block.
@@ -524,21 +634,6 @@ std::optional<LinkShape> DecomposeLink(const BoundPredicate& pred) {
   return shape;
 }
 
-/// One buffered (outer, inner) pair. The pointers reference the
-/// caller's stable tuple vectors; `index` is the pair's slot in the
-/// caller's per-outer degree vector.
-struct PairEntry {
-  const FT* r = nullptr;
-  const FT* s = nullptr;
-  size_t index = 0;
-};
-
-/// One worker's pending pairs of the current morsel and its fold lanes.
-struct PairScratch {
-  std::vector<PairEntry> entries;
-  FoldScratch fold;
-};
-
 /// The fold steps of a pair term min(d_S(s), d(corr(r, s)),
 /// f(d(r.Y op s.Z))): one per correlation predicate, then the link. The
 /// link compares with Value::Compare's default tolerance, 1.0 -- the
@@ -556,30 +651,6 @@ std::vector<FoldTerm> PairTerms(const LinkShape& shape) {
                              /*tolerance=*/1.0, shape.negate_link});
   }
   return terms;
-}
-
-/// Evaluates and drains one worker's pending pairs: lanes start at
-/// d_S(s) (> 0, as FilterBlock emits), fold the pair terms, then
-/// max-fold into m[]. Concurrent flushes write disjoint m[] slots: a
-/// morsel's sorted positions belong to one worker and order[] is a
-/// permutation.
-void FlushPairBatch(const std::vector<FoldTerm>& terms, PairScratch* ps,
-                    CpuStats* slot, BatchTally* tally,
-                    std::vector<double>* m) {
-  const size_t count = ps->entries.size();
-  if (count == 0) return;
-  const PairEntry* entries = ps->entries.data();
-  double* degree = ps->fold.degree.data();
-  for (size_t k = 0; k < count; ++k) degree[k] = entries[k].s->degree;
-  const auto lanes = [entries](size_t k) {
-    return LaneTuples{entries[k].s->tuple, entries[k].r->tuple};
-  };
-  FoldComparisons(lanes, count, terms, &ps->fold, slot, tally);
-  for (size_t k = 0; k < count; ++k) {
-    const PairEntry& e = entries[k];
-    if (degree[k] > (*m)[e.index]) (*m)[e.index] = degree[k];
-  }
-  ps->entries.clear();
 }
 
 /// Picks an equality correlation predicate over fuzzy columns usable as
@@ -643,15 +714,17 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
              LinkDetail(shape));
   op.SetInputRows(outer.size());
   std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
-  // FilterBlock/MergeWindow stop dispatching morsels on a governed stop,
-  // leaving partial output; surface the stop before using it.
+  // FilterBlock stops dispatching morsels on a governed stop, leaving
+  // partial output; surface the stop before using it.
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-  std::vector<double> m(outer.size(), 0.0);
-
-  // Both pairing paths below evaluate their pair terms batch-at-a-time
-  // through FlushPairBatch.
-  const size_t batch = EffectiveBatchSize(ctx);
-  const std::vector<FoldTerm> terms = PairTerms(shape);
+  if (shape.correlations.empty() && !shape.has_link_columns) {
+    // Uncorrelated EXISTS: a constant -- the possibility that the inner
+    // block is non-empty.
+    double m_const = 0.0;
+    for (const FT& s : inner) m_const = std::max(m_const, s.degree);
+    return std::vector<double>(outer.size(),
+                               shape.negate_result ? 1.0 - m_const : m_const);
+  }
 
   const bool link_is_eq_fuzzy =
       shape.has_link_columns && shape.link_op == CompareOp::kEq &&
@@ -661,137 +734,60 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   // pairs contribute nothing, i.e. f(0) = 0 -- not for ALL, whose f(0)=1.
   const bool can_window_on_link = link_is_eq_fuzzy && !shape.negate_link;
   const auto corr_key = FindEqualityCorrelationKey(shape, outer, inner);
-
-  if (can_window_on_link || corr_key.has_value()) {
-    const size_t outer_key =
-        can_window_on_link ? shape.outer_link_col : corr_key->first;
-    const size_t inner_key =
-        can_window_on_link ? shape.inner_link_col : corr_key->second;
-    // Sort an index view of the outer so the caller's ordering (and the
-    // degree vector's indexing) is untouched.
-    std::vector<size_t> order(outer.size());
-    std::iota(order.begin(), order.end(), 0);
-    {
-      OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
-                      "outer-view col" + std::to_string(outer_key));
-      sort_op.SetInputRows(outer.size());
-      sort_op.SetThreads(WorkerSlots(ctx));
-      uint64_t order_comparisons = 0;
-      FUZZYDB_RETURN_IF_ERROR(ParallelSort(
-          ctx, &order, cpu == nullptr ? nullptr : &order_comparisons,
-          [&outer, outer_key](uint64_t* count) {
-            return [&outer, outer_key, count](size_t a, size_t b) {
-              ++*count;
-              return IntervalOrderLess(
-                  outer[a].tuple->ValueAt(outer_key).AsFuzzy(),
-                  outer[b].tuple->ValueAt(outer_key).AsFuzzy());
-            };
-          }));
-      if (cpu != nullptr) cpu->comparisons += order_comparisons;
-    }
-    std::vector<FT> sorted_outer(outer.size());
-    for (size_t i = 0; i < order.size(); ++i) sorted_outer[i] = outer[order[i]];
-    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
-        &inner, inner_key, ctx, cpu, trace, shape.inner->tables[0].relation));
-
-    // Each sorted position belongs to exactly one morsel and order[] is a
-    // permutation, so concurrent workers write disjoint m[idx] slots.
-    std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-    const FT* base = sorted_outer.data();
-    std::vector<BatchTally> tallies(WorkerSlots(ctx), EngineBatchTally());
-    std::vector<std::unique_ptr<PairScratch>> pair_scratch(WorkerSlots(ctx));
-    // Buffer window pairs per worker and evaluate them batch-at-a-time;
-    // the morsel flush drains remainders so batches never span a morsel
-    // and the batch decomposition stays thread-invariant.
-    auto emit = [&](size_t worker, const FT& r, const FT& s) {
-      std::unique_ptr<PairScratch>& ps = pair_scratch[worker];
-      if (ps == nullptr) {
-        ps = std::make_unique<PairScratch>();
-        ps->entries.reserve(batch);
-      }
-      ps->entries.push_back(
-          PairEntry{&r, &s, order[static_cast<size_t>(&r - base)]});
-      if (ps->entries.size() >= batch) {
-        FlushPairBatch(terms, ps.get(),
-                       cpu == nullptr ? nullptr : &worker_cpu[worker],
-                       &tallies[worker], &m);
-      }
-    };
-    auto morsel_flush = [&](size_t worker) {
-      if (pair_scratch[worker] != nullptr) {
-        FlushPairBatch(terms, pair_scratch[worker].get(),
-                       cpu == nullptr ? nullptr : &worker_cpu[worker],
-                       &tallies[worker], &m);
-      }
-    };
-    // Planner estimate for the window: |outer| times the overlap
-    // fanout predicted by the key columns' support-corner summaries --
-    // the statistics replacement for the paper's "known" C.
-    uint64_t est_pairs = TraceNode::kNoCount;
-    if (trace != nullptr && ctx.cost_based) {
-      const ColumnStats outer_stats = BuildKeyStats(sorted_outer, outer_key);
-      const ColumnStats inner_stats = BuildKeyStats(inner, inner_key);
-      est_pairs = RoundEstimate(
-          static_cast<double>(sorted_outer.size()) *
-          EstimateOverlapFanout(outer_stats, inner_stats));
-    }
-    MergeWindow(sorted_outer, outer_key, inner, inner_key, ctx,
-                cpu == nullptr ? nullptr : &worker_cpu, cpu, trace, emit,
-                morsel_flush, tallies, est_pairs);
-    FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-  } else if (shape.correlations.empty() && !shape.has_link_columns) {
-    // Uncorrelated EXISTS: a constant -- the possibility that the inner
-    // block is non-empty.
-    double m_const = 0.0;
-    for (const FT& s : inner) m_const = std::max(m_const, s.degree);
-    std::fill(m.begin(), m.end(), m_const);
-  } else if (shape.correlations.empty()) {
+  const Relation* inner_rel = shape.inner->tables[0].relation;
+  std::optional<PairKey> key;
+  if (can_window_on_link) {
+    key = PairKey{shape.outer_link_col, shape.inner_link_col, inner_rel};
+  } else if (corr_key.has_value()) {
+    key = PairKey{corr_key->first, corr_key->second, inner_rel};
+  }
+  std::vector<FoldTerm> terms = PairTerms(shape);
+  Relation materialized;
+  std::string inner_note;
+  if (key.has_value() && trace != nullptr && ctx.cost_based) {
+    // Planner estimate for the window: |outer| times the overlap fanout
+    // predicted by the key columns' support-corner summaries -- the
+    // statistics replacement for the paper's "known" C.
+    const ColumnStats outer_stats = BuildKeyStats(outer, key->outer_col);
+    const ColumnStats inner_stats = BuildKeyStats(inner, key->inner_col);
+    key->est_pairs = RoundEstimate(static_cast<double>(outer.size()) *
+                                   EstimateOverlapFanout(outer_stats,
+                                                         inner_stats));
+  } else if (!key.has_value() && shape.correlations.empty()) {
     // Uncorrelated, non-mergeable link (e.g. op ALL without correlation):
     // materialize the inner fuzzy set once -- the paper's intermediate
-    // relation optimization for type N -- and probe it per outer tuple.
-    OpScope probe_op(Op::kProbeMaterialized, trace, ctx.progress, cpu);
-    probe_op.SetInputRows(outer.size());
-    Relation t("", shape.inner->output_schema);
+    // relation optimization for type N -- and pair every outer tuple
+    // with its distinct link values.
+    materialized = Relation("", shape.inner->output_schema);
     for (const FT& s : inner) {
-      FUZZYDB_RETURN_IF_ERROR(t.AppendOrMax(
+      FUZZYDB_RETURN_IF_ERROR(materialized.AppendOrMax(
           Tuple({s.tuple->ValueAt(shape.inner_link_col)}, s.degree)));
     }
-    for (size_t i = 0; i < outer.size(); ++i) {
-      FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      const Value& v = outer[i].tuple->ValueAt(shape.outer_link_col);
-      double m_r = 0.0;
-      for (const Tuple& z : t.tuples()) {
-        if (cpu != nullptr) {
-          ++cpu->tuple_pairs;
-          ++cpu->degree_evaluations;
-        }
-        const double link = v.Compare(shape.link_op, z.ValueAt(0));
-        m_r = std::max(m_r, std::min(z.degree(),
-                                     shape.negate_link ? 1.0 - link : link));
-      }
-      m[i] = m_r;
+    inner.clear();
+    for (const Tuple& z : materialized.tuples()) {
+      inner.push_back(FT{&z, z.degree()});
     }
-  } else {
-    // Correlated but no usable merge key: unnested full pairing.
-    OpScope pairing_op(Op::kNestedPairing, trace, ctx.progress, cpu, nullptr,
-                       "inner=" + std::to_string(inner.size()));
-    pairing_op.SetInputRows(outer.size());
-    auto ps = std::make_unique<PairScratch>();
-    ps->entries.reserve(batch);
-    BatchTally tally = EngineBatchTally();
-    for (size_t i = 0; i < outer.size(); ++i) {
-      FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      if (cpu != nullptr) cpu->tuple_pairs += inner.size();
-      for (const FT& s : inner) {
-        ps->entries.push_back(PairEntry{&outer[i], &s, i});
-        if (ps->entries.size() >= batch) {
-          FlushPairBatch(terms, ps.get(), cpu, &tally, &m);
-        }
-      }
-    }
-    FlushPairBatch(terms, ps.get(), cpu, &tally, &m);
-    pairing_op.AddBatches(tally.batches, tally.rows);
+    terms.back().rhs = FoldOperand::Local(0);
+    inner_note = "materialized ";
   }
+  // The rows weigh 1: a pair term starts at d_S(s). Each outer row
+  // belongs to one morsel, so concurrent sinks write disjoint m[r] slots.
+  std::vector<FT> rows = outer;
+  for (FT& r : rows) r.degree = 1.0;
+  std::vector<double> m(outer.size(), 0.0);
+  FUZZYDB_RETURN_IF_ERROR(PairJoin(
+      rows, &inner, key.has_value() ? &*key : nullptr, ctx, cpu, trace,
+      [&](const PairBatch& batch) {
+        FoldComparisons(PairLanes(batch, rows), batch.count, terms,
+                        batch.fold, batch.cpu, batch.tally);
+        const double* degree = batch.fold->degree.data();
+        for (size_t k = 0; k < batch.count; ++k) {
+          double& m_r = m[batch.pairs[k].r];
+          m_r = std::max(m_r, degree[k]);
+        }
+        return Status::OK();
+      },
+      inner_note));
 
   std::vector<double> degrees(outer.size());
   for (size_t i = 0; i < outer.size(); ++i) {
@@ -859,104 +855,92 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   const size_t u_col = (lhs_outer ? corr.lhs.column : corr.rhs.column).column;
   const size_t v_col = (lhs_outer ? corr.rhs.column : corr.lhs.column).column;
 
-  auto corr_degree = [&](const Value& u, const Value& v) {
-    if (cpu != nullptr) ++cpu->degree_evaluations;
-    return lhs_outer ? u.Compare(corr.op, v) : v.Compare(corr.op, u);
+  // T1: one representative outer tuple per distinct R.U value (binary
+  // value identity), weight 1, in value order; outer row i's value is
+  // T1 row t1_of[i].
+  const auto u_of = [&](size_t i) -> const Value& {
+    return outer[i].tuple->ValueAt(u_col);
   };
-
-  // T1: the distinct R.U values (binary value identity), degree 1.
-  std::map<Value, char, ValueLess> t1;
-  for (const FT& r : outer) t1.emplace(r.tuple->ValueAt(u_col), 0);
+  std::vector<size_t> by_u(outer.size());
+  std::iota(by_u.begin(), by_u.end(), 0);
+  std::stable_sort(by_u.begin(), by_u.end(), [&](size_t a, size_t b) {
+    return ValueLess()(u_of(a), u_of(b));
+  });
+  std::vector<FT> t1;
+  std::vector<size_t> t1_of(outer.size());
+  for (size_t i : by_u) {
+    if (t1.empty() || ValueLess()(t1.back().tuple->ValueAt(u_col), u_of(i))) {
+      t1.push_back(FT{outer[i].tuple, 1.0});
+    }
+    t1_of[i] = t1.size() - 1;
+  }
 
   std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
 
-  // T2: u -> A'(u) with degree D(A'(u)), built by grouping T1 |x| S on u
-  // and applying AGG per group (pipelined in the paper).
-  std::map<Value, AggregateResult, ValueLess> t2;
-  const bool mergeable = corr.op == CompareOp::kEq &&
-                         ColumnIsFuzzy(inner, v_col) && [&] {
-                           for (const auto& [u, unused] : t1) {
-                             if (!u.is_fuzzy()) return false;
-                           }
-                           return true;
-                         }();
-
-  auto aggregate_group = [&](const Value& u, const Relation& group) -> Status {
-    if (group.Empty()) return Status::OK();
-    FUZZYDB_ASSIGN_OR_RETURN(AggregateResult a, ApplyAggregate(agg, group));
-    if (!a.value.is_null()) t2.emplace(u, std::move(a));
-    return Status::OK();
-  };
-
-  if (mergeable) {
+  // T2[j]: A'(u) with degree D(A'(u)) for T1 row j, built by grouping
+  // T1 |x| S on u and applying AGG per group (pipelined in the paper).
+  std::vector<std::optional<AggregateResult>> t2(t1.size());
+  {
+    const bool mergeable = corr.op == CompareOp::kEq &&
+                           ColumnIsFuzzy(inner, v_col) &&
+                           ColumnIsFuzzy(t1, u_col);
     OpScope group_op(Op::kGroupAggregate, trace, ctx.progress, cpu, nullptr,
-                     "merge t1=" + std::to_string(t1.size()));
+                     (mergeable ? "merge t1=" : "nested t1=") +
+                         std::to_string(t1.size()));
     group_op.SetInputRows(inner.size());
-    std::vector<Value> t1_sorted;
-    t1_sorted.reserve(t1.size());
-    for (const auto& [u, unused] : t1) t1_sorted.push_back(u);
-    std::sort(t1_sorted.begin(), t1_sorted.end(),
-              [cpu](const Value& x, const Value& y) {
-                if (cpu != nullptr) ++cpu->comparisons;
-                return IntervalOrderLess(x.AsFuzzy(), y.AsFuzzy());
-              });
-    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
-        &inner, v_col, ctx, cpu, trace, shape.inner->tables[0].relation));
-    const std::vector<SupportBounds> u_bounds = HoistSupportBounds(
-        t1_sorted, [](const Value& u) -> const Trapezoid& {
-          return u.AsFuzzy();
-        });
-    const std::vector<SupportBounds> v_bounds = HoistKeyBounds(inner, v_col);
-    size_t window_start = 0;
-    for (size_t j = 0; j < t1_sorted.size(); ++j) {
-      FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      const Value& u = t1_sorted[j];
-      const WindowRange window =
-          NextWindow(v_bounds, u_bounds[j], &window_start, cpu);
-      Relation group("", Schema{Column{"Z", ValueType::kFuzzy}});
-      for (size_t i = window.begin; i < window.end; ++i) {
-        const double d = std::min(
-            inner[i].degree, corr_degree(u, inner[i].tuple->ValueAt(v_col)));
-        if (d > 0.0) {
-          FUZZYDB_RETURN_IF_ERROR(group.AppendOrMax(
-              Tuple({inner[i].tuple->ValueAt(shape.inner_link_col)}, d)));
-        }
-      }
-      FUZZYDB_RETURN_IF_ERROR(aggregate_group(u, group));
-    }
-    group_op.SetOutputRows(t2.size());
-  } else {
-    OpScope group_op(Op::kGroupAggregate, trace, ctx.progress, cpu, nullptr,
-                     "nested t1=" + std::to_string(t1.size()));
-    group_op.SetInputRows(inner.size());
-    for (const auto& [u, unused] : t1) {
-      FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-      Relation group("", Schema{Column{"Z", ValueType::kFuzzy}});
-      for (const FT& s : inner) {
-        if (cpu != nullptr) ++cpu->tuple_pairs;
-        const double d =
-            std::min(s.degree, corr_degree(u, s.tuple->ValueAt(v_col)));
-        if (d > 0.0) {
-          FUZZYDB_RETURN_IF_ERROR(group.AppendOrMax(
-              Tuple({s.tuple->ValueAt(shape.inner_link_col)}, d)));
-        }
-      }
-      FUZZYDB_RETURN_IF_ERROR(aggregate_group(u, group));
-    }
+    const PairKey key{u_col, v_col, shape.inner->tables[0].relation};
+    const std::vector<FoldTerm> terms = {ToFoldTerm(corr)};
+    // Pairs arrive T1 row by T1 row and a row never spans a morsel, so
+    // each worker holds one open group, aggregated when the next row's
+    // survivor arrives or the morsel ends.
+    struct OpenGroup {
+      size_t row = 0;
+      Relation values{"", Schema{Column{"Z", ValueType::kFuzzy}}};
+    };
+    std::vector<OpenGroup> open(WorkerSlots(ctx));
+    auto aggregate = [&](OpenGroup* group) -> Status {
+      if (group->values.Empty()) return Status::OK();
+      FUZZYDB_ASSIGN_OR_RETURN(AggregateResult a,
+                               ApplyAggregate(agg, group->values));
+      if (!a.value.is_null()) t2[group->row] = std::move(a);
+      group->values.mutable_tuples().clear();
+      return Status::OK();
+    };
+    FUZZYDB_RETURN_IF_ERROR(PairJoin(
+        t1, &inner, mergeable ? &key : nullptr, ctx, cpu, trace,
+        [&](const PairBatch& batch) -> Status {
+          FoldComparisons(PairLanes(batch, t1), batch.count, terms,
+                          batch.fold, batch.cpu, batch.tally);
+          const double* degree = batch.fold->degree.data();
+          OpenGroup& group = open[batch.worker];
+          for (size_t k = 0; k < batch.count; ++k) {
+            if (degree[k] <= 0.0) continue;
+            const PairEntry& e = batch.pairs[k];
+            if (e.r != group.row) {
+              FUZZYDB_RETURN_IF_ERROR(aggregate(&group));
+              group.row = e.r;
+            }
+            const Value& z = e.s->tuple->ValueAt(shape.inner_link_col);
+            FUZZYDB_RETURN_IF_ERROR(
+                group.values.AppendOrMax(Tuple({z}, degree[k])));
+          }
+          return batch.morsel_end ? aggregate(&group) : Status::OK();
+        }));
+    group_op.SetOutputRows(static_cast<uint64_t>(
+        std::count_if(t2.begin(), t2.end(),
+                      [](const auto& a) { return a.has_value(); })));
   }
 
   // Back-join R with T2 on binary value identity; for COUNT the left
   // outer join's else-arm compares against 0 (Query COUNT').
   const Value zero = Value::Number(0.0);
   for (size_t i = 0; i < outer.size(); ++i) {
-    const Value& u = outer[i].tuple->ValueAt(u_col);
     const Value& y = outer[i].tuple->ValueAt(shape.outer_link_col);
-    auto it = t2.find(u);
-    if (it != t2.end()) {
+    const std::optional<AggregateResult>& a = t2[t1_of[i]];
+    if (a.has_value()) {
       if (cpu != nullptr) ++cpu->degree_evaluations;
-      degrees[i] = std::min(it->second.degree,
-                            y.Compare(shape.link_op, it->second.value));
+      degrees[i] = std::min(a->degree, y.Compare(shape.link_op, a->value));
     } else if (agg == sql::AggFunc::kCount) {
       if (cpu != nullptr) ++cpu->degree_evaluations;
       degrees[i] = y.Compare(shape.link_op, zero);
@@ -1029,22 +1013,6 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
   answer.EliminateDuplicates(query.with_threshold);
   emit_op.SetOutputRows(answer.NumTuples());
   return answer;
-}
-
-/// Degree of `pred`, which lives in chain block `block_of_pred`, against
-/// the per-level tuple slots (single-table blocks, so the table index is
-/// always 0). Both endpoints must already be joined (non-null).
-double ChainPredicateDegree(const BoundPredicate& pred, size_t block_of_pred,
-                            const std::vector<const Tuple*>& tuples,
-                            CpuStats* cpu) {
-  auto value_of = [&](const BoundOperand& operand) -> const Value& {
-    if (!operand.is_column) return operand.constant;
-    return tuples[block_of_pred - static_cast<size_t>(operand.column.up)]
-        ->ValueAt(operand.column.column);
-  };
-  if (cpu != nullptr) ++cpu->degree_evaluations;
-  return value_of(pred.lhs).Compare(pred.op, value_of(pred.rhs),
-                                    pred.approx_tolerance);
 }
 
 /// K-level chain queries (Section 8): flat K-way join. With
@@ -1149,24 +1117,24 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   if (chosen_order != nullptr) *chosen_order = order;
 
   // ---- Execution in the chosen contiguous order ----------------------
-  struct Row {
-    std::vector<const Tuple*> tuples;  // one slot per level; null = unjoined
-    double degree;
-  };
-
-  std::vector<Row> rows;
-  size_t joined_lo = order[0], joined_hi = order[0];
+  // Partial rows, flat: row r's tuple at level k is
+  // row_tuples[r * k_levels + k] (null until level k joins) and its
+  // degree is row_degree[r].
+  std::vector<const Tuple*> row_tuples;
+  std::vector<double> row_degree;
   for (const FT& ft : filtered[order[0]]) {
-    Row row{std::vector<const Tuple*>(k_levels, nullptr), ft.degree};
-    row.tuples[order[0]] = ft.tuple;
-    rows.push_back(std::move(row));
+    row_tuples.resize(row_tuples.size() + k_levels, nullptr);
+    row_tuples[row_tuples.size() - k_levels + order[0]] = ft.tuple;
+    row_degree.push_back(ft.degree);
   }
+  size_t joined_lo = order[0], joined_hi = order[0];
 
   for (size_t step = 1; step < k_levels; ++step) {
     const size_t level = order[step];
+    const size_t rows = row_degree.size();
     OpScope step_op(Op::kChainJoin, trace, ctx.progress, cpu, nullptr,
                     "level=" + std::to_string(level));
-    step_op.SetInputRows(rows.size());
+    step_op.SetInputRows(rows);
     const bool extend_left = level + 1 == joined_lo;
     if (!extend_left && level != joined_hi + 1) {
       return Status::Internal("non-contiguous chain join order");
@@ -1178,13 +1146,28 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
         extend_left ? edge_inner_col(edge) : edge_outer_col(edge);
     const size_t new_col =
         extend_left ? edge_outer_col(edge) : edge_inner_col(edge);
+    // The pair join's outer side: each row's tuple at the row-side key
+    // level, weighted by the row's degree.
+    std::vector<FT> outer(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      outer[r] = FT{row_tuples[r * k_levels + row_level], row_degree[r]};
+    }
+    std::vector<FT> incoming = std::move(filtered[level]);
 
-    std::vector<FT> incoming = filtered[level];
-
-    // Predicates becoming evaluable with this level joined: those of
-    // block b referencing block b-up, where one endpoint is `level` and
-    // the other is already joined.
-    std::vector<std::pair<const BoundPredicate*, size_t>> newly_applicable;
+    // The step's folds over a pair (row, s): each reads s as its local
+    // side and the row's tuple at level `partner` as its outer side.
+    // First the link key, row side on the left; then every predicate
+    // becoming evaluable with this level joined: those of block b
+    // referencing block b-up, where one endpoint is `level` and the
+    // other (the partner) is already joined.
+    struct ChainFold {
+      FoldTerm term;
+      size_t partner;
+    };
+    std::vector<ChainFold> folds = {
+        {FoldTerm{FoldOperand::Outer(row_col), CompareOp::kEq,
+                  FoldOperand::Local(new_col)},
+         row_level}};
     for (size_t b = 0; b < k_levels; ++b) {
       for (const BoundPredicate* pred : correlations[b]) {
         const int up = pred->lhs.is_column && pred->lhs.column.up > 0
@@ -1194,38 +1177,18 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
         const bool involves_level = b == level || other == level;
         if (!involves_level) continue;
         const size_t partner = b == level ? other : b;
-        if (partner >= joined_lo && partner <= joined_hi) {
-          newly_applicable.emplace_back(pred, b);
-        }
+        if (partner < joined_lo || partner > joined_hi) continue;
+        const auto operand = [&](const BoundOperand& o) {
+          if (!o.is_column) return FoldOperand::Constant(o.constant);
+          return b - static_cast<size_t>(o.column.up) == level
+                     ? FoldOperand::Local(o.column.column)
+                     : FoldOperand::Outer(o.column.column);
+        };
+        folds.push_back({FoldTerm{operand(pred->lhs), pred->op,
+                                  operand(pred->rhs), pred->approx_tolerance},
+                         partner});
       }
     }
-
-    std::vector<Row> joined;
-    auto join_pair = [&](const Row& row, const FT& s) -> Status {
-      double d = std::min(row.degree, s.degree);
-      if (d <= 0.0) return Status::OK();
-      if (cpu != nullptr) ++cpu->degree_evaluations;
-      d = std::min(d, row.tuples[row_level]->ValueAt(row_col).Compare(
-                          CompareOp::kEq, s.tuple->ValueAt(new_col)));
-      if (d <= 0.0) return Status::OK();
-      Row next = row;
-      next.tuples[level] = s.tuple;
-      for (const auto& [pred, b] : newly_applicable) {
-        if (d <= 0.0) break;
-        d = std::min(d, ChainPredicateDegree(*pred, b, next.tuples, cpu));
-      }
-      if (d <= 0.0) return Status::OK();
-      next.degree = d;
-      joined.push_back(std::move(next));
-      return Status::OK();
-    };
-
-    auto rows_key_fuzzy = [&]() {
-      for (const Row& row : rows) {
-        if (!row.tuples[row_level]->ValueAt(row_col).is_fuzzy()) return false;
-      }
-      return true;
-    };
 
     // Step planning. Fixed rule: merge whenever both key columns are
     // fuzzy. Cost-based: among the legal algorithms, the cheaper one
@@ -1233,18 +1196,17 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
     // from the edge's column summaries; the op gets the interval's
     // estimated output cardinality for the q-error loop.
     const bool merge_legal =
-        rows_key_fuzzy() && ColumnIsFuzzy(incoming, new_col);
+        ColumnIsFuzzy(outer, row_col) && ColumnIsFuzzy(incoming, new_col);
     bool use_merge = merge_legal;
     if (ctx.cost_based && !edge_outer_stats.empty()) {
       const ColumnStats& from_stats =
           extend_left ? edge_inner_stats[edge] : edge_outer_stats[edge];
       const ColumnStats& to_stats =
           extend_left ? edge_outer_stats[edge] : edge_inner_stats[edge];
-      const double est_pairs =
-          static_cast<double>(rows.size()) *
-          EstimateOverlapFanout(from_stats, to_stats);
+      const double est_pairs = static_cast<double>(rows) *
+                               EstimateOverlapFanout(from_stats, to_stats);
       if (merge_legal) {
-        use_merge = ChooseChainStepAlgorithm(rows.size(), incoming.size(),
+        use_merge = ChooseChainStepAlgorithm(rows, incoming.size(),
                                              est_pairs, true) ==
                     JoinAlgorithm::kMergeWindow;
       }
@@ -1259,52 +1221,58 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
                           (use_merge ? " alg=merge" : " alg=nested"));
       }
     }
+    const PairKey key{row_col, new_col, blocks[level]->tables[0].relation};
 
-    if (use_merge) {
-      auto row_key = [&](const Row& row) -> const Trapezoid& {
-        return row.tuples[row_level]->ValueAt(row_col).AsFuzzy();
-      };
-      std::sort(rows.begin(), rows.end(), [&](const Row& x, const Row& y) {
-        if (cpu != nullptr) ++cpu->comparisons;
-        return IntervalOrderLess(row_key(x), row_key(y));
-      });
-      FUZZYDB_RETURN_IF_ERROR(
-          SortByIntervalOrder(&incoming, new_col, ctx, cpu, trace,
-                              blocks[level]->tables[0].relation));
-      const std::vector<SupportBounds> row_bounds =
-          HoistSupportBounds(rows, row_key);
-      const std::vector<SupportBounds> incoming_bounds =
-          HoistKeyBounds(incoming, new_col);
-      size_t window_start = 0;
-      for (size_t r = 0; r < rows.size(); ++r) {
-        FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-        const WindowRange window =
-            NextWindow(incoming_bounds, row_bounds[r], &window_start, cpu);
-        for (size_t i = window.begin; i < window.end; ++i) {
-          FUZZYDB_RETURN_IF_ERROR(join_pair(rows[r], incoming[i]));
-        }
-      }
-    } else {
-      for (const Row& row : rows) {
-        FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-        for (const FT& s : incoming) {
-          if (cpu != nullptr) ++cpu->tuple_pairs;
-          FUZZYDB_RETURN_IF_ERROR(join_pair(row, s));
-        }
-      }
+    // Survivors go to per-morsel outputs, concatenated in morsel order.
+    const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
+    std::vector<std::vector<const Tuple*>> out_tuples((rows + morsel - 1) /
+                                                      morsel);
+    std::vector<std::vector<double>> out_degree(out_tuples.size());
+    FUZZYDB_RETURN_IF_ERROR(PairJoin(
+        outer, &incoming, use_merge ? &key : nullptr, ctx, cpu, trace,
+        [&](const PairBatch& batch) {
+          for (const ChainFold& fold : folds) {
+            const auto lanes = [&](size_t k) {
+              const PairEntry& e = batch.pairs[k];
+              return LaneTuples{
+                  e.s->tuple, row_tuples[e.r * k_levels + fold.partner]};
+            };
+            if (FoldComparison(lanes, batch.count, fold.term, batch.fold,
+                               batch.cpu, batch.tally) == 0) {
+              break;
+            }
+          }
+          const double* degree = batch.fold->degree.data();
+          std::vector<const Tuple*>& tuples = out_tuples[batch.morsel];
+          for (size_t k = 0; k < batch.count; ++k) {
+            if (degree[k] <= 0.0) continue;
+            const PairEntry& e = batch.pairs[k];
+            const auto row = row_tuples.begin() + e.r * k_levels;
+            tuples.insert(tuples.end(), row, row + k_levels);
+            tuples[tuples.size() - k_levels + level] = e.s->tuple;
+            out_degree[batch.morsel].push_back(degree[k]);
+          }
+          return Status::OK();
+        }));
+    row_tuples.clear();
+    row_degree.clear();
+    for (size_t i = 0; i < out_tuples.size(); ++i) {
+      row_tuples.insert(row_tuples.end(), out_tuples[i].begin(),
+                        out_tuples[i].end());
+      row_degree.insert(row_degree.end(), out_degree[i].begin(),
+                        out_degree[i].end());
     }
-    rows = std::move(joined);
-    step_op.SetOutputRows(rows.size());
+    step_op.SetOutputRows(row_degree.size());
     joined_lo = std::min(joined_lo, level);
     joined_hi = std::max(joined_hi, level);
   }
 
   OpScope emit_op(Op::kEmit, trace, ctx.progress, cpu);
-  emit_op.SetInputRows(rows.size());
+  emit_op.SetInputRows(row_degree.size());
   Relation answer("", query.output_schema);
-  for (const Row& row : rows) {
-    FUZZYDB_RETURN_IF_ERROR(
-        EmitAnswer(query, *row.tuples[0], row.degree, &answer));
+  for (size_t r = 0; r < row_degree.size(); ++r) {
+    FUZZYDB_RETURN_IF_ERROR(EmitAnswer(query, *row_tuples[r * k_levels],
+                                       row_degree[r], &answer));
   }
   answer.EliminateDuplicates(query.with_threshold);
   emit_op.SetOutputRows(answer.NumTuples());

@@ -25,7 +25,6 @@ constexpr std::array<OpSpec, kNumOps> kOpTable = {{
      nullptr},
     {"interval-sort", Phase::kSort, &M::sort_rows, nullptr, nullptr},
     {"merge-window", Phase::kWindow, nullptr, nullptr, &P::AddPairs},
-    {"probe-materialized", Phase::kJoin, nullptr, nullptr, nullptr},
     {"nested-pairing", Phase::kJoin, nullptr, nullptr, nullptr},
     {"group-aggregate", Phase::kJoin, nullptr, nullptr, nullptr},
     {"chain-join", Phase::kJoin, nullptr, nullptr, nullptr},

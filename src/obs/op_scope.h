@@ -35,7 +35,6 @@ enum class Op : uint8_t {
   kFilter,
   kIntervalSort,
   kMergeWindow,
-  kProbeMaterialized,
   kNestedPairing,
   kGroupAggregate,
   kChainJoin,
@@ -50,7 +49,7 @@ enum class Op : uint8_t {
   kPartitionedJoin,
 };
 
-inline constexpr size_t kNumOps = 18;
+inline constexpr size_t kNumOps = 17;
 
 /// One row of the op table.
 struct OpSpec {

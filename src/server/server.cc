@@ -6,10 +6,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <system_error>
 #include <utility>
 
+#include "common/failpoint.h"
 #include "obs/query_registry.h"
 #include "server/server_metrics.h"
 #include "server/wire.h"
@@ -58,6 +61,18 @@ bool WriteAll(int fd, const std::string& data) {
     written += static_cast<size_t>(n);
   }
   return true;
+}
+
+/// Answers a connection the server will not serve with one
+/// RESOURCE_EXHAUSTED frame, then closes it.
+void Refuse(int fd, const std::string& reason) {
+  ServerMetrics::Instance()->connections_refused->Add();
+  ReplyFrame frame;
+  frame.status = "RESOURCE_EXHAUSTED";
+  frame.error = reason + "; retry later";
+  (void)WriteAll(fd, RenderReplyFrame(frame) + "\n");
+  ::shutdown(fd, SHUT_RDWR);
+  ::close(fd);
 }
 
 std::string PeerName(int fd) {
@@ -193,16 +208,35 @@ Relation Server::SessionsRelation() const {
 }
 
 void Server::AcceptLoop(int listen_fd) {
-  while (running_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener closed: Stop() is running
-    }
+  while (running()) {
+    // The fail point stands in for a failing accept(), as when the
+    // process is out of descriptors.
+    const bool injected = !FailPoints::Check("server/accept").ok();
+    const int fd = injected ? -1 : ::accept(listen_fd, nullptr, nullptr);
+    const int accept_errno = errno;
+    // Finished connections release their threads and descriptors here,
+    // before the cap is checked -- and on a failed accept, whose EMFILE
+    // they may be the cause of.
     ReapConnections(/*all=*/false);
+    if (fd < 0) {
+      // Stop() clears running() before it closes the listener, which
+      // is what ends the loop. Any other failure (EMFILE, ENOBUFS, ...)
+      // is retried after a pause.
+      if (running() && (injected || (accept_errno != EINTR &&
+                                     accept_errno != ECONNABORTED))) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(connections_mu_);
+      if (connections_.size() >= kMaxConnections) {
+        Refuse(fd, "server at its " + std::to_string(kMaxConnections) +
+                       "-connection limit");
+        continue;
+      }
+    }
     ServerMetrics* metrics = ServerMetrics::Instance();
-    metrics->connections_total->Add();
-    metrics->sessions_active->Add(1);
     const uint64_t id =
         next_session_id_.fetch_add(1, std::memory_order_relaxed);
     auto connection = std::make_unique<Connection>();
@@ -213,11 +247,17 @@ void Server::AcceptLoop(int listen_fd) {
         id, config_.session_defaults, admission_.fair_share_budget(),
         shared_catalog(), wal_.get());
     Connection* raw = connection.get();
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      connections_.emplace(id, std::move(connection));
+    metrics->sessions_active->Add(1);
+    try {
+      raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    } catch (const std::system_error&) {
+      metrics->sessions_active->Add(-1);
+      Refuse(fd, "cannot start a connection thread");
+      continue;
     }
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    metrics->connections_total->Add();
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    connections_.emplace(id, std::move(connection));
   }
 }
 

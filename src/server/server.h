@@ -48,6 +48,13 @@ namespace server {
 /// bound by never sending a newline.
 inline constexpr size_t kMaxStatementBytes = size_t{1} << 20;
 
+/// The most connections served at once. A connection past the cap --
+/// or one whose thread cannot be spawned -- is answered with one
+/// RESOURCE_EXHAUSTED frame and closed, and counted in
+/// fuzzydb_server_connections_refused_total, so idle clients cannot
+/// exhaust the server's threads or descriptors.
+inline constexpr size_t kMaxConnections = 256;
+
 /// The most engine threads one session may ask for (SET threads,
 /// --threads). A larger count is refused with INVALID_ARGUMENT before
 /// any query tries to spawn the threads, where a failed thread creation

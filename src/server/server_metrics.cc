@@ -9,6 +9,8 @@ ServerMetrics* ServerMetrics::Instance() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     m->connections_total =
         reg.GetCounter("fuzzydb_server_connections_total");
+    m->connections_refused =
+        reg.GetCounter("fuzzydb_server_connections_refused_total");
     m->sessions_active = reg.GetGauge("fuzzydb_server_sessions_active");
     m->requests_total = reg.GetCounter("fuzzydb_server_requests_total");
     m->errors_total = reg.GetCounter("fuzzydb_server_errors_total");

@@ -16,6 +16,7 @@ namespace server {
 
 struct ServerMetrics {
   Counter* connections_total;    // fuzzydb_server_connections_total
+  Counter* connections_refused;  // fuzzydb_server_connections_refused_total
   Gauge* sessions_active;        // fuzzydb_server_sessions_active
   Counter* requests_total;       // fuzzydb_server_requests_total
   Counter* errors_total;         // fuzzydb_server_errors_total

@@ -144,6 +144,12 @@ Result<Tuple> DeserializeTuple(const uint8_t* data, size_t length) {
             !reader.ReadF64(&d)) {
           return Status::Internal("truncated tuple record (fuzzy)");
         }
+        // The invariant the parser enforces on INSERT; a NaN corner
+        // fails it too, infinite ordered corners pass.
+        if (!(a <= b && b <= c && c <= d)) {
+          return Status::Internal(
+              "corrupt tuple record (fuzzy corners out of order)");
+        }
         values.push_back(Value::Fuzzy(Trapezoid(a, b, c, d)));
         break;
       }
@@ -154,6 +160,9 @@ Result<Tuple> DeserializeTuple(const uint8_t* data, size_t length) {
   double degree;
   if (!reader.ReadF64(&degree)) {
     return Status::Internal("truncated tuple record (degree)");
+  }
+  if (!(degree > 0.0 && degree <= 1.0)) {
+    return Status::Internal("corrupt tuple record (degree outside (0, 1])");
   }
   return Tuple(std::move(values), degree);
 }

@@ -27,7 +27,9 @@ namespace fuzzydb {
 void SerializeTuple(const Tuple& tuple, std::vector<uint8_t>* out,
                     size_t min_size = 0);
 
-/// Parses a record produced by SerializeTuple.
+/// Parses a record produced by SerializeTuple. A record whose fuzzy
+/// corners are out of order (or NaN) or whose degree lies outside
+/// (0, 1] is corrupt and fails, like a truncated one.
 Result<Tuple> DeserializeTuple(const uint8_t* data, size_t length);
 
 /// Size in bytes SerializeTuple would produce without padding.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
 #include "engine/unnested_evaluator.h"
 #include "sql/binder.h"
@@ -120,6 +121,64 @@ TEST(DatabaseStoreTest, TruncatedManifestFails) {
   const auto result = LoadDatabase(dir, &pool);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+// A one-tuple relation (1, ABOUT(5, 1)) with degree 0.75, saved to `dir`.
+void SaveOneTuple(const std::string& dir, BufferPool* pool) {
+  Relation rel("R", Schema({Column{"C0", ValueType::kFuzzy},
+                            Column{"C1", ValueType::kFuzzy}}));
+  ASSERT_OK(rel.Append(Tuple({Value::Number(1.0),
+                              Value::Fuzzy(Trapezoid(4.0, 5.0, 5.0, 6.0))},
+                             0.75)));
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(std::move(rel)));
+  ASSERT_OK(SaveDatabase(catalog, dir, pool));
+}
+
+TEST(DatabaseStoreTest, UnorderedFuzzyCornersFailToLoad) {
+  BufferPool pool(4);
+  const std::string dir = TempDir("unordered");
+  SaveOneTuple(dir, &pool);
+  // trap(4, 5, 5, 6) becomes trap(9, 5, 5, 6).
+  ASSERT_TRUE(testing_util::PatchFile(
+      dir + "/rel_0.fdb", testing_util::DoubleBytes({4.0, 5.0, 5.0, 6.0}),
+      testing_util::DoubleBytes({9.0, 5.0, 5.0, 6.0})));
+  const auto result = LoadDatabase(dir, &pool);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("corners"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(DatabaseStoreTest, DegreeAboveOneFailsToLoad) {
+  BufferPool pool(4);
+  const std::string dir = TempDir("degree");
+  SaveOneTuple(dir, &pool);
+  // The degree follows the last fuzzy value's corners.
+  ASSERT_TRUE(testing_util::PatchFile(
+      dir + "/rel_0.fdb", testing_util::DoubleBytes({6.0, 0.75}),
+      testing_util::DoubleBytes({6.0, 1.5})));
+  const auto result = LoadDatabase(dir, &pool);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("degree"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(DatabaseStoreTest, OrderedInfiniteCornersLoad) {
+  // ABOUT(1e308, 1e308) stores trap(0, 1e308, 1e308, inf).
+  BufferPool pool(4);
+  const std::string dir = TempDir("infinite");
+  Relation rel("R", Schema({Column{"C0", ValueType::kFuzzy}}));
+  const Trapezoid huge(0.0, 1e308, 1e308,
+                       std::numeric_limits<double>::infinity());
+  ASSERT_OK(rel.Append(Tuple({Value::Fuzzy(huge)}, 1.0)));
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(std::move(rel)));
+  ASSERT_OK(SaveDatabase(catalog, dir, &pool));
+  ASSERT_OK_AND_ASSIGN(Catalog loaded, LoadDatabase(dir, &pool));
+  ASSERT_OK_AND_ASSIGN(auto relation, loaded.GetRelation("R"));
+  ASSERT_EQ(relation->NumTuples(), 1u);
+  EXPECT_EQ(relation->TupleAt(0).ValueAt(0).AsFuzzy().d(),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(DatabaseStoreTest, EmptyCatalogRoundTrips) {

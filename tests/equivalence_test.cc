@@ -153,6 +153,10 @@ const EquivalenceCase kCases[] = {
      "(SELECT T3.C0 FROM T3 WHERE T3.C1 = S.C1 AND T3.C0 IN "
      "(SELECT S.C1 FROM S WHERE S.C0 = T3.C0)))",
      QueryType::kChain},
+    {"TypeJA_ApproxCorrelationWithin",
+     "SELECT R.C0 FROM R WHERE R.C1 > "
+     "(SELECT MAX(S.C0) FROM S WHERE S.C1 ~= R.C2 WITHIN 3)",
+     QueryType::kTypeJA},
 };
 
 class EquivalenceTest

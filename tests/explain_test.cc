@@ -155,11 +155,16 @@ TEST(ExplainAnalyzeTest, TypeJaGolden) {
       "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "    group-aggregate [merge t1=2] wall=<t> rows=3->2 "
       "cpu={pairs=3 degrees=3 cmp=14 subq=0}\n"
+      "      interval-sort [outer-view col2] wall=<t> rows=2 "
+      "cpu={pairs=0 degrees=0 cmp=2 subq=0}\n"
       "      interval-sort [col1] wall=<t> rows=3 "
       "cpu={pairs=0 degrees=0 cmp=4 subq=0}\n"
+      "      merge-window [inner=3] wall=<t> rows=2->3 "
+      "batches=1 rows/batch=3 cpu={pairs=3 degrees=3 cmp=8 subq=0}\n"
       "  emit wall=<t> rows=3->2 cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "-- 2 answer tuples\n"
-      "-- phases=plan=<t> filter=<t> sort=<t> join=<t> emit=<t>\n";
+      "-- phases=plan=<t> filter=<t> sort=<t> window=<t> join=<t> "
+      "emit=<t>\n";
 
   const std::string normalized = Normalize(out);
   const size_t start = normalized.find("-- type JA");
@@ -281,15 +286,24 @@ TEST(ExplainAnalyzeTest, ChainGolden) {
       "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "  chain-join [level=1 alg=merge] wall=<t> rows=5->4 est=8 "
       "cpu={pairs=5 degrees=10 cmp=35 subq=0}\n"
+      "    interval-sort [outer-view col0] wall=<t> rows=5 "
+      "cpu={pairs=0 degrees=0 cmp=7 subq=0}\n"
       "    interval-sort [col0] wall=<t> rows=6 "
       "cpu={pairs=0 degrees=0 cmp=9 subq=0}\n"
+      "    merge-window [inner=6] wall=<t> rows=5->5 batches=2 "
+      "rows/batch=5 cpu={pairs=5 degrees=10 cmp=19 subq=0}\n"
       "  chain-join [level=0 alg=merge] wall=<t> rows=4->4 est=14 "
       "cpu={pairs=6 degrees=11 cmp=37 subq=0}\n"
+      "    interval-sort [outer-view col0] wall=<t> rows=4 "
+      "cpu={pairs=0 degrees=0 cmp=6 subq=0}\n"
       "    interval-sort [col1] wall=<t> rows=6 "
       "cpu={pairs=0 degrees=0 cmp=13 subq=0}\n"
+      "    merge-window [inner=6] wall=<t> rows=4->6 batches=2 "
+      "rows/batch=5 cpu={pairs=6 degrees=11 cmp=18 subq=0}\n"
       "  emit wall=<t> rows=4->4 cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "-- 4 answer tuples\n"
-      "-- phases=plan=<t> filter=<t> sort=<t> join=<t> emit=<t>\n";
+      "-- phases=plan=<t> filter=<t> sort=<t> window=<t> join=<t> "
+      "emit=<t>\n";
 
   const std::string normalized = Normalize(out);
   const size_t start = normalized.find("-- type CHAIN");

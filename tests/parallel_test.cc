@@ -365,26 +365,40 @@ const DeterminismCase kDeterminismCases[] = {
      "SELECT R.C0 FROM R WHERE R.C1 IN "
      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 IN "
      "(SELECT T3.C0 FROM T3 WHERE T3.C1 = S.C1))"},
+    // The unkeyed and materialized paths: a non-equality correlation
+    // groups T1 |x| S by nested pairing, an uncorrelated ALL probes the
+    // materialized inner, and SOME without an equality key pairs every
+    // outer tuple with every inner one.
+    {"TypeJA_NonEqCorrelation",
+     "SELECT R.C0 FROM R WHERE R.C1 >= "
+     "(SELECT AVG(S.C0) FROM S WHERE S.C1 < R.C2)"},
+    {"TypeALL_Uncorrelated",
+     "SELECT R.C0 FROM R WHERE R.C1 <= ALL (SELECT S.C0 FROM S)"},
+    {"TypeJSOME_NoMergeKey",
+     "SELECT R.C0 FROM R WHERE R.C1 < SOME "
+     "(SELECT S.C0 FROM S WHERE S.C1 > R.C2)"},
+    // T3's correlation skips a level: it reads R, two blocks out.
+    {"Chain3_SkipLevelCorrelation",
+     "SELECT R.C0 FROM R WHERE R.C1 IN "
+     "(SELECT S.C0 FROM S WHERE S.C0 IN "
+     "(SELECT T3.C0 FROM T3 WHERE T3.C1 = R.C2))"},
 };
 
-class DeterminismTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
-  const DeterminismCase& test_case = kDeterminismCases[GetParam()];
-
-  // Relations large enough that every operator spans many 16-tuple
-  // morsels (filter, sort runs, merge windows).
-  Catalog catalog;
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(101, "R", 3, 300)));
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(202, "S", 2, 300)));
-  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(303, "T3", 2, 120)));
-  ASSERT_OK_AND_ASSIGN(auto bound,
-                       sql::ParseAndBind(test_case.query, catalog));
+// Runs `query` over `catalog` at every (threads, batch size) point and
+// expects the serial one-lane run's tuples, degrees, counters and trace
+// at each. Returns the reference trace's signature.
+std::string ExpectDeterministic(const Catalog& catalog, const char* name,
+                                const char* query) {
+  auto bound = sql::ParseAndBind(query, catalog);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  if (!bound.ok()) return "";
 
   // The serial run is the reference; the naive evaluator guards its
   // correctness.
   NaiveEvaluator naive;
-  ASSERT_OK_AND_ASSIGN(Relation oracle, naive.Evaluate(*bound));
+  auto oracle = naive.Evaluate(**bound);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  if (!oracle.ok()) return "";
 
   // The reference is the serial one-lane run: one thread, batch size 1.
   // Every (threads, batch_size) combination must reproduce it exactly
@@ -397,11 +411,13 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   options.trace = &reference_trace;
   CpuStats reference_cpu;
   UnnestingEvaluator reference(options, &reference_cpu);
-  ASSERT_OK_AND_ASSIGN(Relation expected, reference.Evaluate(*bound));
-  EXPECT_TRUE(reference.last_was_unnested()) << test_case.query;
-  EXPECT_TRUE(oracle.EquivalentTo(expected, 1e-12)) << test_case.name;
+  auto expected = reference.Evaluate(**bound);
+  EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+  if (!expected.ok()) return "";
+  EXPECT_TRUE(reference.last_was_unnested()) << query;
+  EXPECT_TRUE(oracle->EquivalentTo(*expected, 1e-12)) << name;
   const std::string reference_signature = TraceSignature(reference_trace);
-  ASSERT_FALSE(reference_signature.empty());
+  EXPECT_FALSE(reference_signature.empty());
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     // Batch sizes chosen to exercise the degenerate one-lane batch (1),
@@ -415,15 +431,18 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
       options.trace = &trace;
       CpuStats cpu;
       UnnestingEvaluator parallel(options, &cpu);
-      ASSERT_OK_AND_ASSIGN(Relation actual, parallel.Evaluate(*bound));
-      const std::string label = test_case.name + std::string(" with ") +
+      auto actual = parallel.Evaluate(**bound);
+      EXPECT_TRUE(actual.ok()) << actual.status().ToString();
+      if (!actual.ok()) continue;
+      const std::string label = name + std::string(" with ") +
                                 std::to_string(threads) + " threads, batch " +
                                 std::to_string(batch_size);
       // Tuples and degrees: exact, not approximate -- the parallel and
       // batch plans perform the same arithmetic on the same operands.
-      EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
+      EXPECT_TRUE(expected->EquivalentTo(*actual, 0.0))
           << label << "\nserial:\n"
-          << expected.ToString(20) << "\nparallel:\n" << actual.ToString(20);
+          << expected->ToString(20) << "\nparallel:\n"
+          << actual->ToString(20);
       // Work counters: identical, field by field.
       EXPECT_EQ(cpu.tuple_pairs, reference_cpu.tuple_pairs) << label;
       EXPECT_EQ(cpu.degree_evaluations, reference_cpu.degree_evaluations)
@@ -438,6 +457,57 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
       EXPECT_EQ(TraceSignature(trace), reference_signature) << label;
     }
   }
+  return reference_signature;
+}
+
+class DeterminismTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
+  const DeterminismCase& test_case = kDeterminismCases[GetParam()];
+
+  // Relations large enough that every operator spans many 16-tuple
+  // morsels (filter, sort runs, merge windows).
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(101, "R", 3, 300)));
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(202, "S", 2, 300)));
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(303, "T3", 2, 120)));
+  ExpectDeterministic(catalog, test_case.name, test_case.query);
+}
+
+// A K=3 chain whose link keys are strings: no step can merge on them,
+// so both chain-join steps pair every row with every incoming tuple.
+TEST(DeterminismStringChainTest, NestedStepsMatchSerial) {
+  const char* kWords[] = {"ann", "bob", "cy", "dee", "eve"};
+  auto make = [&](const std::string& name, size_t rows, uint64_t salt) {
+    Relation rel(name, Schema({Column{"K", ValueType::kString},
+                               Column{"N", ValueType::kFuzzy}}));
+    for (size_t i = 0; i < rows; ++i) {
+      const char* word = kWords[(i * 7 + salt) % std::size(kWords)];
+      const double n = static_cast<double>((i * 3 + salt) % 11);
+      const double degree = 0.25 * static_cast<double>(1 + (i + salt) % 4);
+      EXPECT_TRUE(rel.Append(Tuple({Value::String(word), Value::Number(n)},
+                                   degree))
+                      .ok());
+    }
+    return rel;
+  };
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(make("R", 40, 0)));
+  ASSERT_OK(catalog.AddRelation(make("S", 35, 1)));
+  ASSERT_OK(catalog.AddRelation(make("T", 30, 2)));
+  const std::string signature = ExpectDeterministic(
+      catalog, "StringChain",
+      "SELECT R.N FROM R WHERE R.K IN "
+      "(SELECT S.K FROM S WHERE S.N >= R.N AND S.K IN "
+      "(SELECT T.K FROM T WHERE T.N <= S.N))");
+  size_t nested_steps = 0;
+  for (size_t pos = 0;
+       (pos = signature.find("alg=nested", pos)) != std::string::npos;
+       ++pos) {
+    ++nested_steps;
+  }
+  EXPECT_EQ(nested_steps, 2u) << signature;
+  EXPECT_EQ(signature.find("merge-window"), std::string::npos) << signature;
 }
 
 std::string DeterminismCaseName(

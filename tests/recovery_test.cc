@@ -15,6 +15,8 @@
 #include "common/failpoint.h"
 #include "shell/shell.h"
 #include "test_util.h"
+#include "storage/buffer_pool.h"
+#include "wal/recovery.h"
 #include "wal/wal_manager.h"
 
 namespace fuzzydb {
@@ -223,6 +225,34 @@ TEST(RecoveryTest, TornTailIsTruncatedAndDataSurvives) {
   ASSERT_OK(again.EnableWal(dir, options, second));
   EXPECT_EQ(second.str().find("torn tail"), std::string::npos)
       << second.str();
+}
+
+TEST(RecoveryTest, CorruptCheckpointImageFailsRecovery) {
+  const std::string dir = TempDir("bad_image");
+  wal::WalOptions options;
+  options.fsync = wal::FsyncMode::kOff;
+  {
+    Shell victim;
+    victim.set_quiet(true);
+    std::ostringstream sink;
+    ASSERT_OK(victim.EnableWal(dir, options, sink));
+    ASSERT_TRUE(Feed(&victim, "CREATE TABLE R (C0 FUZZY, C1 FUZZY);"));
+    ASSERT_TRUE(Feed(&victim, "INSERT INTO R VALUES (1, ABOUT(5, 1));"));
+    ASSERT_TRUE(Feed(&victim, "CHECKPOINT;"));
+  }
+  // ABOUT(5, 1) is trap(4, 5, 5, 6); the image now holds trap(9, 5, 5, 6).
+  ASSERT_OK_AND_ASSIGN(const wal::CheckpointMeta meta,
+                       wal::ReadCheckpointMeta(dir));
+  ASSERT_TRUE(testing_util::PatchFile(
+      dir + "/" + meta.image_dir + "/rel_0.fdb",
+      testing_util::DoubleBytes({4.0, 5.0, 5.0, 6.0}),
+      testing_util::DoubleBytes({9.0, 5.0, 5.0, 6.0})));
+
+  BufferPool pool(64);
+  const auto recovered = wal::OpenWalDatabase(dir, options, &pool);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().message().find("corners"), std::string::npos)
+      << recovered.status().ToString();
 }
 
 TEST(RecoveryTest, SweepsCheckpointDebrisOnRestart) {

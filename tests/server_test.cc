@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "obs/query_registry.h"
 #include "server/admission.h"
 #include "server/server.h"
@@ -516,6 +518,12 @@ class TestClient {
     return false;
   }
 
+  /// Bounds every later read: a reply that never comes fails the read.
+  void SetReadTimeout(int seconds) {
+    timeval tv{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
   /// EOF probe: true when the server closed the connection.
   bool AtEof() {
     char byte;
@@ -671,6 +679,75 @@ TEST(ServerTest, OversizedStatementIsRejectedAndServerStaysHealthy) {
   ASSERT_TRUE(second.Roundtrip(".tables", &frame));
   EXPECT_EQ(frame.status, "OK");
   server.Stop();
+}
+
+// Polls until the server holds `n` live sessions (up to ~10 s).
+bool WaitForSessions(const Server& server, size_t n) {
+  for (int i = 0; i < 2000 && server.active_sessions() != n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return server.active_sessions() == n;
+}
+
+TEST(ServerTest, ConnectionsPastTheCapAreRefusedAndServerStaysHealthy) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  Counter* refused = ServerMetrics::Instance()->connections_refused;
+  const uint64_t refused_before = refused->Value();
+
+  // kMaxConnections idle sessions, each accepted before the next.
+  std::vector<std::unique_ptr<TestClient>> idle;
+  for (size_t i = 0; i < kMaxConnections; ++i) {
+    idle.push_back(std::make_unique<TestClient>());
+    ASSERT_TRUE(idle.back()->Connect(server.port())) << i;
+    ASSERT_TRUE(WaitForSessions(server, i + 1)) << i;
+  }
+
+  // One more: a single RESOURCE_EXHAUSTED frame, then EOF.
+  TestClient extra;
+  ASSERT_TRUE(extra.Connect(server.port()));
+  extra.SetReadTimeout(10);
+  ReplyFrame frame;
+  ASSERT_TRUE(extra.ReadFrame(&frame));
+  EXPECT_EQ(frame.status, "RESOURCE_EXHAUSTED");
+  EXPECT_NE(frame.error.find(std::to_string(kMaxConnections)),
+            std::string::npos)
+      << frame.error;
+  EXPECT_TRUE(extra.AtEof());
+  EXPECT_EQ(refused->Value(), refused_before + 1);
+
+  // A session that leaves frees its slot for the next connection.
+  idle.back()->Close();
+  ASSERT_TRUE(WaitForSessions(server, kMaxConnections - 1));
+  TestClient next;
+  ASSERT_TRUE(next.Connect(server.port()));
+  ASSERT_TRUE(next.Roundtrip(".tables", &frame));
+  EXPECT_EQ(frame.status, "OK");
+  server.Stop();
+}
+
+TEST(ServerTest, FailedAcceptIsRetried) {
+  // The first accept fails as if the process were out of descriptors;
+  // the loop must pause and go on accepting.
+  FailPoints::Arm("server/accept", /*failures=*/1);
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 2000 && FailPoints::Hits("server/accept") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(FailPoints::Hits("server/accept"), 1u);
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ReplyFrame frame;
+  ASSERT_TRUE(client.Roundtrip(".tables", &frame));
+  EXPECT_EQ(frame.status, "OK");
+  server.Stop();
+  FailPoints::DisarmAll();
 }
 
 TEST(ServerTest, GracefulStopClosesSessionsAndIsIdempotent) {

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -139,6 +143,35 @@ inline double DegreeOf(const Relation& relation, double key) {
     }
   }
   return -1.0;
+}
+
+/// The raw bytes of `xs` as a heap file or checkpoint image stores them.
+inline std::string DoubleBytes(std::initializer_list<double> xs) {
+  std::string bytes(xs.size() * sizeof(double), '\0');
+  size_t at = 0;
+  for (double x : xs) {
+    std::memcpy(&bytes[at], &x, sizeof(double));
+    at += sizeof(double);
+  }
+  return bytes;
+}
+
+/// Overwrites the first occurrence of `from` in file `path` with `to`
+/// (same length). Returns false when `from` does not occur.
+inline bool PatchFile(const std::string& path, const std::string& from,
+                      const std::string& to) {
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  const size_t at = content.find(from);
+  if (at == std::string::npos || from.size() != to.size()) return false;
+  content.replace(at, to.size(), to);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+  return static_cast<bool>(out);
 }
 
 /// Builds the paper's dating-service database (Example 4.1): relations

@@ -4,6 +4,7 @@
 Usage:
   tools/bench_check.py RUN.json BASELINE.json [--warn-only]
   tools/bench_check.py RUN_DIR BASELINE_DIR [--warn-only]
+  tools/bench_check.py --perfbench OUTPUT PERFBENCH_BASELINE.json
   tools/bench_check.py --self-test BASELINE.json
 
 In directory mode every BENCH_*.json in BASELINE_DIR must have a
@@ -21,6 +22,13 @@ vary. A regression prints one line per violation and exits 1 (or 0 with
 --warn-only, the pull-request mode). --self-test injects a synthetic 2x
 regression into a copy of the baseline and verifies the comparison
 catches it -- a guard against the checker itself rotting into a no-op.
+
+--perfbench reads the stdout of a `perfbench/run.py` run (a file, or -
+for stdin), whose last line is the result JSON, and requires every
+counter in the baseline's "exact" map (PERFBENCH_<workload>.json, the
+engine.tuple_pairs.* and engine.degree_evals.* of a seeded run) to
+match the run's metric exactly, by the same rule as the counters above.
+The PERFBENCH_ prefix keeps these files out of directory mode.
 """
 
 import argparse
@@ -109,15 +117,43 @@ def compare(run, baseline):
     return problems
 
 
+def compare_perfbench(result, baseline):
+    """Checks a perfbench result's metrics against the baseline's exact
+    counters; returns problem strings."""
+    metrics = result.get("metrics", {})
+    problems = []
+    for name, expected in baseline["exact"].items():
+        value = metrics.get(name, {}).get("value")
+        if value != expected:
+            problems.append(f"{name} changed {expected} -> {value} "
+                            f"(deterministic counter, must match exactly)")
+    return problems
+
+
+def load_perfbench_result(path):
+    """The result JSON on the last non-empty line of a perfbench run's
+    stdout (`path`, or - for stdin)."""
+    with (sys.stdin if path == "-" else open(path)) as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no perfbench output")
+    return json.loads(lines[-1])
+
+
 def self_test(baseline):
     """Doubles every metric in a copy of the baseline; the comparison
     must flag it, or the checker has rotted into a no-op."""
-    injected = copy.deepcopy(baseline)
-    for bench in injected.get("benches", []):
-        for metric in EXACT_METRICS + tuple(RATIO_TOLERANCES):
-            if metric in bench:
-                bench[metric] *= 2
-    problems = compare(injected, baseline)
+    if "exact" in baseline:
+        run = {"metrics": {name: {"value": value * 2 + 1}
+                           for name, value in baseline["exact"].items()}}
+        problems = compare_perfbench(run, baseline)
+    else:
+        injected = copy.deepcopy(baseline)
+        for bench in injected.get("benches", []):
+            for metric in EXACT_METRICS + tuple(RATIO_TOLERANCES):
+                if metric in bench:
+                    bench[metric] *= 2
+        problems = compare(injected, baseline)
     if not problems:
         print("self-test FAILED: 2x regression was not detected")
         return 1
@@ -173,12 +209,31 @@ def main():
     parser.add_argument("--self-test", action="store_true",
                         help="verify the checker flags an injected 2x "
                         "regression against RUN itself")
+    parser.add_argument("--perfbench", action="store_true",
+                        help="RUN is perfbench/run.py stdout (or -); "
+                        "match BASELINE's exact counters")
     args = parser.parse_args()
 
     if args.self_test:
         return self_test(load(args.run))
     if args.baseline is None:
         parser.error("BASELINE is required unless --self-test")
+    if args.perfbench:
+        baseline = load(args.baseline)
+        try:
+            result = load_perfbench_result(args.run)
+        except ValueError as error:
+            print(f"bench_check: {args.run}: no perfbench result on the "
+                  f"last line ({error})")
+            return 1
+        problems = compare_perfbench(result, baseline)
+        if not problems:
+            print(f"bench_check: {len(baseline['exact'])} perfbench "
+                  f"counters equal to {args.baseline}")
+            return 0
+        for problem in problems:
+            print(f"bench_check: {problem}")
+        return 0 if args.warn_only else 1
 
     if os.path.isdir(args.run) != os.path.isdir(args.baseline):
         parser.error("RUN and BASELINE must both be files or both be "
