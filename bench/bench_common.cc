@@ -152,6 +152,7 @@ void BenchReport::Add(const std::string& name, const ExecStats& stats) {
   entry.ios = stats.io.TotalIos();
   entry.tuple_pairs = stats.cpu.tuple_pairs;
   entry.degree_evaluations = stats.cpu.degree_evaluations;
+  entry.comparisons = stats.cpu.comparisons;
   if (EngineMetrics* metrics = EngineMetrics::IfEnabled()) {
     entry.peak_mem_bytes = static_cast<uint64_t>(
         metrics->sort_memory->Peak() + metrics->join_memory->Peak());
@@ -181,14 +182,15 @@ std::string BenchReport::ToJson() const {
       << "  \"threads\": " << threads_ << ",\n"
       << "  \"smoke\": " << (SmokeMode() ? "true" : "false") << ",\n"
       << "  \"benches\": [";
-  char buf[512];
+  char buf[640];
   for (size_t i = 0; i < entries_.size(); ++i) {
     const BenchReportEntry& e = entries_[i];
     std::snprintf(
         buf, sizeof(buf),
         "%s\n    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
         "\"cpu_seconds\": %.6f, \"ios\": %llu, \"tuple_pairs\": %llu, "
-        "\"degree_evaluations\": %llu, \"peak_mem_bytes\": %llu, "
+        "\"degree_evaluations\": %llu, \"comparisons\": %llu, "
+        "\"peak_mem_bytes\": %llu, "
         "\"window_p50\": %.3f, \"window_p90\": %.3f, "
         "\"window_p99\": %.3f, \"window_max\": %.0f, "
         "\"plan_q_error_p50\": %.3f, \"plan_q_error_max\": %.3f}",
@@ -196,6 +198,7 @@ std::string BenchReport::ToJson() const {
         static_cast<unsigned long long>(e.ios),
         static_cast<unsigned long long>(e.tuple_pairs),
         static_cast<unsigned long long>(e.degree_evaluations),
+        static_cast<unsigned long long>(e.comparisons),
         static_cast<unsigned long long>(e.peak_mem_bytes), e.window_p50,
         e.window_p90, e.window_p99, e.window_max, e.plan_q_error_p50,
         e.plan_q_error_max);

@@ -96,9 +96,9 @@ std::string GitSha();
 std::string JsonOutPath(int argc, char** argv);
 
 /// One measured configuration inside a BenchReport. The counter fields
-/// (ios, tuple_pairs, degree_evaluations) are deterministic for a
-/// seeded workload at num_threads = 1, so the regression checker holds
-/// them exactly; the time and memory fields get ratio tolerances.
+/// (ios, tuple_pairs, degree_evaluations, comparisons) are deterministic
+/// for a seeded workload at num_threads = 1, so the regression checker
+/// holds them exactly; the time and memory fields get ratio tolerances.
 struct BenchReportEntry {
   std::string name;
   double wall_seconds = 0.0;
@@ -106,6 +106,7 @@ struct BenchReportEntry {
   uint64_t ios = 0;
   uint64_t tuple_pairs = 0;
   uint64_t degree_evaluations = 0;
+  uint64_t comparisons = 0;  // sort and merge-window key comparisons
   uint64_t peak_mem_bytes = 0;  // external sort + partitioned join peaks
   // Merge-window length distribution (Rng(r) from the paper) for the
   // entry's run, from the engine histogram.

@@ -9,6 +9,9 @@
 //
 // Keys are read from support bounds hoisted once per input: re-deriving
 // them from the tuples on every boundary test dominated the scan's cost.
+// The same holds for the interval-order sorts before the scan, so they
+// sort flat records that carry each key's bounds (SortByBounds) and the
+// scan reads its bounds from the sorted records.
 //
 // The heap-file merge-join (merge_join.h) keeps its own streaming
 // window: it drops wholly-before inner tuples as it reads them, so it
@@ -17,10 +20,14 @@
 #define FUZZYDB_ENGINE_MERGE_WINDOW_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/exec_stats.h"
+#include "fuzzy/degree_kernels.h"
 #include "fuzzy/trapezoid.h"
+#include "parallel/parallel_for.h"
 
 namespace fuzzydb {
 
@@ -42,6 +49,30 @@ std::vector<SupportBounds> HoistSupportBounds(const std::vector<T>& xs,
     bounds.push_back(SupportBounds{k.SupportBegin(), k.SupportEnd()});
   }
   return bounds;
+}
+
+/// Definition 3.1's order on support bounds. It runs the lane that
+/// IntervalOrderLess runs, so a sort of bounds records makes the same
+/// decisions, and counts the same comparisons, as a sort of the values
+/// the bounds were read from.
+inline bool BoundsLess(const SupportBounds& x, const SupportBounds& y) {
+  return kernel::CompareIntervalOrderLane(x.begin, x.end, y.begin, y.end) < 0;
+}
+
+/// Sorts records by BoundsLess on their `bounds` member with
+/// ParallelSort and adds the comparisons it counts to *comparisons (null
+/// = don't count). Each comparison reads two records and nothing else.
+/// Returns the query's stop status like ParallelSort.
+template <typename Record>
+[[nodiscard]] Status SortByBounds(const ParallelContext& ctx,
+                                  std::vector<Record>* records,
+                                  uint64_t* comparisons) {
+  return ParallelSort(ctx, records, comparisons, [](uint64_t* count) {
+    return [count](const Record& x, const Record& y) {
+      ++*count;
+      return BoundsLess(x.bounds, y.bounds);
+    };
+  });
 }
 
 /// Positions [begin, end) of the sorted inner input.

@@ -22,7 +22,6 @@
 #include "engine/naive_evaluator.h"
 #include "engine/semantics.h"
 #include "common/stopwatch.h"
-#include "fuzzy/interval_order.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
@@ -290,9 +289,18 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
   return true;
 }
 
-/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`.
-/// Parallel per-run sorts + merge tree; order and comparison count are
-/// thread-count-invariant (see ParallelSort).
+/// Support bounds of fuzzy column `col` of `ft`'s tuple.
+SupportBounds BoundsOf(const FT& ft, size_t col) {
+  const Trapezoid& key = ft.tuple->ValueAt(col).AsFuzzy();
+  return SupportBounds{key.SupportBegin(), key.SupportEnd()};
+}
+
+/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`
+/// and sets *bounds to the sorted keys' support bounds. The sort runs
+/// over flat {bounds, FT} records read in one pass, so its comparisons
+/// never leave the record array. Parallel per-run sorts + merge tree;
+/// order and comparison count are thread-count-invariant (see
+/// ParallelSort).
 ///
 /// When `rel` (the relation the FT pointers reference) is given and the
 /// cache is on, the full-relation interval-order permutation of `col` is
@@ -304,15 +312,18 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
 /// consumer folds degrees with max/min and final answers are
 /// duplicate-eliminated.
 ///
-/// A governed stop mid-sort returns the stop status; *tuples must then
-/// not be read.
+/// A governed stop mid-sort returns the stop status; *tuples and
+/// *bounds must then not be read.
 Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
                            const ParallelContext& ctx, CpuStats* cpu,
-                           ExecTrace* trace, const Relation* rel) {
+                           ExecTrace* trace, const Relation* rel,
+                           std::vector<SupportBounds>* bounds) {
   OpScope op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
              "col" + std::to_string(col));
   op.SetInputRows(tuples->size());
   op.SetThreads(WorkerSlots(ctx));
+  bounds->clear();
+  bounds->reserve(tuples->size());
   std::string cache_key;
   if (rel != nullptr && CacheOn(ctx)) {
     cache_key = "perm|" + std::to_string(rel->id()) + "@" +
@@ -330,6 +341,7 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
       for (uint32_t index : *perm) {
         if (slot_of[index] != kAbsent) {
           ordered.push_back((*tuples)[slot_of[index]]);
+          bounds->push_back(BoundsOf(ordered.back(), col));
         }
       }
       *tuples = std::move(ordered);
@@ -337,17 +349,19 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
       return Status::OK();
     }
   }
-  uint64_t comparisons = 0;
-  FUZZYDB_RETURN_IF_ERROR(ParallelSort(
-      ctx, tuples, cpu == nullptr ? nullptr : &comparisons,
-      [col](uint64_t* count) {
-        return [col, count](const FT& x, const FT& y) {
-          ++*count;
-          return IntervalOrderLess(x.tuple->ValueAt(col).AsFuzzy(),
-                                   y.tuple->ValueAt(col).AsFuzzy());
-        };
-      }));
-  if (cpu != nullptr) cpu->comparisons += comparisons;
+  struct Record {
+    SupportBounds bounds;
+    FT ft;
+  };
+  std::vector<Record> records;
+  records.reserve(tuples->size());
+  for (const FT& ft : *tuples) records.push_back({BoundsOf(ft, col), ft});
+  FUZZYDB_RETURN_IF_ERROR(SortByBounds(
+      ctx, &records, cpu == nullptr ? nullptr : &cpu->comparisons));
+  for (size_t i = 0; i < records.size(); ++i) {
+    (*tuples)[i] = records[i].ft;
+    bounds->push_back(records[i].bounds);
+  }
   if (!cache_key.empty() && tuples->size() == rel->tuples().size()) {
     auto perm = std::make_shared<CacheManager::Permutation>();
     perm->reserve(tuples->size());
@@ -405,6 +419,12 @@ auto PairLanes(const PairBatch& batch, const std::vector<FT>& outer) {
   };
 }
 
+/// One outer row of a keyed pair join: its key's bounds and its index.
+struct OuterKey {
+  SupportBounds bounds;
+  size_t row = 0;
+};
+
 /// One worker's pending pairs and fold lanes.
 struct PairWorker {
   std::vector<PairEntry> pairs;
@@ -417,12 +437,13 @@ struct PairWorker {
 /// its degree is the row's weight and, when keyed, its tuple holds the
 /// key.
 ///
-/// Keyed, it is the extended merge-join of Section 3: an index view of
-/// the outer is sorted on its keys (interval-sort [outer-view colN]),
-/// the inner is sorted on key->inner_col, and each outer row meets
-/// exactly the inner tuples of Rng(r) (Definition 3.2), as NextWindow
-/// finds them (merge-window). Unkeyed, every outer row meets every inner
-/// tuple (nested-pairing), with a stop check before each row.
+/// Keyed, it is the extended merge-join of Section 3: {bounds, row}
+/// records of the outer keys are sorted (interval-sort [outer-view
+/// colN]), the inner is sorted on key->inner_col, and each outer row
+/// meets exactly the inner tuples of Rng(r) (Definition 3.2), as
+/// NextWindow finds them (merge-window) on the bounds the sorts left.
+/// Unkeyed, every outer row meets every inner tuple (nested-pairing),
+/// with a stop check before each row.
 ///
 /// Parallelization: the outer positions are cut into morsels. The
 /// window logic is read-only over the inner side, so morsels are
@@ -444,39 +465,27 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
                 CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
                 const std::string& inner_note = "") {
   const size_t n = outer.size();
-  std::vector<size_t> order;  // keyed: outer rows in interval order
-  std::vector<SupportBounds> outer_bounds;
+  // Keyed: the outer rows in interval order, each with its key's bounds.
+  std::vector<OuterKey> outer_keys;
   std::vector<SupportBounds> inner_bounds;
   std::vector<double> inner_end_max;
   if (key != nullptr) {
-    const auto key_of = [&outer, key](size_t r) -> const Trapezoid& {
-      return outer[r].tuple->ValueAt(key->outer_col).AsFuzzy();
-    };
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
     {
       OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
                       "outer-view col" + std::to_string(key->outer_col));
       sort_op.SetInputRows(n);
       sort_op.SetThreads(WorkerSlots(ctx));
-      uint64_t comparisons = 0;
-      FUZZYDB_RETURN_IF_ERROR(ParallelSort(
-          ctx, &order, cpu == nullptr ? nullptr : &comparisons,
-          [&key_of](uint64_t* count) {
-            return [&key_of, count](size_t a, size_t b) {
-              ++*count;
-              return IntervalOrderLess(key_of(a), key_of(b));
-            };
-          }));
-      if (cpu != nullptr) cpu->comparisons += comparisons;
+      outer_keys.reserve(n);
+      for (size_t r = 0; r < n; ++r) {
+        outer_keys.push_back({BoundsOf(outer[r], key->outer_col), r});
+      }
+      FUZZYDB_RETURN_IF_ERROR(SortByBounds(
+          ctx, &outer_keys, cpu == nullptr ? nullptr : &cpu->comparisons));
     }
-    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(
-        inner, key->inner_col, ctx, cpu, trace, key->inner_relation));
-    outer_bounds = HoistSupportBounds(order, key_of);
-    inner_bounds =
-        HoistSupportBounds(*inner, [key](const FT& s) -> const Trapezoid& {
-          return s.tuple->ValueAt(key->inner_col).AsFuzzy();
-        });
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col, ctx,
+                                                cpu, trace,
+                                                key->inner_relation,
+                                                &inner_bounds));
     inner_end_max.resize(inner_bounds.size());
     double running = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < inner_bounds.size(); ++i) {
@@ -534,16 +543,16 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
     if (key != nullptr && begin > 0) {
       window_start = static_cast<size_t>(
           std::lower_bound(inner_end_max.begin(), inner_end_max.end(),
-                           outer_bounds[begin - 1].begin) -
+                           outer_keys[begin - 1].bounds.begin) -
           inner_end_max.begin());
     }
     for (size_t pos = begin; pos < end; ++pos) {
       size_t r = pos;
       WindowRange window{0, inner->size()};
       if (key != nullptr) {
-        r = order[pos];
-        window = NextWindow(inner_bounds, outer_bounds[pos], &window_start,
-                            slot);
+        r = outer_keys[pos].row;
+        window = NextWindow(inner_bounds, outer_keys[pos].bounds,
+                            &window_start, slot);
         if (window_hist != nullptr) window_hist->Record(window.size());
         worker_pairs[worker] += window.size();
       } else {
@@ -757,12 +766,15 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     // Uncorrelated, non-mergeable link (e.g. op ALL without correlation):
     // materialize the inner fuzzy set once -- the paper's intermediate
     // relation optimization for type N -- and pair every outer tuple
-    // with its distinct link values.
+    // with its distinct link values. The pair fold is a max over exact
+    // per-lane degrees, so the set's order is answer- and count-neutral.
     materialized = Relation("", shape.inner->output_schema);
+    materialized.mutable_tuples().reserve(inner.size());
     for (const FT& s : inner) {
-      FUZZYDB_RETURN_IF_ERROR(materialized.AppendOrMax(
+      FUZZYDB_RETURN_IF_ERROR(materialized.Append(
           Tuple({s.tuple->ValueAt(shape.inner_link_col)}, s.degree)));
     }
+    materialized.EliminateDuplicates();
     inner.clear();
     for (const Tuple& z : materialized.tuples()) {
       inner.push_back(FT{&z, z.degree()});
@@ -857,22 +869,30 @@ Result<std::vector<double>> AggregateFamilyDegrees(
 
   // T1: one representative outer tuple per distinct R.U value (binary
   // value identity), weight 1, in value order; outer row i's value is
-  // T1 row t1_of[i].
-  const auto u_of = [&](size_t i) -> const Value& {
-    return outer[i].tuple->ValueAt(u_col);
+  // T1 row t1_of[i]. The stable sort runs over flat {R.U key, row}
+  // records, so each value's first outer row represents it.
+  struct URecord {
+    ValueKey u;
+    size_t row = 0;
   };
-  std::vector<size_t> by_u(outer.size());
-  std::iota(by_u.begin(), by_u.end(), 0);
-  std::stable_sort(by_u.begin(), by_u.end(), [&](size_t a, size_t b) {
-    return ValueLess()(u_of(a), u_of(b));
-  });
+  std::vector<URecord> by_u;
+  by_u.reserve(outer.size());
+  for (size_t i = 0; i < outer.size(); ++i) {
+    by_u.push_back({ValueKey(outer[i].tuple->ValueAt(u_col)), i});
+  }
+  std::stable_sort(by_u.begin(), by_u.end(),
+                   [](const URecord& x, const URecord& y) {
+                     return CompareValueKeys(x.u, y.u) < 0;
+                   });
   std::vector<FT> t1;
   std::vector<size_t> t1_of(outer.size());
-  for (size_t i : by_u) {
-    if (t1.empty() || ValueLess()(t1.back().tuple->ValueAt(u_col), u_of(i))) {
-      t1.push_back(FT{outer[i].tuple, 1.0});
+  const URecord* representative = nullptr;
+  for (const URecord& rec : by_u) {
+    if (t1.empty() || CompareValueKeys(representative->u, rec.u) < 0) {
+      representative = &rec;
+      t1.push_back(FT{outer[rec.row].tuple, 1.0});
     }
-    t1_of[i] = t1.size() - 1;
+    t1_of[rec.row] = t1.size() - 1;
   }
 
   std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
@@ -963,9 +983,11 @@ Result<std::vector<double>> SubqueryPredicateDegrees(
 }
 
 /// Projects the outer block's SELECT columns of tuple r with degree d.
+/// A row below the WITH threshold is never projected: an answer tuple's
+/// max degree reaches the threshold exactly when one of its rows does.
 Status EmitAnswer(const BoundQuery& query, const Tuple& r, double d,
                   Relation* out) {
-  if (d <= 0.0) return Status::OK();
+  if (d <= 0.0 || d < query.with_threshold) return Status::OK();
   std::vector<Value> values;
   values.reserve(query.select.size());
   for (const auto& item : query.select) {
@@ -1269,10 +1291,25 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
 
   OpScope emit_op(Op::kEmit, trace, ctx.progress, cpu);
   emit_op.SetInputRows(row_degree.size());
-  Relation answer("", query.output_schema);
+  // Every joined row of one outer tuple projects to the same answer
+  // tuple, so the rows fold to one max degree per outer tuple before
+  // anything is projected. Outer tuples keep the order of their first
+  // row, so each answer keeps the values the unfolded emit would pick.
+  const std::vector<Tuple>& outer_tuples =
+      blocks[0]->tables[0].relation->tuples();
+  std::vector<double> outer_degree(outer_tuples.size(), 0.0);
+  std::vector<size_t> outer_rows;  // outer tuples in first-row order
   for (size_t r = 0; r < row_degree.size(); ++r) {
-    FUZZYDB_RETURN_IF_ERROR(EmitAnswer(query, *row_tuples[r * k_levels],
-                                       row_degree[r], &answer));
+    if (row_degree[r] < query.with_threshold) continue;
+    const size_t t =
+        static_cast<size_t>(row_tuples[r * k_levels] - outer_tuples.data());
+    if (outer_degree[t] == 0.0) outer_rows.push_back(t);  // rows are > 0
+    outer_degree[t] = std::max(outer_degree[t], row_degree[r]);
+  }
+  Relation answer("", query.output_schema);
+  for (size_t t : outer_rows) {
+    FUZZYDB_RETURN_IF_ERROR(
+        EmitAnswer(query, outer_tuples[t], outer_degree[t], &answer));
   }
   answer.EliminateDuplicates(query.with_threshold);
   emit_op.SetOutputRows(answer.NumTuples());

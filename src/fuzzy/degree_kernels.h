@@ -214,6 +214,18 @@ inline int CompareIntervalOrderLane(double xa, double xd, double ya,
   return 0;
 }
 
+/// The interval order refined by the inner corners b, then c, so that
+/// only values with equal corners compare equal. Mirrors
+/// Value::TotalOrderCompare on two fuzzy values.
+inline int CompareTotalOrderLane(double xa, double xb, double xc, double xd,
+                                 double ya, double yb, double yc, double yd) {
+  const int cmp = CompareIntervalOrderLane(xa, xd, ya, yd);
+  if (cmp != 0) return cmp;
+  if (xb != yb) return xb < yb ? -1 : 1;
+  if (xc != yc) return xc < yc ? -1 : 1;
+  return 0;
+}
+
 /// Mirrors SupportsIntersect.
 inline bool SupportsIntersectLane(double xa, double xd, double ya, double yd) {
   return xa <= yd && ya <= xd;

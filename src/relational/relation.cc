@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
+#include <numeric>
 
 #include "common/string_util.h"
 
@@ -19,8 +19,12 @@ uint64_t Relation::NextVersion() {
 }
 
 Relation Relation::CopyForWrite() const {
-  Relation copy(*this);       // deep content copy (fresh id, version 0)
-  copy.id_ = id_;             // ...but keep the chain identity
+  Relation copy(name_, schema_);  // fresh id, version 0
+  // One slot past the contents: the write that asked for the copy
+  // appends next, and a full vector would move the whole fresh copy.
+  copy.tuples_.reserve(tuples_.size() + 1);
+  copy.tuples_.insert(copy.tuples_.end(), tuples_.begin(), tuples_.end());
+  copy.id_ = id_;  // ...but keep the chain identity
   copy.version_ = NextVersion();
   return copy;
 }
@@ -67,19 +71,47 @@ Status Relation::AppendOrMax(Tuple tuple) {
 }
 
 void Relation::EliminateDuplicates(double min_degree) {
-  std::map<Tuple, double, TupleValueLess> best;
-  for (const Tuple& t : tuples_) {
-    auto [it, inserted] = best.emplace(t, t.degree());
-    if (!inserted) it->second = std::max(it->second, t.degree());
-  }
-  tuples_.clear();
-  for (auto& [tuple, degree] : best) {
-    if (degree >= min_degree && degree > 0.0) {
-      Tuple copy = tuple;
-      copy.set_degree(degree);
-      tuples_.push_back(std::move(copy));
+  const size_t n = tuples_.size();
+  const size_t arity = n == 0 ? 0 : tuples_[0].NumValues();
+  const bool uniform = std::all_of(
+      tuples_.begin(), tuples_.end(),
+      [arity](const Tuple& t) { return t.NumValues() == arity; });
+  // Row i's values are keys[i * arity, (i + 1) * arity), read once.
+  std::vector<ValueKey> keys;
+  if (uniform) {
+    keys.reserve(n * arity);
+    for (const Tuple& t : tuples_) {
+      for (const Value& v : t.values()) keys.emplace_back(v);
     }
   }
+  const auto less = [&](size_t x, size_t y) {
+    if (!uniform) return TupleValueLess()(tuples_[x], tuples_[y]);
+    const ValueKey* kx = keys.data() + x * arity;
+    const ValueKey* ky = keys.data() + y * arity;
+    for (size_t col = 0; col < arity; ++col) {
+      const int cmp = CompareValueKeys(kx[col], ky[col]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  };
+  // Stable, so each group of identical tuples starts with its first in
+  // input order, whose values the survivor keeps.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), less);
+  std::vector<Tuple> kept;
+  for (size_t i = 0; i < n;) {
+    const size_t first = order[i];
+    double degree = tuples_[first].degree();
+    for (++i; i < n && !less(first, order[i]); ++i) {
+      degree = std::max(degree, tuples_[order[i]].degree());
+    }
+    if (degree >= min_degree && degree > 0.0) {
+      kept.push_back(std::move(tuples_[first]));
+      kept.back().set_degree(degree);
+    }
+  }
+  tuples_ = std::move(kept);
   version_ = NextVersion();
 }
 

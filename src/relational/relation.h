@@ -117,12 +117,16 @@ class Relation {
   Status Append(Tuple tuple);
 
   /// Appends, combining with an existing duplicate by max degree
-  /// (fuzzy OR). O(n) per call; used for small answer relations.
+  /// (fuzzy OR). O(n) per call; for many tuples, Append them all and
+  /// call EliminateDuplicates once.
   Status AppendOrMax(Tuple tuple);
 
   /// Removes duplicates keeping the maximum degree per distinct value
   /// combination, and drops tuples below `min_degree` (the WITH clause:
-  /// WITH D >= z). Order of survivors is unspecified but deterministic.
+  /// WITH D >= z). Survivors come out in value order (Value's total
+  /// order, column by column), each with the values of the first tuple
+  /// of its group in input order. One stable sort of flat value keys
+  /// and one merge pass: O(n log n).
   void EliminateDuplicates(double min_degree = 0.0);
 
   /// Drops tuples whose degree is < min_degree.

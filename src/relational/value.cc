@@ -1,6 +1,6 @@
 #include "relational/value.h"
 
-#include "fuzzy/interval_order.h"
+#include "fuzzy/degree_kernels.h"
 
 namespace fuzzydb {
 
@@ -77,15 +77,12 @@ int Value::TotalOrderCompare(const Value& other) const {
       return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     }
     case ValueType::kFuzzy: {
+      // Refined by the inner corners so the order is consistent with
+      // Identical (Definition 3.1 only orders by the support interval).
       const Trapezoid& x = AsFuzzy();
       const Trapezoid& y = other.AsFuzzy();
-      const int cmp = CompareIntervalOrder(x, y);
-      if (cmp != 0) return cmp;
-      // Refine by the inner corners so the order is consistent with
-      // Identical (Definition 3.1 only orders by the support interval).
-      if (x.b() != y.b()) return x.b() < y.b() ? -1 : 1;
-      if (x.c() != y.c()) return x.c() < y.c() ? -1 : 1;
-      return 0;
+      return kernel::CompareTotalOrderLane(x.a(), x.b(), x.c(), x.d(), y.a(),
+                                           y.b(), y.c(), y.d());
     }
   }
   return 0;

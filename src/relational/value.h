@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "fuzzy/degree.h"
+#include "fuzzy/degree_kernels.h"
 #include "fuzzy/trapezoid.h"
 
 namespace fuzzydb {
@@ -88,6 +89,36 @@ struct ValueLess {
     return a.TotalOrderCompare(b) < 0;
   }
 };
+
+/// A value's TotalOrderCompare key, read once into flat storage so that
+/// an O(n log n) sort compares plain doubles instead of walking tuple,
+/// value vector and variant on every comparison. Fuzzy values compare by
+/// their corners; strings and NULLs defer to the source value, which
+/// must outlive the key.
+struct ValueKey {
+  ValueType type = ValueType::kNull;
+  double a = 0.0, b = 0.0, c = 0.0, d = 0.0;  // corners, when fuzzy
+  const Value* value = nullptr;
+
+  ValueKey() = default;
+  explicit ValueKey(const Value& v) : type(v.type()), value(&v) {
+    if (type == ValueType::kFuzzy) {
+      const Trapezoid& t = v.AsFuzzy();
+      a = t.a();
+      b = t.b();
+      c = t.c();
+      d = t.d();
+    }
+  }
+};
+
+/// x.value->TotalOrderCompare(*y.value), read from the keys.
+inline int CompareValueKeys(const ValueKey& x, const ValueKey& y) {
+  if (x.type != y.type) return x.type < y.type ? -1 : 1;
+  if (x.type != ValueType::kFuzzy) return x.value->TotalOrderCompare(*y.value);
+  return kernel::CompareTotalOrderLane(x.a, x.b, x.c, x.d, y.a, y.b, y.c,
+                                       y.d);
+}
 
 }  // namespace fuzzydb
 

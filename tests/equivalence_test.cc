@@ -8,8 +8,11 @@
 //   Theorem 5.1  (type JX)       Theorem 8.1 (chain queries)
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "engine/naive_evaluator.h"
 #include "engine/unnested_evaluator.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -202,6 +205,51 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<size_t>(0, std::size(kCases)),
                        ::testing::Values<uint64_t>(1, 2, 3, 4, 5)),
     CaseName);
+
+// An uncorrelated link that cannot window (SOME or ALL under an order
+// comparison) pairs every outer tuple with the inner's distinct link
+// values, materialized once (nested-pairing [materialized inner=K]).
+// A large inner with mostly distinct values keeps that set big, where
+// building it must stay O(n log n) and still agree with the naive plan.
+TEST(EquivalenceLargeInnerTest, MaterializedUncorrelatedLinkMatchesNaive) {
+  Catalog catalog;
+  // R lies below S, so R.C1 <= ALL S.C0 holds for most of R.
+  ASSERT_OK(catalog.AddRelation(
+      GenerateRandomRelation(71, "R", 2, 40, -50, 0)));
+  ASSERT_OK(catalog.AddRelation(
+      GenerateRandomRelation(72, "S", 1, 16000, 0, 4000)));
+  std::set<Value, ValueLess> distinct;
+  for (const Tuple& t : catalog.GetRelation("S").value()->tuples()) {
+    distinct.insert(t.ValueAt(0));
+  }
+  ASSERT_GT(distinct.size(), 8000u);
+  for (const char* query :
+       {"SELECT R.C0 FROM R WHERE R.C1 < SOME (SELECT S.C0 FROM S)",
+        "SELECT R.C0 FROM R WHERE R.C1 <= ALL (SELECT S.C0 FROM S)"}) {
+    ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+    NaiveEvaluator naive;
+    ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+    ExecTrace trace;
+    ExecOptions options;
+    options.trace = &trace;
+    UnnestingEvaluator unnesting(options);
+    ASSERT_OK_AND_ASSIGN(Relation actual, unnesting.Evaluate(*bound));
+    EXPECT_TRUE(unnesting.last_was_unnested()) << query;
+    EXPECT_GT(expected.NumTuples(), 0u) << query;
+    EXPECT_TRUE(expected.EquivalentTo(actual, 1e-12))
+        << query << "\nnaive:\n" << expected.ToString(100)
+        << "\nunnested:\n" << actual.ToString(100);
+    size_t pairings = 0;
+    for (const TraceNode& node : trace.nodes()) {
+      if (node.name != "nested-pairing") continue;
+      ++pairings;
+      EXPECT_EQ(node.detail,
+                "materialized inner=" + std::to_string(distinct.size()))
+          << query;
+    }
+    EXPECT_EQ(pairings, 1u) << query;
+  }
+}
 
 // Partial membership degrees in base relations must also be preserved.
 TEST(EquivalenceDegreesTest, PartialBaseMembership) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <set>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/merge_window.h"
 #include "engine/naive_evaluator.h"
 #include "engine/partitioned_join.h"
 #include "engine/unnested_evaluator.h"
@@ -279,6 +281,65 @@ TEST(ParallelSortTest, StopInsideAMergeRoundReturnsTheStopStatus) {
         ParallelSort(ctx, &values, nullptr, cancel_inside_merge);
     EXPECT_EQ(status.code(), StatusCode::kCancelled) << threads << " threads";
     EXPECT_GT(calls.load(), run_calls) << threads << " threads";
+  }
+}
+
+// The engine's interval sorts run SortByBounds over flat records; the
+// reference sorts row indices with IntervalOrderLess on the values, as
+// the engine did before. Both must produce the same permutation and
+// count the same comparisons, for every morsel size and thread count.
+TEST(SortByBoundsTest, MatchesIntervalOrderLessReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Few distinct corners: ties, equal begins, -0.0 beside 0.0, and
+  // infinite ends are all frequent.
+  const double corners[] = {-inf, -1.0, -0.0, 0.0, 1.0, 2.0, inf};
+  std::mt19937 rng(23);
+  std::uniform_int_distribution<size_t> pick(0, std::size(corners) - 1);
+  std::vector<Trapezoid> values;
+  for (size_t i = 0; i < 5000; ++i) {
+    double lo = corners[pick(rng)];
+    double hi = corners[pick(rng)];
+    if (hi < lo) std::swap(lo, hi);
+    values.push_back(Trapezoid::Interval(lo, hi));
+  }
+  struct Record {
+    SupportBounds bounds;
+    size_t row = 0;
+  };
+  for (size_t n : {7u, 100u, 5000u}) {
+    for (size_t morsel : {16u, 2048u}) {
+      for (size_t threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        ParallelContext ctx{threads > 1 ? &pool : nullptr, morsel};
+        std::vector<size_t> reference(n);
+        std::iota(reference.begin(), reference.end(), 0);
+        uint64_t reference_count = 0;
+        ASSERT_OK(ParallelSort(
+            ctx, &reference, &reference_count, [&](uint64_t* count) {
+              return [&values, count](size_t a, size_t b) {
+                ++*count;
+                return IntervalOrderLess(values[a], values[b]);
+              };
+            }));
+        std::vector<Record> records;
+        for (size_t r = 0; r < n; ++r) {
+          records.push_back(
+              {{values[r].SupportBegin(), values[r].SupportEnd()}, r});
+        }
+        uint64_t count = 0;
+        ASSERT_OK(SortByBounds(ctx, &records, &count));
+        const std::string label = "n=" + std::to_string(n) + " morsel=" +
+                                  std::to_string(morsel) + " threads=" +
+                                  std::to_string(threads);
+        ASSERT_EQ(records.size(), n) << label;
+        for (size_t pos = 0; pos < n; ++pos) {
+          ASSERT_EQ(records[pos].row, reference[pos])
+              << label << " position " << pos;
+        }
+        EXPECT_EQ(count, reference_count) << label;
+        EXPECT_GT(count, 0u) << label;
+      }
+    }
   }
 }
 

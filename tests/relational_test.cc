@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <map>
+#include <random>
+
 #include "relational/catalog.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
@@ -67,6 +72,40 @@ TEST(ValueTest, TotalOrderIsConsistentWithIdentical) {
       EXPECT_EQ(cmp == 0, x.Identical(y))
           << x.ToString() << " vs " << y.ToString();
       EXPECT_EQ(cmp, -y.TotalOrderCompare(x));
+    }
+  }
+}
+
+// A corpus over every order corner: NULL, strings, crisp and wide fuzzy
+// values, equal supports with different cores, -0.0 next to 0.0, and
+// infinite corners.
+std::vector<Value> OrderCorpus() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {Value::Null(),
+          Value::String(""),
+          Value::String("a"),
+          Value::String("b"),
+          Value::Number(-0.0),
+          Value::Number(0.0),
+          Value::Number(1),
+          Value::Fuzzy(Trapezoid(-0.0, 0.0, 1, 2)),
+          Value::Fuzzy(Trapezoid(0.0, 0.5, 1, 2)),
+          Value::Fuzzy(Trapezoid(0.0, 0.5, 1.5, 2)),
+          Value::Fuzzy(Trapezoid(0.0, 0.0, 2, 2)),
+          Value::Fuzzy(Trapezoid(-inf, -inf, 0.0, 1)),
+          Value::Fuzzy(Trapezoid(-inf, 0.0, 0.0, inf)),
+          Value::Fuzzy(Trapezoid(1, 2, inf, inf))};
+}
+
+int Sign(int x) { return (x > 0) - (x < 0); }
+
+TEST(ValueKeyTest, CompareMatchesTotalOrderCompare) {
+  const std::vector<Value> corpus = OrderCorpus();
+  for (const Value& x : corpus) {
+    for (const Value& y : corpus) {
+      EXPECT_EQ(Sign(CompareValueKeys(ValueKey(x), ValueKey(y))),
+                Sign(x.TotalOrderCompare(y)))
+          << x.ToString() << " vs " << y.ToString();
     }
   }
 }
@@ -143,6 +182,124 @@ TEST(RelationTest, WithThresholdFiltersAnswers) {
   r.EliminateDuplicates(0.5);  // WITH D >= 0.5
   EXPECT_EQ(r.NumTuples(), 1u);
   EXPECT_DOUBLE_EQ(testing_util::DegreeOf(r, 2.0), 0.8);
+}
+
+// The reference the sort-based EliminateDuplicates must reproduce: the
+// std::map of tuple copies it replaced, keyed by Value's total order
+// column by column, keeping the first inserted tuple of each group.
+std::vector<Tuple> MapEliminateDuplicates(const std::vector<Tuple>& tuples,
+                                          double min_degree) {
+  struct TupleLess {
+    bool operator()(const Tuple& a, const Tuple& b) const {
+      const size_t n = std::min(a.NumValues(), b.NumValues());
+      for (size_t i = 0; i < n; ++i) {
+        const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
+        if (cmp != 0) return cmp < 0;
+      }
+      return a.NumValues() < b.NumValues();
+    }
+  };
+  std::map<Tuple, double, TupleLess> best;
+  for (const Tuple& t : tuples) {
+    auto [it, inserted] = best.emplace(t, t.degree());
+    if (!inserted) it->second = std::max(it->second, t.degree());
+  }
+  std::vector<Tuple> out;
+  for (const auto& [tuple, degree] : best) {
+    if (degree >= min_degree && degree > 0.0) {
+      out.push_back(tuple);
+      out.back().set_degree(degree);
+    }
+  }
+  return out;
+}
+
+/// Same type and the same payload bits (so -0.0 differs from 0.0).
+bool BitIdentical(const Value& x, const Value& y) {
+  if (x.type() != y.type()) return false;
+  if (x.is_string()) return x.AsString() == y.AsString();
+  if (!x.is_fuzzy()) return true;
+  const Trapezoid& a = x.AsFuzzy();
+  const Trapezoid& b = y.AsFuzzy();
+  const double xs[4] = {a.a(), a.b(), a.c(), a.d()};
+  const double ys[4] = {b.a(), b.b(), b.c(), b.d()};
+  return std::memcmp(xs, ys, sizeof(xs)) == 0;
+}
+
+void ExpectMatchesMapReference(const std::vector<Tuple>& input,
+                               const std::string& label) {
+  for (double theta : {0.0, 0.5, 1.0}) {
+    Relation r;
+    r.mutable_tuples() = input;
+    r.EliminateDuplicates(theta);
+    const std::vector<Tuple> expected = MapEliminateDuplicates(input, theta);
+    ASSERT_EQ(r.NumTuples(), expected.size()) << label << " theta=" << theta;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const Tuple& got = r.TupleAt(i);
+      ASSERT_EQ(got.NumValues(), expected[i].NumValues()) << label;
+      for (size_t c = 0; c < got.NumValues(); ++c) {
+        EXPECT_TRUE(BitIdentical(got.ValueAt(c), expected[i].ValueAt(c)))
+            << label << " theta=" << theta << " row " << i << ": "
+            << got.ToString() << " vs " << expected[i].ToString();
+      }
+      EXPECT_EQ(got.degree(), expected[i].degree())
+          << label << " theta=" << theta << " row " << i;
+    }
+  }
+}
+
+TEST(EliminateDuplicatesTest, MatchesMapReference) {
+  const std::vector<Value> corpus = OrderCorpus();
+  const double degrees[] = {0.1, 0.25, 0.5, 0.75, 1.0, 0.3333333333333333};
+  std::mt19937 rng(17);
+  const auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  // Fuzzy only, every type in one column, and two or three mixed columns;
+  // a small corpus makes groups of differing degrees frequent.
+  for (size_t arity : {1u, 2u, 3u}) {
+    for (bool fuzzy_only : {true, false}) {
+      std::vector<Tuple> input;
+      for (size_t i = 0; i < 400; ++i) {
+        std::vector<Value> values;
+        for (size_t c = 0; c < arity; ++c) {
+          const size_t first = fuzzy_only ? 4 : 0;
+          values.push_back(corpus[first + pick(corpus.size() - first)]);
+        }
+        input.emplace_back(std::move(values), degrees[pick(6)]);
+      }
+      ExpectMatchesMapReference(input, "arity=" + std::to_string(arity) +
+                                           (fuzzy_only ? " fuzzy" : " mixed"));
+    }
+  }
+  // A schema-less relation whose tuples differ in arity.
+  std::vector<Tuple> ragged;
+  for (size_t i = 0; i < 200; ++i) {
+    std::vector<Value> values;
+    for (size_t c = 0, n = 1 + pick(3); c < n; ++c) {
+      values.push_back(corpus[pick(corpus.size())]);
+    }
+    ragged.emplace_back(std::move(values), degrees[pick(6)]);
+  }
+  ExpectMatchesMapReference(ragged, "ragged");
+}
+
+TEST(RelationTest, CopyForWriteLeavesRoomForTheWritesAppend) {
+  for (size_t n : {0u, 1u, 1000u}) {
+    Relation r("R", Schema{Column{"A", ValueType::kFuzzy}});
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_OK(r.Append(Tuple({Value::Number(static_cast<double>(i))}, 1)));
+    }
+    Relation c = r.CopyForWrite();
+    EXPECT_EQ(c.id(), r.id());
+    EXPECT_NE(c.version(), r.version());
+    ASSERT_EQ(c.NumTuples(), n);
+    const Tuple* storage = c.tuples().data();
+    EXPECT_OK(c.Append(Tuple({Value::Number(-1)}, 1)));
+    EXPECT_EQ(c.tuples().data(), storage) << n << " tuples";
+    EXPECT_EQ(c.NumTuples(), n + 1);
+    EXPECT_EQ(r.NumTuples(), n);
+  }
 }
 
 TEST(RelationTest, AppendOrMaxMergesInPlace) {

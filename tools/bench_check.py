@@ -15,13 +15,15 @@ are allowed.
 
 Reports are the BENCH_<suite>.json files written by bench binaries via
 `--json-out=PATH` (see bench/bench_common.h, BenchReport). Counter
-metrics (ios, tuple_pairs, degree_evaluations) are deterministic for a
-seeded workload at num_threads = 1 and must match the baseline exactly;
-wall/cpu time and peak memory get ratio tolerances because CI machines
-vary. A regression prints one line per violation and exits 1 (or 0 with
---warn-only, the pull-request mode). --self-test injects a synthetic 2x
-regression into a copy of the baseline and verifies the comparison
-catches it -- a guard against the checker itself rotting into a no-op.
+metrics (ios, tuple_pairs, degree_evaluations, comparisons) are
+deterministic for a seeded workload at num_threads = 1 and must match
+the baseline exactly; wall/cpu time and peak memory get ratio tolerances
+because CI machines vary. A regression prints one line per violation and
+exits 1 (or 0 with --warn-only, the pull-request mode). --self-test
+injects a synthetic 2x regression, and separately a single changed
+comparisons count, into copies of the baseline and verifies the
+comparison catches both -- a guard against the checker itself rotting
+into a no-op.
 
 --perfbench reads the stdout of a `perfbench/run.py` run (a file, or -
 for stdin), whose last line is the result JSON, and requires every
@@ -40,7 +42,7 @@ import sys
 
 # Metrics that must match the baseline exactly (deterministic counters;
 # only enforced when both reports ran single-threaded).
-EXACT_METRICS = ("ios", "tuple_pairs", "degree_evaluations")
+EXACT_METRICS = ("ios", "tuple_pairs", "degree_evaluations", "comparisons")
 
 # metric -> max allowed run/baseline ratio. Values are generous because
 # shared CI runners are noisy; the exact counters above are the precise
@@ -141,8 +143,9 @@ def load_perfbench_result(path):
 
 
 def self_test(baseline):
-    """Doubles every metric in a copy of the baseline; the comparison
-    must flag it, or the checker has rotted into a no-op."""
+    """Doubles every metric in a copy of the baseline, and in a second
+    copy changes only one bench's comparisons count by one; the
+    comparison must flag both, or the checker has rotted into a no-op."""
     if "exact" in baseline:
         run = {"metrics": {name: {"value": value * 2 + 1}
                            for name, value in baseline["exact"].items()}}
@@ -154,6 +157,19 @@ def self_test(baseline):
                 if metric in bench:
                     bench[metric] *= 2
         problems = compare(injected, baseline)
+        # Counters are exact only in single-threaded reports.
+        if baseline.get("threads") == 1:
+            benches = baseline.get("benches", [])
+            if not benches or "comparisons" not in benches[0]:
+                print("self-test FAILED: the baseline records no "
+                      "comparisons")
+                return 1
+            one_off = copy.deepcopy(baseline)
+            one_off["benches"][0]["comparisons"] += 1
+            if not compare(one_off, baseline):
+                print("self-test FAILED: a changed comparisons count was "
+                      "not detected")
+                return 1
     if not problems:
         print("self-test FAILED: 2x regression was not detected")
         return 1
