@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "engine/merge_window.h"
-#include "fuzzy/interval_order.h"
-
 namespace fuzzydb {
 namespace algebra {
 
@@ -30,18 +27,6 @@ Schema ConcatSchemas(const Schema& left, const Schema& right) {
   }
   return combined;
 }
-
-/// Orders tuples by value content, for the set-operation maps.
-struct TupleValueLess {
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    const size_t n = std::min(a.NumValues(), b.NumValues());
-    for (size_t i = 0; i < n; ++i) {
-      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
-      if (cmp != 0) return cmp < 0;
-    }
-    return a.NumValues() < b.NumValues();
-  }
-};
 
 Status CheckArity(const Relation& left, const Relation& right,
                   const char* op) {
@@ -139,64 +124,8 @@ Result<Relation> FuzzyEquiJoin(const Relation& left, size_t left_column,
       right_column >= right.schema().NumColumns()) {
     return Status::OutOfRange("join column out of range");
   }
-  auto all_fuzzy = [](const Relation& rel, size_t col) {
-    for (const Tuple& t : rel.tuples()) {
-      if (!t.ValueAt(col).is_fuzzy()) return false;
-    }
-    return true;
-  };
-  if (!all_fuzzy(left, left_column) || !all_fuzzy(right, right_column)) {
-    return ThetaJoin(left, right,
-                     ColumnsCompare(left_column, CompareOp::kEq,
-                                    right_column));
-  }
-
-  // Extended merge-join (Section 3): sort both sides on the interval
-  // order, then scan each outer tuple's window Rng(r).
-  std::vector<const Tuple*> outer, inner;
-  outer.reserve(left.NumTuples());
-  inner.reserve(right.NumTuples());
-  for (const Tuple& t : left.tuples()) outer.push_back(&t);
-  for (const Tuple& t : right.tuples()) inner.push_back(&t);
-  auto less_on = [](size_t col) {
-    return [col](const Tuple* a, const Tuple* b) {
-      return IntervalOrderLess(a->ValueAt(col).AsFuzzy(),
-                               b->ValueAt(col).AsFuzzy());
-    };
-  };
-  std::sort(outer.begin(), outer.end(), less_on(left_column));
-  std::sort(inner.begin(), inner.end(), less_on(right_column));
-  auto key_on = [](size_t col) {
-    return [col](const Tuple* t) -> const Trapezoid& {
-      return t->ValueAt(col).AsFuzzy();
-    };
-  };
-  const std::vector<SupportBounds> outer_bounds =
-      HoistSupportBounds(outer, key_on(left_column));
-  const std::vector<SupportBounds> inner_bounds =
-      HoistSupportBounds(inner, key_on(right_column));
-
-  Relation out(left.name() + "_join_" + right.name(),
-               ConcatSchemas(left.schema(), right.schema()));
-  size_t window_start = 0;
-  for (size_t r = 0; r < outer.size(); ++r) {
-    const Tuple* l = outer[r];
-    const Trapezoid& key = l->ValueAt(left_column).AsFuzzy();
-    const WindowRange window =
-        NextWindow(inner_bounds, outer_bounds[r], &window_start, nullptr);
-    for (size_t i = window.begin; i < window.end; ++i) {
-      const Trapezoid& inner_key =
-          inner[i]->ValueAt(right_column).AsFuzzy();
-      const double d = std::min(
-          {l->degree(), inner[i]->degree(), EqualityDegree(key, inner_key)});
-      if (d > 0.0) {
-        Tuple joined = l->Concat(*inner[i]);
-        joined.set_degree(d);
-        FUZZYDB_RETURN_IF_ERROR(out.Append(std::move(joined)));
-      }
-    }
-  }
-  return out;
+  return ThetaJoin(left, right,
+                   ColumnsCompare(left_column, CompareOp::kEq, right_column));
 }
 
 Result<Relation> Union(const Relation& left, const Relation& right) {

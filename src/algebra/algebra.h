@@ -60,11 +60,11 @@ Relation CartesianProduct(const Relation& left, const Relation& right);
 Relation ThetaJoin(const Relation& left, const Relation& right,
                    const PairPredicate& predicate);
 
-/// Fuzzy equijoin on one column pair -- ThetaJoin specialised to the
-/// paper's R.X = S.X, evaluated with the extended merge-join (sort on
-/// the interval order + window scan) when both columns are fuzzy, and
-/// falling back to the nested loop otherwise. Identical results either
-/// way.
+/// Fuzzy equijoin on one column pair, the paper's R.X = S.X: ThetaJoin
+/// with ColumnsCompare(left_column, kEq, right_column). Fails on
+/// out-of-range columns. (The engine's joins run the extended
+/// merge-join, engine/pair_join.h; the algebra stays operator-at-a-time
+/// over relations.)
 Result<Relation> FuzzyEquiJoin(const Relation& left, size_t left_column,
                                const Relation& right, size_t right_column);
 

@@ -1,0 +1,290 @@
+#include "engine/pair_join.h"
+
+#include <algorithm>
+#include <limits>
+#include <memory>
+
+#include "cache/cache_manager.h"
+#include "obs/metrics.h"
+#include "obs/op_scope.h"
+
+namespace fuzzydb {
+
+bool CacheOn(const ParallelContext& ctx) {
+  return ctx.cache != nullptr && ctx.cache->enabled();
+}
+
+QueryContext* CacheBudget(const ParallelContext& ctx) {
+  return const_cast<QueryContext*>(ctx.query);
+}
+
+size_t EffectiveBatchSize(const ParallelContext& ctx) {
+  return std::clamp<size_t>(ctx.batch_size, 1, TrapezoidBatch::kCapacity);
+}
+
+namespace {
+
+/// Support bounds of fuzzy column `col` of `ft`'s tuple.
+SupportBounds BoundsOf(const FT& ft, size_t col) {
+  const Trapezoid& key = ft.tuple->ValueAt(col).AsFuzzy();
+  return SupportBounds{key.SupportBegin(), key.SupportEnd()};
+}
+
+/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`
+/// and sets *bounds to the sorted keys' support bounds. The sort runs
+/// over flat {bounds, FT} records read in one pass, so its comparisons
+/// never leave the record array. Parallel per-run sorts + merge tree;
+/// order and comparison count are thread-count-invariant (see
+/// ParallelSort).
+///
+/// When `rel` (the relation the FT pointers reference) is given and the
+/// cache is on, the full-relation interval-order permutation of `col` is
+/// reused across queries: a hit reorders the survivors by one O(n + k)
+/// walk of the cached permutation with zero key comparisons; a miss over
+/// the *unfiltered* relation publishes the sorted order (a permutation is
+/// only derivable when every tuple survived). Tie order may differ
+/// between the cached and sorted paths, which is answer-neutral: every
+/// consumer folds degrees with max/min and final answers are
+/// duplicate-eliminated.
+///
+/// A governed stop mid-sort returns the stop status; *tuples and
+/// *bounds must then not be read.
+Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
+                           const ParallelContext& ctx, CpuStats* cpu,
+                           ExecTrace* trace, const Relation* rel,
+                           std::vector<SupportBounds>* bounds) {
+  OpScope op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
+             "col" + std::to_string(col));
+  op.SetInputRows(tuples->size());
+  op.SetThreads(WorkerSlots(ctx));
+  bounds->clear();
+  bounds->reserve(tuples->size());
+  std::string cache_key;
+  if (rel != nullptr && CacheOn(ctx)) {
+    cache_key = "perm|" + std::to_string(rel->id()) + "@" +
+                std::to_string(rel->version()) + "|c" + std::to_string(col);
+    if (auto perm = ctx.cache->LookupPermutation(cache_key)) {
+      const Tuple* base = rel->tuples().data();
+      constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
+      std::vector<uint32_t> slot_of(rel->tuples().size(), kAbsent);
+      for (size_t i = 0; i < tuples->size(); ++i) {
+        slot_of[static_cast<size_t>((*tuples)[i].tuple - base)] =
+            static_cast<uint32_t>(i);
+      }
+      std::vector<FT> ordered;
+      ordered.reserve(tuples->size());
+      for (uint32_t index : *perm) {
+        if (slot_of[index] != kAbsent) {
+          ordered.push_back((*tuples)[slot_of[index]]);
+          bounds->push_back(BoundsOf(ordered.back(), col));
+        }
+      }
+      *tuples = std::move(ordered);
+      op.SetDetail("col" + std::to_string(col) + " (cached)");
+      return Status::OK();
+    }
+  }
+  struct Record {
+    SupportBounds bounds;
+    FT ft;
+  };
+  std::vector<Record> records;
+  records.reserve(tuples->size());
+  for (const FT& ft : *tuples) records.push_back({BoundsOf(ft, col), ft});
+  FUZZYDB_RETURN_IF_ERROR(SortByBounds(
+      ctx, &records, cpu == nullptr ? nullptr : &cpu->comparisons));
+  for (size_t i = 0; i < records.size(); ++i) {
+    (*tuples)[i] = records[i].ft;
+    bounds->push_back(records[i].bounds);
+  }
+  if (!cache_key.empty() && tuples->size() == rel->tuples().size()) {
+    auto perm = std::make_shared<CacheManager::Permutation>();
+    perm->reserve(tuples->size());
+    const Tuple* base = rel->tuples().data();
+    for (const FT& ft : *tuples) {
+      perm->push_back(static_cast<uint32_t>(ft.tuple - base));
+    }
+    ctx.cache->InsertPermutation(cache_key, std::move(perm), {rel->id()},
+                                 CacheBudget(ctx));
+  }
+  return Status::OK();
+}
+
+/// Positions [begin, end) of the sorted inner input.
+struct WindowRange {
+  size_t begin = 0;
+  size_t end = 0;
+
+  size_t size() const { return end - begin; }
+};
+
+/// Rng(r) over the sorted inner bounds, for outer key `r`. `*start` is
+/// the scan position carried between the outer keys of one ascending
+/// pass: 0 before the first key, afterwards what the previous call left.
+/// Counts one comparison per boundary test and one tuple pair per inner
+/// tuple in the window into *cpu (null = don't count).
+WindowRange NextWindow(const std::vector<SupportBounds>& inner,
+                       const SupportBounds& r, size_t* start, CpuStats* cpu) {
+  const size_t n = inner.size();
+  uint64_t comparisons = 0;
+  size_t begin = *start;
+  while (begin < n) {
+    ++comparisons;
+    if (inner[begin].end < r.begin) {
+      ++begin;
+    } else {
+      break;
+    }
+  }
+  *start = begin;
+  size_t end = begin;
+  while (end < n) {
+    ++comparisons;
+    if (inner[end].begin > r.end) break;
+    ++end;
+  }
+  if (cpu != nullptr) {
+    cpu->comparisons += comparisons;
+    cpu->tuple_pairs += end - begin;
+  }
+  return WindowRange{begin, end};
+}
+
+/// One outer row of a keyed pair join: its key's bounds and its index.
+struct OuterKey {
+  SupportBounds bounds;
+  size_t row = 0;
+};
+
+/// One worker's pending pairs and fold lanes.
+struct PairWorker {
+  std::vector<PairEntry> pairs;
+  FoldScratch fold;
+  BatchTally tally;
+  Status status;
+};
+
+}  // namespace
+
+Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
+                const PairKey* key, const ParallelContext& ctx,
+                CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
+                const std::string& inner_note) {
+  const size_t n = outer.size();
+  // Keyed: the outer rows in interval order, each with its key's bounds.
+  std::vector<OuterKey> outer_keys;
+  std::vector<SupportBounds> inner_bounds;
+  std::vector<double> inner_end_max;
+  if (key != nullptr) {
+    {
+      OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
+                      "outer-view col" + std::to_string(key->outer_col));
+      sort_op.SetInputRows(n);
+      sort_op.SetThreads(WorkerSlots(ctx));
+      outer_keys.reserve(n);
+      for (size_t r = 0; r < n; ++r) {
+        outer_keys.push_back({BoundsOf(outer[r], key->outer_col), r});
+      }
+      FUZZYDB_RETURN_IF_ERROR(SortByBounds(
+          ctx, &outer_keys, cpu == nullptr ? nullptr : &cpu->comparisons));
+    }
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col, ctx,
+                                                cpu, trace,
+                                                key->inner_relation,
+                                                &inner_bounds));
+    inner_end_max.resize(inner_bounds.size());
+    double running = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < inner_bounds.size(); ++i) {
+      running = std::max(running, inner_bounds[i].end);
+      inner_end_max[i] = running;
+    }
+  }
+
+  OpScope op(key != nullptr ? Op::kMergeWindow : Op::kNestedPairing, trace,
+             ctx.progress, cpu, nullptr,
+             inner_note + "inner=" + std::to_string(inner->size()));
+  op.SetInputRows(n);
+  op.SetThreads(WorkerSlots(ctx));
+  std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
+  std::vector<std::unique_ptr<PairWorker>> workers(WorkerSlots(ctx));
+  // Windowed pairs per worker; the post-barrier sum is permutation-
+  // invariant, so merge-window's rows_out -- the actual cardinality the
+  // q-error gate compares est_pairs against, and the pairs sys.queries
+  // reports -- is thread-count-invariant like the counters.
+  std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
+  // Declared after `op` so a throwing sink still folds the worker
+  // tallies before the span records its delta (see CpuStatsFolder).
+  CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
+  // Hoisted out of the scan: the enabled path per outer row is one
+  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
+  EngineMetrics* metrics = EngineMetrics::IfEnabled();
+  Histogram* window_hist = key == nullptr || metrics == nullptr
+                               ? nullptr
+                               : metrics->merge_window_length;
+  const size_t batch = EffectiveBatchSize(ctx);
+  const size_t morsel_size = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
+
+  ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
+    std::unique_ptr<PairWorker>& w = workers[worker];
+    if (w == nullptr) {
+      w = std::make_unique<PairWorker>();
+      w->pairs.reserve(batch);
+      w->tally = EngineBatchTally();
+    }
+    if (!w->status.ok()) return;
+    CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
+    auto flush = [&](bool morsel_end) {
+      const size_t count = w->pairs.size();
+      for (size_t k = 0; k < count; ++k) {
+        const PairEntry& e = w->pairs[k];
+        w->fold.degree[k] = std::min(outer[e.r].degree, e.s->degree);
+      }
+      w->status = sink(PairBatch{w->pairs.data(), count, worker,
+                                 begin / morsel_size, morsel_end, &w->fold,
+                                 slot, &w->tally});
+      w->pairs.clear();
+      return w->status.ok();
+    };
+    size_t window_start = 0;
+    if (key != nullptr && begin > 0) {
+      window_start = static_cast<size_t>(
+          std::lower_bound(inner_end_max.begin(), inner_end_max.end(),
+                           outer_keys[begin - 1].bounds.begin) -
+          inner_end_max.begin());
+    }
+    for (size_t pos = begin; pos < end; ++pos) {
+      size_t r = pos;
+      WindowRange window{0, inner->size()};
+      if (key != nullptr) {
+        r = outer_keys[pos].row;
+        window = NextWindow(inner_bounds, outer_keys[pos].bounds,
+                            &window_start, slot);
+        if (window_hist != nullptr) window_hist->Record(window.size());
+        worker_pairs[worker] += window.size();
+      } else {
+        if (QueryStopRequested(ctx.query)) break;
+        if (slot != nullptr) slot->tuple_pairs += inner->size();
+      }
+      for (size_t i = window.begin; i < window.end; ++i) {
+        w->pairs.push_back(PairEntry{r, &(*inner)[i]});
+        if (w->pairs.size() >= batch && !flush(/*morsel_end=*/false)) return;
+      }
+    }
+    flush(/*morsel_end=*/true);
+  });
+  folder.Fold();
+  if (key != nullptr) {
+    uint64_t windowed = 0;
+    for (uint64_t p : worker_pairs) windowed += p;
+    op.SetOutputRows(windowed);
+    op.SetEstimatedRows(key->est_pairs);
+  }
+  for (const auto& w : workers) {
+    if (w == nullptr) continue;
+    op.AddBatches(w->tally.batches, w->tally.rows);
+    FUZZYDB_RETURN_IF_ERROR(w->status);
+  }
+  return CheckQuery(ctx.query);
+}
+
+}  // namespace fuzzydb

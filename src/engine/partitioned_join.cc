@@ -1,11 +1,12 @@
 #include "engine/partitioned_join.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
-#include "engine/merge_window.h"
-#include "fuzzy/interval_order.h"
+#include "engine/degree_fold.h"
+#include "engine/pair_join.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
 #include "storage/heap_file.h"
@@ -38,52 +39,12 @@ Result<std::vector<Tuple>> LoadPartition(PageFile* file, BufferPool* pool) {
   return tuples;
 }
 
-/// In-memory sort of one partition side by the interval order of
-/// `key_col`, counting comparisons into *cpu. Safe on a worker thread.
-void SortPartition(std::vector<Tuple>* tuples, size_t key_col,
-                   CpuStats* cpu) {
-  std::sort(tuples->begin(), tuples->end(),
-            [key_col, cpu](const Tuple& a, const Tuple& b) {
-              if (cpu != nullptr) ++cpu->comparisons;
-              return IntervalOrderLess(a.ValueAt(key_col).AsFuzzy(),
-                                       b.ValueAt(key_col).AsFuzzy());
-            });
-}
-
-/// One joining pair found by the window scan of a partition: indexes into
-/// the partition's loaded outer/inner tuple vectors.
-struct MatchRef {
-  size_t outer_index = 0;
-  size_t inner_index = 0;
-  double degree = 0.0;
-};
-
-/// Window scan within one loaded, sorted partition pair (the in-memory
-/// extended merge-join of pass 3). Matches are appended to `matches`
-/// instead of emitted so partitions can be probed concurrently and still
-/// emit in partition order.
-void ProbePartition(const std::vector<Tuple>& outer_tuples,
-                    const std::vector<Tuple>& inner_tuples,
-                    const FuzzyJoinSpec& spec, CpuStats* cpu,
-                    std::vector<MatchRef>* matches) {
-  auto key_on = [](size_t col) {
-    return [col](const Tuple& t) -> const Trapezoid& {
-      return t.ValueAt(col).AsFuzzy();
-    };
-  };
-  const std::vector<SupportBounds> outer_bounds =
-      HoistSupportBounds(outer_tuples, key_on(spec.outer_key));
-  const std::vector<SupportBounds> inner_bounds =
-      HoistSupportBounds(inner_tuples, key_on(spec.inner_key));
-  size_t window_start = 0;
-  for (size_t r = 0; r < outer_tuples.size(); ++r) {
-    const WindowRange window =
-        NextWindow(inner_bounds, outer_bounds[r], &window_start, cpu);
-    for (size_t i = window.begin; i < window.end; ++i) {
-      const double d = spec.PairDegree(outer_tuples[r], inner_tuples[i], cpu);
-      if (d > 0.0) matches->push_back(MatchRef{r, i, d});
-    }
-  }
+/// The tuples of one loaded partition side, each weighted by its degree.
+std::vector<FT> Weighted(const std::vector<Tuple>& tuples) {
+  std::vector<FT> out;
+  out.reserve(tuples.size());
+  for (const Tuple& t : tuples) out.push_back(FT{&t, t.degree()});
+  return out;
 }
 
 }  // namespace
@@ -221,120 +182,64 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
   }
 
   // ---- Pass 3: join partition pairs in memory ------------------------
-  // Every partition pair is sorted and probed independently; matches are
-  // buffered per partition and emitted in partition order, and CPU
-  // counters are tallied into per-partition slots folded in partition
-  // order, so serial and parallel runs produce the same emit sequence
-  // and the same totals.
+  // One partition pair is resident at a time. Its loads stay on this
+  // thread (the BufferPool is not thread-safe); PairJoin sorts and scans
+  // it morsel-parallel under the caller's context, and its sink folds
+  // the key and then each residual, as FuzzyJoinSpec::PairDegree does
+  // per pair. Survivors are buffered per morsel and emitted here in
+  // morsel order, so the emit sequence and the counters are those of a
+  // serial run at the same morsel size.
   ParallelContext ctx = parallel != nullptr ? *parallel : ParallelContext{};
   if (ctx.query == nullptr) ctx.query = query;
-  const bool concurrent =
-      ctx.pool != nullptr && ctx.pool->size() > 1 && partitions > 1;
-  Status status = Status::OK();
-  std::vector<CpuStats> part_cpu(partitions);
-  // Declared after `op`: a throwing sort/probe still folds the
-  // per-partition tallies into *cpu before the op closes.
-  CpuStatsFolder folder(cpu == nullptr ? nullptr : &part_cpu, cpu);
-  // Concurrent pass 3 materializes every partition pair at once; the
-  // tracker's peak is what a served workload would size join memory by.
-  ScopedMemoryCharge memory(metrics == nullptr ? nullptr
-                                               : metrics->join_memory);
-  auto slot = [&](size_t p) {
-    return cpu != nullptr ? &part_cpu[p] : nullptr;
-  };
-  auto emit_matches = [&](const std::vector<Tuple>& outer_tuples,
-                          const std::vector<Tuple>& inner_tuples,
-                          const std::vector<MatchRef>& matches) -> Status {
-    for (const MatchRef& m : matches) {
-      ++emitted;
-      FUZZYDB_RETURN_IF_ERROR(emit(outer_tuples[m.outer_index],
-                                   inner_tuples[m.inner_index], m.degree));
-    }
-    return Status::OK();
-  };
-  if (!concurrent) {
-    // Streamed: one partition pair in memory at a time.
-    for (size_t p = 0; p < partitions && status.ok(); ++p) {
-      status = CheckQuery(query);
-      if (!status.ok()) break;
-      auto outer_tuples = LoadPartition(parts[p].outer_file.get(), pool);
-      if (!outer_tuples.ok()) {
-        status = outer_tuples.status();
-        break;
-      }
-      auto inner_tuples = LoadPartition(parts[p].inner_file.get(), pool);
-      if (!inner_tuples.ok()) {
-        status = inner_tuples.status();
-        break;
-      }
-      // Streamed: only one partition pair is live at a time, so the
-      // charge is released at the end of each iteration.
-      ScopedBudget pair_budget(query);
-      status = pair_budget.Charge((parts[p].outer_file->NumPages() +
-                                   parts[p].inner_file->NumPages()) *
-                                  kPageSize);
-      if (!status.ok()) break;
-      ScopedMemoryCharge pair_memory(
-          metrics == nullptr ? nullptr : metrics->join_memory);
-      pair_memory.Charge((parts[p].outer_file->NumPages() +
-                          parts[p].inner_file->NumPages()) *
-                         kPageSize);
-      SortPartition(&*outer_tuples, spec.outer_key, slot(p));
-      SortPartition(&*inner_tuples, spec.inner_key, slot(p));
-      std::vector<MatchRef> matches;
-      ProbePartition(*outer_tuples, *inner_tuples, spec, slot(p), &matches);
-      status = emit_matches(*outer_tuples, *inner_tuples, matches);
-    }
-  } else {
-    // Concurrent: reads stay on this thread, then sort + probe run
-    // one-partition-per-morsel on the pool.
-    std::vector<std::vector<Tuple>> outer_tuples(partitions);
-    std::vector<std::vector<Tuple>> inner_tuples(partitions);
-    ScopedBudget pairs_budget(query);
-    for (size_t p = 0; p < partitions && status.ok(); ++p) {
-      status = CheckQuery(query);
-      if (!status.ok()) break;
-      auto o = LoadPartition(parts[p].outer_file.get(), pool);
-      if (!o.ok()) {
-        status = o.status();
-        break;
-      }
-      auto i = LoadPartition(parts[p].inner_file.get(), pool);
-      if (!i.ok()) {
-        status = i.status();
-        break;
-      }
-      outer_tuples[p] = *std::move(o);
-      inner_tuples[p] = *std::move(i);
-      status = pairs_budget.Charge((parts[p].outer_file->NumPages() +
-                                    parts[p].inner_file->NumPages()) *
-                                   kPageSize);
-      if (!status.ok()) break;
-      memory.Charge((parts[p].outer_file->NumPages() +
-                     parts[p].inner_file->NumPages()) *
-                    kPageSize);
-    }
-    if (status.ok()) {
-      std::vector<std::vector<MatchRef>> matches(partitions);
-      ParallelFor(ctx, partitions, /*morsel_size=*/1,
-                  [&](size_t, size_t begin, size_t end) {
-                    for (size_t p = begin; p < end; ++p) {
-                      SortPartition(&outer_tuples[p], spec.outer_key, slot(p));
-                      SortPartition(&inner_tuples[p], spec.inner_key, slot(p));
-                      ProbePartition(outer_tuples[p], inner_tuples[p], spec,
-                                     slot(p), &matches[p]);
-                    }
-                  });
-      // A governed stop keeps ParallelFor from dispatching the remaining
-      // partitions, so the buffered matches are incomplete: surface the
-      // stop instead of emitting a partial result.
-      status = CheckQuery(query);
-      for (size_t p = 0; p < partitions && status.ok(); ++p) {
-        status = emit_matches(outer_tuples[p], inner_tuples[p], matches[p]);
+  const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
+  const PairKey key{spec.outer_key, spec.inner_key};
+  std::vector<FoldTerm> terms = {FoldTerm{FoldOperand::Outer(spec.outer_key),
+                                          spec.key_op,
+                                          FoldOperand::Local(spec.inner_key)}};
+  for (const FuzzyJoinSpec::Residual& residual : spec.residuals) {
+    terms.push_back(FoldTerm{FoldOperand::Outer(residual.outer_col),
+                             residual.op,
+                             FoldOperand::Local(residual.inner_col)});
+  }
+  for (size_t p = 0; p < partitions; ++p) {
+    FUZZYDB_RETURN_IF_ERROR(CheckQuery(query));
+    FUZZYDB_ASSIGN_OR_RETURN(std::vector<Tuple> outer_tuples,
+                             LoadPartition(parts[p].outer_file.get(), pool));
+    FUZZYDB_ASSIGN_OR_RETURN(std::vector<Tuple> inner_tuples,
+                             LoadPartition(parts[p].inner_file.get(), pool));
+    const uint64_t pair_bytes =
+        (parts[p].outer_file->NumPages() + parts[p].inner_file->NumPages()) *
+        kPageSize;
+    ScopedBudget pair_budget(query);
+    FUZZYDB_RETURN_IF_ERROR(pair_budget.Charge(pair_bytes));
+    ScopedMemoryCharge pair_memory(metrics == nullptr ? nullptr
+                                                      : metrics->join_memory);
+    pair_memory.Charge(pair_bytes);
+    const std::vector<FT> outer_rows = Weighted(outer_tuples);
+    std::vector<FT> inner_rows = Weighted(inner_tuples);
+    std::vector<std::vector<std::pair<PairEntry, double>>> survivors(
+        (outer_rows.size() + morsel - 1) / morsel);
+    FUZZYDB_RETURN_IF_ERROR(PairJoin(
+        outer_rows, &inner_rows, &key, ctx, cpu, trace,
+        [&](const PairBatch& batch) {
+          FoldComparisons(PairLanes(batch, outer_rows), batch.count, terms,
+                          batch.fold, batch.cpu, batch.tally);
+          const double* degree = batch.fold->degree.data();
+          for (size_t k = 0; k < batch.count; ++k) {
+            if (degree[k] > 0.0) {
+              survivors[batch.morsel].emplace_back(batch.pairs[k], degree[k]);
+            }
+          }
+          return Status::OK();
+        }));
+    for (const auto& morsel_survivors : survivors) {
+      for (const auto& [pair, d] : morsel_survivors) {
+        ++emitted;
+        FUZZYDB_RETURN_IF_ERROR(
+            emit(*outer_rows[pair.r].tuple, *pair.s->tuple, d));
       }
     }
   }
-  folder.Fold();
   op.SetDetail("partitions=" + std::to_string(partitions) + " replicas=" +
                std::to_string(stats->outer_replicas));
   op.SetInputRows(stats->outer_replicas);
@@ -352,7 +257,7 @@ Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
     RemoveFileIfExists(part.outer_path);
   }
   temp_guard.Dismiss();
-  return status;
+  return Status::OK();
 }
 
 }  // namespace fuzzydb

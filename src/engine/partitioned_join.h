@@ -14,7 +14,8 @@
 //   3. partition the outer relation with replication: r is copied to
 //      every partition whose range intersects [b(r) - W, e(r)], the only
 //      region where an intersecting inner support can begin;
-//   4. join each partition pair in memory with a sort + window scan.
+//   4. join each partition pair in memory with the engine's pair join
+//      (engine/pair_join.h): interval sorts plus the Rng(r) window scan.
 //
 // Because each inner tuple lives in exactly one partition, every joining
 // pair is emitted exactly once. Compared with the extended merge-join,
@@ -44,20 +45,20 @@ struct PartitionedJoinStats {
 /// created as `temp_prefix + ".p<i>.{inner,outer}"` and removed before
 /// returning. Page traffic flows through `pool`.
 ///
-/// With `parallel` set, partition pairs are sorted and probed
-/// concurrently (one partition per morsel); partition loads stay on the
-/// calling thread because the BufferPool is not thread-safe. Emission
-/// order, emitted pairs, and `cpu` totals are identical to the serial
-/// run: each worker buffers its partition's matches and counts into a
-/// per-partition CpuStats, both folded in partition order at the
-/// barrier. The parallel probe materializes every partition pair in
-/// memory at once (the serial path holds one pair at a time). The
+/// One partition pair is in memory at a time, loaded on the calling
+/// thread (the BufferPool is not thread-safe). Each pair is joined by
+/// PairJoin under `parallel` (null = serial, default morsel size):
+/// morsel-parallel sorts and window scan, the key and each residual
+/// folded per batch. Matches are emitted on the calling thread in
+/// morsel order, so the emit sequence and `cpu` totals are identical
+/// for every thread count at one morsel size; the morsel size can
+/// reorder tied keys and moves the sorts' comparison counts. The
 /// context's progress block, if any, is charged the join phase.
 ///
-/// With `query` set, cancellation/deadline are polled per scanned tuple
-/// and per partition, loaded partition pairs are charged against the
-/// memory budget, and every early return removes the partition
-/// temporaries before surfacing its status.
+/// With `query` set, cancellation/deadline are polled per scanned tuple,
+/// per partition and per morsel, each loaded partition pair is charged
+/// against the memory budget while it is joined, and every early return
+/// removes the partition temporaries before surfacing its status.
 Status FilePartitionedJoin(PageFile* outer, PageFile* inner, BufferPool* pool,
                            const FuzzyJoinSpec& spec, size_t num_partitions,
                            const std::string& temp_prefix, CpuStats* cpu,

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
-#include <limits>
+#include <deque>
 #include <numeric>
 #include <optional>
 
@@ -17,7 +16,7 @@
 #include "engine/cost_model.h"
 #include "engine/degree_fold.h"
 #include "engine/join_order.h"
-#include "engine/merge_window.h"
+#include "engine/pair_join.h"
 #include "stats/column_stats.h"
 #include "engine/naive_evaluator.h"
 #include "engine/semantics.h"
@@ -38,26 +37,6 @@ using sql::BoundPredicate;
 using sql::BoundQuery;
 using sql::Predicate;
 
-/// A tuple surviving the local-predicate filter, with its adjusted degree
-/// min(mu_R(r), d(p_local(r))).
-struct FT {
-  const Tuple* tuple = nullptr;
-  double degree = 0.0;
-};
-
-/// True when the operator should consult the cross-query cache.
-bool CacheOn(const ParallelContext& ctx) {
-  return ctx.cache != nullptr && ctx.cache->enabled();
-}
-
-/// The QueryContext cache admission charges against. ParallelContext
-/// holds the context const (operators only poll it); the underlying
-/// object always comes from the non-const ExecOptions::context, so the
-/// cast is well-defined.
-QueryContext* CacheBudget(const ParallelContext& ctx) {
-  return const_cast<QueryContext*>(ctx.query);
-}
-
 // ---------------------------------------------------------------------
 // Batch execution (docs/architecture.md, "Batch execution").
 //
@@ -70,11 +49,6 @@ QueryContext* CacheBudget(const ParallelContext& ctx) {
 // chunk decomposition, like the morsel decomposition, is independent
 // of thread count.
 // ---------------------------------------------------------------------
-
-/// Lanes per batch: the knob clamped to [1, the SoA capacity].
-size_t EffectiveBatchSize(const ParallelContext& ctx) {
-  return std::clamp<size_t>(ctx.batch_size, 1, TrapezoidBatch::kCapacity);
-}
 
 /// The fold side of a bound operand. The unnested plans admit only
 /// single-table blocks, so a column names the lane's own tuple (up == 0)
@@ -287,298 +261,6 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
     if (!ft.tuple->ValueAt(col).is_fuzzy()) return false;
   }
   return true;
-}
-
-/// Support bounds of fuzzy column `col` of `ft`'s tuple.
-SupportBounds BoundsOf(const FT& ft, size_t col) {
-  const Trapezoid& key = ft.tuple->ValueAt(col).AsFuzzy();
-  return SupportBounds{key.SupportBegin(), key.SupportEnd()};
-}
-
-/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`
-/// and sets *bounds to the sorted keys' support bounds. The sort runs
-/// over flat {bounds, FT} records read in one pass, so its comparisons
-/// never leave the record array. Parallel per-run sorts + merge tree;
-/// order and comparison count are thread-count-invariant (see
-/// ParallelSort).
-///
-/// When `rel` (the relation the FT pointers reference) is given and the
-/// cache is on, the full-relation interval-order permutation of `col` is
-/// reused across queries: a hit reorders the survivors by one O(n + k)
-/// walk of the cached permutation with zero key comparisons; a miss over
-/// the *unfiltered* relation publishes the sorted order (a permutation is
-/// only derivable when every tuple survived). Tie order may differ
-/// between the cached and sorted paths, which is answer-neutral: every
-/// consumer folds degrees with max/min and final answers are
-/// duplicate-eliminated.
-///
-/// A governed stop mid-sort returns the stop status; *tuples and
-/// *bounds must then not be read.
-Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
-                           const ParallelContext& ctx, CpuStats* cpu,
-                           ExecTrace* trace, const Relation* rel,
-                           std::vector<SupportBounds>* bounds) {
-  OpScope op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
-             "col" + std::to_string(col));
-  op.SetInputRows(tuples->size());
-  op.SetThreads(WorkerSlots(ctx));
-  bounds->clear();
-  bounds->reserve(tuples->size());
-  std::string cache_key;
-  if (rel != nullptr && CacheOn(ctx)) {
-    cache_key = "perm|" + std::to_string(rel->id()) + "@" +
-                std::to_string(rel->version()) + "|c" + std::to_string(col);
-    if (auto perm = ctx.cache->LookupPermutation(cache_key)) {
-      const Tuple* base = rel->tuples().data();
-      constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
-      std::vector<uint32_t> slot_of(rel->tuples().size(), kAbsent);
-      for (size_t i = 0; i < tuples->size(); ++i) {
-        slot_of[static_cast<size_t>((*tuples)[i].tuple - base)] =
-            static_cast<uint32_t>(i);
-      }
-      std::vector<FT> ordered;
-      ordered.reserve(tuples->size());
-      for (uint32_t index : *perm) {
-        if (slot_of[index] != kAbsent) {
-          ordered.push_back((*tuples)[slot_of[index]]);
-          bounds->push_back(BoundsOf(ordered.back(), col));
-        }
-      }
-      *tuples = std::move(ordered);
-      op.SetDetail("col" + std::to_string(col) + " (cached)");
-      return Status::OK();
-    }
-  }
-  struct Record {
-    SupportBounds bounds;
-    FT ft;
-  };
-  std::vector<Record> records;
-  records.reserve(tuples->size());
-  for (const FT& ft : *tuples) records.push_back({BoundsOf(ft, col), ft});
-  FUZZYDB_RETURN_IF_ERROR(SortByBounds(
-      ctx, &records, cpu == nullptr ? nullptr : &cpu->comparisons));
-  for (size_t i = 0; i < records.size(); ++i) {
-    (*tuples)[i] = records[i].ft;
-    bounds->push_back(records[i].bounds);
-  }
-  if (!cache_key.empty() && tuples->size() == rel->tuples().size()) {
-    auto perm = std::make_shared<CacheManager::Permutation>();
-    perm->reserve(tuples->size());
-    const Tuple* base = rel->tuples().data();
-    for (const FT& ft : *tuples) {
-      perm->push_back(static_cast<uint32_t>(ft.tuple - base));
-    }
-    ctx.cache->InsertPermutation(cache_key, std::move(perm), {rel->id()},
-                                 CacheBudget(ctx));
-  }
-  return Status::OK();
-}
-
-/// One buffered pair of a pair join: outer row `r` (its index in the
-/// caller's outer side) and inner tuple `s`.
-struct PairEntry {
-  size_t r = 0;
-  const FT* s = nullptr;
-};
-
-/// One batch of pairs, handed to a pair join's sink. Lane k is pairs[k];
-/// fold->degree[k] starts at min(weight of r, d_S(s)). A batch never
-/// spans a morsel, and each morsel's last batch (possibly empty) is
-/// marked morsel_end.
-struct PairBatch {
-  const PairEntry* pairs = nullptr;
-  size_t count = 0;
-  size_t worker = 0;  // the ParallelFor worker slot
-  size_t morsel = 0;  // the morsel's index among the outer positions
-  bool morsel_end = false;
-  FoldScratch* fold = nullptr;
-  CpuStats* cpu = nullptr;  // the worker's stats slot; null = don't count
-  BatchTally* tally = nullptr;
-};
-
-/// Consumes one batch. Runs concurrently for distinct workers.
-using PairSink = std::function<Status(const PairBatch&)>;
-
-/// The key of a keyed pair join: fuzzy column outer_col of each outer
-/// row's tuple and inner_col of the inner tuples, which are filtered
-/// from `inner_relation` (the permutation cache's source, or null).
-struct PairKey {
-  size_t outer_col = 0;
-  size_t inner_col = 0;
-  const Relation* inner_relation = nullptr;
-  uint64_t est_pairs = TraceNode::kNoCount;  // merge-window's est=
-};
-
-/// The lanes of a batch whose terms read inner tuple s as the local side
-/// and outer row r's tuple as the enclosing side.
-auto PairLanes(const PairBatch& batch, const std::vector<FT>& outer) {
-  return [&batch, &outer](size_t k) {
-    const PairEntry& e = batch.pairs[k];
-    return LaneTuples{e.s->tuple, outer[e.r].tuple};
-  };
-}
-
-/// One outer row of a keyed pair join: its key's bounds and its index.
-struct OuterKey {
-  SupportBounds bounds;
-  size_t row = 0;
-};
-
-/// One worker's pending pairs and fold lanes.
-struct PairWorker {
-  std::vector<PairEntry> pairs;
-  FoldScratch fold;
-  BatchTally tally;
-  Status status;
-};
-
-/// The unnesting engine's one in-memory join. Outer row r is outer[r]:
-/// its degree is the row's weight and, when keyed, its tuple holds the
-/// key.
-///
-/// Keyed, it is the extended merge-join of Section 3: {bounds, row}
-/// records of the outer keys are sorted (interval-sort [outer-view
-/// colN]), the inner is sorted on key->inner_col, and each outer row
-/// meets exactly the inner tuples of Rng(r) (Definition 3.2), as
-/// NextWindow finds them (merge-window) on the bounds the sorts left.
-/// Unkeyed, every outer row meets every inner tuple (nested-pairing),
-/// with a stop check before each row.
-///
-/// Parallelization: the outer positions are cut into morsels. The
-/// window logic is read-only over the inner side, so morsels are
-/// independent. A keyed morsel replays the serial scan *state* at its
-/// entry: the serial window start before position `begin` is
-/// min{i : e(inner[i]) >= b(outer[begin - 1])}, which an (uncounted)
-/// binary search finds on the monotone prefix-max of inner support ends
-/// (the raw ends are not monotone under the interval order). Counted
-/// comparisons therefore sum to the serial totals for every thread count.
-///
-/// Pairs are buffered per worker and handed to `sink` in batches of at
-/// most batch_size, flushed when full and at every morsel end, so the
-/// batch decomposition is thread-count-invariant. Worker stats -- the
-/// sink's included -- and batch tallies fold into this operator's span
-/// at the barrier. Returns the first sink error, else the query's stop
-/// status.
-Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
-                const PairKey* key, const ParallelContext& ctx,
-                CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
-                const std::string& inner_note = "") {
-  const size_t n = outer.size();
-  // Keyed: the outer rows in interval order, each with its key's bounds.
-  std::vector<OuterKey> outer_keys;
-  std::vector<SupportBounds> inner_bounds;
-  std::vector<double> inner_end_max;
-  if (key != nullptr) {
-    {
-      OpScope sort_op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
-                      "outer-view col" + std::to_string(key->outer_col));
-      sort_op.SetInputRows(n);
-      sort_op.SetThreads(WorkerSlots(ctx));
-      outer_keys.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        outer_keys.push_back({BoundsOf(outer[r], key->outer_col), r});
-      }
-      FUZZYDB_RETURN_IF_ERROR(SortByBounds(
-          ctx, &outer_keys, cpu == nullptr ? nullptr : &cpu->comparisons));
-    }
-    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col, ctx,
-                                                cpu, trace,
-                                                key->inner_relation,
-                                                &inner_bounds));
-    inner_end_max.resize(inner_bounds.size());
-    double running = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < inner_bounds.size(); ++i) {
-      running = std::max(running, inner_bounds[i].end);
-      inner_end_max[i] = running;
-    }
-  }
-
-  OpScope op(key != nullptr ? Op::kMergeWindow : Op::kNestedPairing, trace,
-             ctx.progress, cpu, nullptr,
-             inner_note + "inner=" + std::to_string(inner->size()));
-  op.SetInputRows(n);
-  op.SetThreads(WorkerSlots(ctx));
-  std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
-  std::vector<std::unique_ptr<PairWorker>> workers(WorkerSlots(ctx));
-  // Windowed pairs per worker; the post-barrier sum is permutation-
-  // invariant, so merge-window's rows_out -- the actual cardinality the
-  // q-error gate compares est_pairs against, and the pairs sys.queries
-  // reports -- is thread-count-invariant like the counters.
-  std::vector<uint64_t> worker_pairs(WorkerSlots(ctx), 0);
-  // Declared after `op` so a throwing sink still folds the worker
-  // tallies before the span records its delta (see CpuStatsFolder).
-  CpuStatsFolder folder(cpu == nullptr ? nullptr : &worker_cpu, cpu);
-  // Hoisted out of the scan: the enabled path per outer row is one
-  // relaxed-atomic Record of |Rng(r)|, the disabled path one null test.
-  EngineMetrics* metrics = EngineMetrics::IfEnabled();
-  Histogram* window_hist = key == nullptr || metrics == nullptr
-                               ? nullptr
-                               : metrics->merge_window_length;
-  const size_t batch = EffectiveBatchSize(ctx);
-  const size_t morsel_size = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
-
-  ParallelFor(ctx, n, [&](size_t worker, size_t begin, size_t end) {
-    std::unique_ptr<PairWorker>& w = workers[worker];
-    if (w == nullptr) {
-      w = std::make_unique<PairWorker>();
-      w->pairs.reserve(batch);
-      w->tally = EngineBatchTally();
-    }
-    if (!w->status.ok()) return;
-    CpuStats* slot = cpu == nullptr ? nullptr : &worker_cpu[worker];
-    auto flush = [&](bool morsel_end) {
-      const size_t count = w->pairs.size();
-      for (size_t k = 0; k < count; ++k) {
-        const PairEntry& e = w->pairs[k];
-        w->fold.degree[k] = std::min(outer[e.r].degree, e.s->degree);
-      }
-      w->status = sink(PairBatch{w->pairs.data(), count, worker,
-                                 begin / morsel_size, morsel_end, &w->fold,
-                                 slot, &w->tally});
-      w->pairs.clear();
-      return w->status.ok();
-    };
-    size_t window_start = 0;
-    if (key != nullptr && begin > 0) {
-      window_start = static_cast<size_t>(
-          std::lower_bound(inner_end_max.begin(), inner_end_max.end(),
-                           outer_keys[begin - 1].bounds.begin) -
-          inner_end_max.begin());
-    }
-    for (size_t pos = begin; pos < end; ++pos) {
-      size_t r = pos;
-      WindowRange window{0, inner->size()};
-      if (key != nullptr) {
-        r = outer_keys[pos].row;
-        window = NextWindow(inner_bounds, outer_keys[pos].bounds,
-                            &window_start, slot);
-        if (window_hist != nullptr) window_hist->Record(window.size());
-        worker_pairs[worker] += window.size();
-      } else {
-        if (QueryStopRequested(ctx.query)) break;
-        if (slot != nullptr) slot->tuple_pairs += inner->size();
-      }
-      for (size_t i = window.begin; i < window.end; ++i) {
-        w->pairs.push_back(PairEntry{r, &(*inner)[i]});
-        if (w->pairs.size() >= batch && !flush(/*morsel_end=*/false)) return;
-      }
-    }
-    flush(/*morsel_end=*/true);
-  });
-  folder.Fold();
-  if (key != nullptr) {
-    uint64_t windowed = 0;
-    for (uint64_t p : worker_pairs) windowed += p;
-    op.SetOutputRows(windowed);
-    op.SetEstimatedRows(key->est_pairs);
-  }
-  for (const auto& w : workers) {
-    if (w == nullptr) continue;
-    op.AddBatches(w->tally.batches, w->tally.rows);
-    FUZZYDB_RETURN_IF_ERROR(w->status);
-  }
-  return CheckQuery(ctx.query);
 }
 
 /// The decomposed shape of one subquery predicate and its inner block.
@@ -1141,9 +823,14 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   // ---- Execution in the chosen contiguous order ----------------------
   // Partial rows, flat: row r's tuple at level k is
   // row_tuples[r * k_levels + k] (null until level k joins) and its
-  // degree is row_degree[r].
+  // degree is row_degree[r]. Joined rows are charged to the query's
+  // memory budget, K tuple pointers plus one degree each, one
+  // ScopedBudget per morsel of the step that joined them; the charge is
+  // released when the next step's rows replace them and on every return.
   std::vector<const Tuple*> row_tuples;
   std::vector<double> row_degree;
+  const uint64_t row_bytes = k_levels * sizeof(const Tuple*) + sizeof(double);
+  std::deque<ScopedBudget> rows_budget;
   for (const FT& ft : filtered[order[0]]) {
     row_tuples.resize(row_tuples.size() + k_levels, nullptr);
     row_tuples[row_tuples.size() - k_levels + order[0]] = ft.tuple;
@@ -1245,11 +932,17 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
     }
     const PairKey key{row_col, new_col, blocks[level]->tables[0].relation};
 
-    // Survivors go to per-morsel outputs, concatenated in morsel order.
+    // Survivors go to per-morsel outputs, concatenated in morsel order,
+    // and are charged per morsel: one worker runs a morsel's batches, and
+    // ScopedBudget charges through the thread-safe ChargeMemory.
     const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
     std::vector<std::vector<const Tuple*>> out_tuples((rows + morsel - 1) /
                                                       morsel);
     std::vector<std::vector<double>> out_degree(out_tuples.size());
+    std::deque<ScopedBudget> joined_budget;
+    for (size_t m = 0; m < out_tuples.size(); ++m) {
+      joined_budget.emplace_back(CacheBudget(ctx));
+    }
     FUZZYDB_RETURN_IF_ERROR(PairJoin(
         outer, &incoming, use_merge ? &key : nullptr, ctx, cpu, trace,
         [&](const PairBatch& batch) {
@@ -1266,16 +959,22 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
           }
           const double* degree = batch.fold->degree.data();
           std::vector<const Tuple*>& tuples = out_tuples[batch.morsel];
+          std::vector<double>& degrees = out_degree[batch.morsel];
+          const size_t joined_before = degrees.size();
           for (size_t k = 0; k < batch.count; ++k) {
             if (degree[k] <= 0.0) continue;
             const PairEntry& e = batch.pairs[k];
             const auto row = row_tuples.begin() + e.r * k_levels;
             tuples.insert(tuples.end(), row, row + k_levels);
             tuples[tuples.size() - k_levels + level] = e.s->tuple;
-            out_degree[batch.morsel].push_back(degree[k]);
+            degrees.push_back(degree[k]);
           }
-          return Status::OK();
+          return joined_budget[batch.morsel].Charge(
+              (degrees.size() - joined_before) * row_bytes);
         }));
+    // joined_budget now holds the replaced rows' charge, released when
+    // this step's scope closes.
+    rows_budget.swap(joined_budget);
     row_tuples.clear();
     row_degree.clear();
     for (size_t i = 0; i < out_tuples.size(); ++i) {

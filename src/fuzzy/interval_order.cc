@@ -22,38 +22,4 @@ bool SupportEntirelyBefore(const Trapezoid& x, const Trapezoid& y) {
   return kernel::SupportEntirelyBeforeLane(x.SupportEnd(), y.SupportBegin());
 }
 
-void BatchCompareIntervalOrder(const TrapezoidBatch& xs, const Trapezoid& y,
-                               int* out) {
-  const size_t n = xs.size();
-  const double* a = xs.a();
-  const double* d = xs.d();
-  const double ya = y.SupportBegin();
-  const double yd = y.SupportEnd();
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = kernel::CompareIntervalOrderLane(a[i], d[i], ya, yd);
-  }
-}
-
-void BatchSupportsIntersect(const TrapezoidBatch& xs, const Trapezoid& y,
-                            unsigned char* out) {
-  const size_t n = xs.size();
-  const double* a = xs.a();
-  const double* d = xs.d();
-  const double ya = y.SupportBegin();
-  const double yd = y.SupportEnd();
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = kernel::SupportsIntersectLane(a[i], d[i], ya, yd) ? 1 : 0;
-  }
-}
-
-void BatchSupportEntirelyBefore(const TrapezoidBatch& xs, const Trapezoid& y,
-                                unsigned char* out) {
-  const size_t n = xs.size();
-  const double* d = xs.d();
-  const double ya = y.SupportBegin();
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = kernel::SupportEntirelyBeforeLane(d[i], ya) ? 1 : 0;
-  }
-}
-
 }  // namespace fuzzydb

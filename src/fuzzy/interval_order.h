@@ -15,7 +15,6 @@
 #define FUZZYDB_FUZZY_INTERVAL_ORDER_H_
 
 #include "fuzzy/trapezoid.h"
-#include "fuzzy/trapezoid_batch.h"
 
 namespace fuzzydb {
 
@@ -34,23 +33,6 @@ bool SupportsIntersect(const Trapezoid& x, const Trapezoid& y);
 /// (e(x) < b(y)); such an x can never equal y and, in a sorted scan, no
 /// later value can either.
 bool SupportEntirelyBefore(const Trapezoid& x, const Trapezoid& y);
-
-// Batch counterparts, one lane per trapezoid of `xs` against the probe
-// `y`. Each lane agrees exactly with its scalar function above (the
-// loops share the per-lane arithmetic; see fuzzy/degree_kernels.h).
-// The output arrays must have room for xs.size() entries.
-
-/// out[i] = CompareIntervalOrder(xs[i], y).
-void BatchCompareIntervalOrder(const TrapezoidBatch& xs, const Trapezoid& y,
-                               int* out);
-
-/// out[i] = SupportsIntersect(xs[i], y) as 0/1.
-void BatchSupportsIntersect(const TrapezoidBatch& xs, const Trapezoid& y,
-                            unsigned char* out);
-
-/// out[i] = SupportEntirelyBefore(xs[i], y) as 0/1.
-void BatchSupportEntirelyBefore(const TrapezoidBatch& xs, const Trapezoid& y,
-                                unsigned char* out);
 
 }  // namespace fuzzydb
 

@@ -29,22 +29,6 @@ Relation Relation::CopyForWrite() const {
   return copy;
 }
 
-namespace {
-
-/// Orders tuples by value content (total order), used to group duplicates.
-struct TupleValueLess {
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    const size_t n = std::min(a.NumValues(), b.NumValues());
-    for (size_t i = 0; i < n; ++i) {
-      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
-      if (cmp != 0) return cmp < 0;
-    }
-    return a.NumValues() < b.NumValues();
-  }
-};
-
-}  // namespace
-
 Status Relation::Append(Tuple tuple) {
   if (schema_.NumColumns() != 0 && tuple.NumValues() != schema_.NumColumns()) {
     return Status::InvalidArgument(

@@ -2,6 +2,7 @@
 #ifndef FUZZYDB_RELATIONAL_TUPLE_H_
 #define FUZZYDB_RELATIONAL_TUPLE_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,21 @@ class Tuple {
  private:
   std::vector<Value> values_;
   double degree_ = 1.0;
+};
+
+/// Total order on tuples by value content (Value::TotalOrderCompare
+/// column by column, then arity; the degree is ignored): the grouping
+/// and set-matching comparator behind duplicate elimination, GROUP BY
+/// and the algebra's set operations.
+struct TupleValueLess {
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    const size_t n = std::min(a.NumValues(), b.NumValues());
+    for (size_t i = 0; i < n; ++i) {
+      const int cmp = a.ValueAt(i).TotalOrderCompare(b.ValueAt(i));
+      if (cmp != 0) return cmp < 0;
+    }
+    return a.NumValues() < b.NumValues();
+  }
 };
 
 }  // namespace fuzzydb

@@ -17,7 +17,6 @@
 
 #include "common/rng.h"
 #include "fuzzy/degree.h"
-#include "fuzzy/interval_order.h"
 #include "fuzzy/trapezoid_batch.h"
 
 namespace fuzzydb {
@@ -195,31 +194,6 @@ TEST(DegreeBatchTest, OrderedSupportFastPathsMatchSlowSweep) {
                                                pairs[i].second, kApproxTolerance);
       ASSERT_TRUE(SameBits(out[i], scalar))
           << CompareOpName(op) << " pair " << i;
-    }
-  }
-}
-
-TEST(DegreeBatchTest, IntervalOrderBatchMatchesScalar) {
-  const PairSweep sweep = MakeSweep(2000, 0xabcdu);
-  TrapezoidBatch xs;
-  int cmp[TrapezoidBatch::kCapacity];
-  unsigned char intersect[TrapezoidBatch::kCapacity];
-  unsigned char before[TrapezoidBatch::kCapacity];
-  for (size_t base = 0; base < sweep.xs.size();
-       base += TrapezoidBatch::kCapacity) {
-    const size_t n =
-        std::min<size_t>(TrapezoidBatch::kCapacity, sweep.xs.size() - base);
-    xs.Clear();
-    for (size_t i = 0; i < n; ++i) xs.PushBack(sweep.xs[base + i]);
-    const Trapezoid& probe = sweep.ys[base];
-    BatchCompareIntervalOrder(xs, probe, cmp);
-    BatchSupportsIntersect(xs, probe, intersect);
-    BatchSupportEntirelyBefore(xs, probe, before);
-    for (size_t i = 0; i < n; ++i) {
-      const Trapezoid& x = sweep.xs[base + i];
-      EXPECT_EQ(cmp[i], CompareIntervalOrder(x, probe));
-      EXPECT_EQ(intersect[i] != 0, SupportsIntersect(x, probe));
-      EXPECT_EQ(before[i] != 0, SupportEntirelyBefore(x, probe));
     }
   }
 }

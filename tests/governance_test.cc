@@ -154,6 +154,45 @@ TEST(QueryContextTest, DeadlinePastTheClockRangeNeverFires) {
   EXPECT_TRUE(expired.StopRequested());
 }
 
+// A three-level chain whose second step joins ~212k partial rows of
+// 3 tuple pointers plus a degree (~6.8 MB): the rows are charged to the
+// query's budget, so a 1 MiB budget stops the chain instead of letting
+// it grow, and the accounting balances afterwards.
+TEST_F(GovernanceTest, ChainRowsObeyTheMemoryBudget) {
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(11, "R", 3, 100)));
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(13, "S", 2, 150)));
+  ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(17, "T3", 2, 60)));
+  ASSERT_OK_AND_ASSIGN(
+      auto bound,
+      sql::ParseAndBind("SELECT R.C0 FROM R WHERE R.C1 IN "
+                        "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 IN "
+                        "(SELECT T3.C0 FROM T3 WHERE T3.C1 = S.C1))",
+                        catalog));
+  for (size_t threads : {1u, 4u}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    {
+      QueryContext unlimited;
+      options.context = &unlimited;
+      UnnestingEvaluator engine(options);
+      ASSERT_OK(engine.Evaluate(*bound).status());
+      EXPECT_GT(unlimited.memory().peak(), 4 << 20) << threads << " threads";
+      EXPECT_EQ(unlimited.memory().used(), 0) << threads << " threads";
+    }
+    QueryContext qctx;
+    qctx.memory().set_limit(1 << 20);
+    options.context = &qctx;
+    UnnestingEvaluator engine(options);
+    Result<Relation> answer = engine.Evaluate(*bound);
+    ASSERT_FALSE(answer.ok()) << threads << " threads";
+    EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted)
+        << threads << " threads: " << answer.status().ToString();
+    EXPECT_EQ(qctx.memory().used(), 0) << threads << " threads";
+    EXPECT_GT(qctx.memory().denied_bytes(), 0u) << threads << " threads";
+  }
+}
+
 TEST_F(GovernanceTest, NaiveEvaluatorHonoursGovernance) {
   Catalog catalog = MakeJoinCatalog();
   ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(kJoinQuery, catalog));
