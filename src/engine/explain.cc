@@ -114,11 +114,13 @@ void DescribeBlock(const BoundQuery& block, int depth,
 
 std::string DescribePlan(const sql::BoundQuery& query) {
   std::ostringstream out;
-  const QueryType type = Classify(query);
-  out << "plan: type " << QueryTypeName(type);
-  const char* theorem = TheoremFor(type);
-  if (*theorem != '\0') out << " (" << theorem << ")";
-  if (type == QueryType::kGeneral) out << " -- naive evaluation";
+  const QueryClass plan = ClassifyQuery(query);
+  out << "plan: type " << QueryTypeName(plan.type);
+  if (plan.reason == NaiveReason::kNone) {
+    out << " (" << TheoremFor(plan.type) << ")";
+  } else {
+    out << " -- naive evaluation: " << NaiveReasonText(plan.reason);
+  }
   out << "\n";
   DescribeBlock(query, 1, &out);
   if (!query.order_by.empty()) {

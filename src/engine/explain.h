@@ -1,9 +1,9 @@
 // Textual plan descriptions (EXPLAIN).
 //
 // Describes how the unnesting evaluator would execute a bound query:
-// its classified type, the transformation applied (which theorem of the
-// paper it instantiates), the merge keys, and the residual predicates.
-// Purely informational; the description never influences execution.
+// its classified type, the theorem it instantiates or the reason it runs
+// naively (the evaluator's own ClassifyQuery decision), the merge keys,
+// and the residual predicates. Purely informational.
 #ifndef FUZZYDB_ENGINE_EXPLAIN_H_
 #define FUZZYDB_ENGINE_EXPLAIN_H_
 

@@ -263,68 +263,6 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
   return true;
 }
 
-/// The decomposed shape of one subquery predicate and its inner block.
-struct LinkShape {
-  const BoundPredicate* pred = nullptr;
-  const BoundQuery* inner = nullptr;
-  bool has_link_columns = true;  // false for EXISTS (no linking operand)
-  size_t outer_link_col = 0;   // column of R referenced by the lhs
-  size_t inner_link_col = 0;   // column of S projected by the inner block
-  CompareOp link_op = CompareOp::kEq;
-  std::vector<const BoundPredicate*> correlations;
-
-  bool is_aggregate = false;   // kAggCompare
-  bool negate_link = false;    // quantifier ALL: f(x) = 1 - x
-  bool negate_result = false;  // NOT IN / NOT EXISTS / ALL: g(m) = 1 - m
-};
-
-/// Validates and decomposes one subquery predicate. Returns nullopt when
-/// the shape is outside what the unnested plans handle (the caller then
-/// falls back to the naive evaluator).
-std::optional<LinkShape> DecomposeLink(const BoundPredicate& pred) {
-  LinkShape shape;
-  shape.pred = &pred;
-  shape.inner = pred.subquery.get();
-  if (shape.inner == nullptr || shape.inner->tables.size() != 1 ||
-      !shape.inner->group_by.empty()) {
-    return std::nullopt;
-  }
-  if (shape.inner->has_with && shape.inner->with_threshold > 0.0) {
-    return std::nullopt;  // inner WITH: fall back to the naive semantics
-  }
-  if (pred.subquery->NestingDepth() != 1) return std::nullopt;
-
-  shape.is_aggregate = pred.kind == Predicate::Kind::kAggCompare;
-  shape.negate_link = pred.kind == Predicate::Kind::kQuantified &&
-                      pred.quantifier == Predicate::Quantifier::kAll;
-  shape.negate_result = shape.negate_link || pred.negated;
-
-  if (pred.kind == Predicate::Kind::kExists) {
-    shape.has_link_columns = false;
-  } else {
-    if (!pred.lhs.is_column || pred.lhs.column.up != 0) return std::nullopt;
-    shape.outer_link_col = pred.lhs.column.column;
-    shape.inner_link_col = shape.inner->select[0].column.column;
-    shape.link_op =
-        pred.kind == Predicate::Kind::kIn ? CompareOp::kEq : pred.op;
-  }
-
-  for (const BoundPredicate& inner_pred : shape.inner->predicates) {
-    if (inner_pred.subquery != nullptr) return std::nullopt;
-    if (inner_pred.IsLocal()) continue;
-    const bool lhs_outer =
-        inner_pred.lhs.is_column && inner_pred.lhs.column.up > 0;
-    const bool rhs_outer =
-        inner_pred.rhs.is_column && inner_pred.rhs.column.up > 0;
-    if (lhs_outer == rhs_outer) return std::nullopt;
-    const auto& outer_col =
-        lhs_outer ? inner_pred.lhs.column : inner_pred.rhs.column;
-    if (outer_col.up != 1) return std::nullopt;
-    shape.correlations.push_back(&inner_pred);
-  }
-  return shape;
-}
-
 /// The fold steps of a pair term min(d_S(s), d(corr(r, s)),
 /// f(d(r.Y op s.Z))): one per correlation predicate, then the link. The
 /// link compares with Value::Compare's default tolerance, 1.0 -- the
@@ -350,17 +288,15 @@ std::optional<std::pair<size_t, size_t>> FindEqualityCorrelationKey(
     const LinkShape& shape, const std::vector<FT>& outer,
     const std::vector<FT>& inner) {
   for (const BoundPredicate* pred : shape.correlations) {
-    if (pred->op != CompareOp::kEq) continue;
+    // A correlation has one outer side; the other side must be a local
+    // column, not a constant.
     const bool lhs_outer = pred->lhs.is_column && pred->lhs.column.up > 0;
-    const auto& outer_ref = lhs_outer ? pred->lhs.column : pred->rhs.column;
-    const auto& inner_ref = lhs_outer ? pred->rhs.column : pred->lhs.column;
-    if ((lhs_outer && (!pred->rhs.is_column || pred->rhs.column.up != 0)) ||
-        (!lhs_outer && (!pred->lhs.is_column || pred->lhs.column.up != 0))) {
-      continue;  // other side must be a local column
-    }
-    if (ColumnIsFuzzy(outer, outer_ref.column) &&
-        ColumnIsFuzzy(inner, inner_ref.column)) {
-      return std::make_pair(outer_ref.column, inner_ref.column);
+    const BoundOperand& local = lhs_outer ? pred->rhs : pred->lhs;
+    if (pred->op != CompareOp::kEq || !local.is_column) continue;
+    const size_t outer_col = (lhs_outer ? pred->lhs : pred->rhs).column.column;
+    if (ColumnIsFuzzy(outer, outer_col) &&
+        ColumnIsFuzzy(inner, local.column.column)) {
+      return std::make_pair(outer_col, local.column.column);
     }
   }
   return std::nullopt;
@@ -540,10 +476,7 @@ Result<std::vector<double>> AggregateFamilyDegrees(
     return degrees;
   }
 
-  // Type JA: exactly one correlation predicate S.V op2 R.U.
-  if (shape.correlations.size() != 1) {
-    return Status::Unsupported("JA plan requires one correlation predicate");
-  }
+  // Type JA: the classifier admits one correlation predicate S.V op2 R.U.
   const BoundPredicate& corr = *shape.correlations[0];
   const bool lhs_outer = corr.lhs.is_column && corr.lhs.column.up > 0;
   const size_t u_col = (lhs_outer ? corr.lhs.column : corr.rhs.column).column;
@@ -651,19 +584,6 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   return degrees;
 }
 
-/// Degrees of one subquery predicate for every outer tuple.
-Result<std::vector<double>> SubqueryPredicateDegrees(
-    const std::vector<FT>& outer, const BoundPredicate& pred,
-    const ParallelContext& ctx, CpuStats* cpu, ExecTrace* trace) {
-  auto shape = DecomposeLink(pred);
-  if (!shape.has_value()) {
-    return Status::Unsupported("subquery shape outside the unnested plans");
-  }
-  return shape->is_aggregate
-             ? AggregateFamilyDegrees(outer, *shape, ctx, cpu, trace)
-             : InFamilyDegrees(outer, *shape, ctx, cpu, trace);
-}
-
 /// Projects the outer block's SELECT columns of tuple r with degree d.
 /// A row below the WITH threshold is never projected: an answer tuple's
 /// max degree reaches the threshold exactly when one of its rows does.
@@ -680,26 +600,21 @@ Status EmitAnswer(const BoundQuery& query, const Tuple& r, double d,
 
 /// All 2-level types plus queries with several independent subquery
 /// predicates: filter the outer block once, evaluate each subquery
-/// predicate to a per-tuple degree vector, fold by min.
+/// predicate (`links`, the classifier's shapes) to a per-tuple degree
+/// vector, fold by min.
 Result<Relation> RunTwoLevel(const BoundQuery& query,
+                             const std::vector<LinkShape>& links,
                              const ParallelContext& ctx, CpuStats* cpu,
                              ExecTrace* trace) {
-  if (query.tables.size() != 1 || !query.group_by.empty()) {
-    return Status::Unsupported("outer block shape outside the unnested plan");
-  }
   std::vector<FT> outer = FilterBlock(query, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
   std::vector<double> combined(outer.size(), 1.0);
-  for (const BoundPredicate& pred : query.predicates) {
-    if (pred.subquery == nullptr) {
-      if (!pred.IsLocal()) {
-        return Status::Unsupported("non-local outer predicate");
-      }
-      continue;  // already folded by FilterBlock
-    }
+  for (const LinkShape& link : links) {
     FUZZYDB_ASSIGN_OR_RETURN(
         std::vector<double> degrees,
-        SubqueryPredicateDegrees(outer, pred, ctx, cpu, trace));
+        link.is_aggregate
+            ? AggregateFamilyDegrees(outer, link, ctx, cpu, trace)
+            : InFamilyDegrees(outer, link, ctx, cpu, trace));
     for (size_t i = 0; i < outer.size(); ++i) {
       combined[i] = std::min(combined[i], degrees[i]);
     }
@@ -719,40 +634,17 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
   return answer;
 }
 
-/// K-level chain queries (Section 8): flat K-way join. With
-/// ctx.cost_based the join order is chosen by the interval DP of
-/// join_order.h over estimated link selectivities (the paper's "optimal
-/// join order ... determined by a dynamic programming method");
-/// otherwise levels join outermost-to-innermost.
-Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
-                          CpuStats* cpu, ExecTrace* trace,
+/// K-level chain queries (Section 8): flat K-way join over the
+/// classifier's levels. With ctx.cost_based the join order is chosen by
+/// the interval DP of join_order.h over estimated link selectivities
+/// (the paper's "optimal join order ... determined by a dynamic
+/// programming method"); otherwise levels join outermost-to-innermost.
+Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
+                          const ParallelContext& ctx, CpuStats* cpu,
+                          ExecTrace* trace,
                           std::vector<size_t>* chosen_order) {
-  std::vector<const BoundQuery*> blocks;
-  std::vector<const BoundPredicate*> links;  // links[k]: block k -> k+1
-  const BoundQuery* block = &query;
-  while (true) {
-    if (block->tables.size() != 1 || !block->group_by.empty()) {
-      return Status::Unsupported("chain block shape");
-    }
-    if (block->has_with && block != &query && block->with_threshold > 0.0) {
-      return Status::Unsupported("inner WITH threshold in chain");
-    }
-    blocks.push_back(block);
-    const BoundPredicate* link = nullptr;
-    for (const BoundPredicate& pred : block->predicates) {
-      if (pred.subquery != nullptr) {
-        if (link != nullptr) return Status::Unsupported("multiple subqueries");
-        link = &pred;
-      }
-    }
-    if (link == nullptr) break;
-    if (link->kind != Predicate::Kind::kIn || link->negated ||
-        !link->lhs.is_column || link->lhs.column.up != 0) {
-      return Status::Unsupported("chain link shape");
-    }
-    links.push_back(link);
-    block = link->subquery.get();
-  }
+  const std::vector<const BoundQuery*>& blocks = plan.chain_blocks;
+  const std::vector<const BoundPredicate*>& links = plan.chain_links;
   const size_t k_levels = blocks.size();
 
   // Filtered inputs per level.
@@ -773,16 +665,6 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
   auto edge_inner_col = [&](size_t e) {
     return blocks[e + 1]->select[0].column.column;
   };
-
-  // Correlation predicates per block (non-local, non-subquery).
-  std::vector<std::vector<const BoundPredicate*>> correlations(k_levels);
-  for (size_t k = 0; k < k_levels; ++k) {
-    for (const BoundPredicate& pred : blocks[k]->predicates) {
-      if (pred.subquery == nullptr && !pred.IsLocal()) {
-        correlations[k].push_back(&pred);
-      }
-    }
-  }
 
   // ---- Join-order planning ------------------------------------------
   // cost_based: per-edge column summaries feed the DP's selectivities,
@@ -878,7 +760,7 @@ Result<Relation> RunChain(const BoundQuery& query, const ParallelContext& ctx,
                   FoldOperand::Local(new_col)},
          row_level}};
     for (size_t b = 0; b < k_levels; ++b) {
-      for (const BoundPredicate* pred : correlations[b]) {
+      for (const BoundPredicate* pred : plan.chain_correlations[b]) {
         const int up = pred->lhs.is_column && pred->lhs.column.up > 0
                            ? pred->lhs.column.up
                            : pred->rhs.column.up;
@@ -1175,11 +1057,21 @@ Result<Relation> UnnestingEvaluator::Evaluate(const sql::BoundQuery& query) {
 
 Result<Relation> UnnestingEvaluator::EvaluateTraced(
     const sql::BoundQuery& query, OpScope* op) {
+  const QueryClass plan = ClassifyQuery(query);
+  last_type_ = plan.type;
+  last_was_unnested_ = plan.reason == NaiveReason::kNone;
+  last_chain_order_.clear();
+  op->SetDetail(QueryTypeName(last_type_));
   // A pre-cancelled or already-expired context never starts executing.
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(options_.context));
-  last_type_ = Classify(query);
-  last_was_unnested_ = true;
-  op->SetDetail(QueryTypeName(last_type_));
+  if (!last_was_unnested_) {
+    // Only unnested answers are cached, so there is no lookup either.
+    NaiveEvaluator naive(cpu_, options_.trace, options_.context,
+                         options_.progress);
+    Result<Relation> answer = naive.Evaluate(query);  // applies ORDER BY
+    if (answer.ok()) op->SetOutputRows(answer.value().NumTuples());
+    return answer;
+  }
   // Whole-query result cache with theta-subsumption: the key excludes the
   // WITH threshold, so one entry (stored at the threshold it was computed
   // at) answers any repeat of the query at an equal or higher threshold
@@ -1196,65 +1088,27 @@ Result<Relation> UnnestingEvaluator::EvaluateTraced(
     if (auto cached = options_.cache->LookupResult(cache_key, theta)) {
       Relation answer = *cached;
       answer.ApplyThreshold(theta);
-      last_chain_order_.clear();
       op->SetDetail(std::string(QueryTypeName(last_type_)) + " (cached)");
       op->SetOutputRows(answer.NumTuples());
       return answer;
     }
   }
-  Result<Relation> result = EvaluateInType(query, last_type_);
-  // Only kUnsupported falls back to the naive evaluator; governance
-  // statuses (CANCELLED / DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED) and
-  // I/O errors surface as-is.
-  if (!result.ok() && result.status().code() == StatusCode::kUnsupported) {
-    last_was_unnested_ = false;
-    NaiveEvaluator naive(cpu_, options_.trace, options_.context,
-                         options_.progress);
-    Result<Relation> fallback = naive.Evaluate(query);  // applies ORDER BY
-    if (fallback.ok()) op->SetOutputRows(fallback.value().NumTuples());
-    return fallback;
-  }
+  const ParallelContext ctx = MakeContext();
+  Result<Relation> result =
+      plan.type == QueryType::kChain
+          ? RunChain(query, plan, ctx, cpu_, options_.trace,
+                     &last_chain_order_)
+          : RunTwoLevel(query, plan.links, ctx, cpu_, options_.trace);
   if (result.ok()) {
     ApplyOrderBy(query.order_by, &result.value());
     op->SetOutputRows(result.value().NumTuples());
-    // Only unnested successes are cached: the fallback already has its
-    // own cost profile and re-classification is deterministic, so a
-    // future hit can only occur for a query this evaluator answered.
-    if (!cache_key.empty() && last_was_unnested_) {
+    if (!cache_key.empty()) {
       options_.cache->InsertResult(cache_key, theta,
                                    std::make_shared<Relation>(result.value()),
                                    std::move(cache_deps), options_.context);
     }
   }
   return result;
-}
-
-Result<Relation> UnnestingEvaluator::EvaluateInType(
-    const sql::BoundQuery& query, QueryType type) {
-  switch (type) {
-    case QueryType::kFlat:
-    case QueryType::kGeneral:
-      return Status::Unsupported("no unnested plan for this type");
-    case QueryType::kTypeN:
-    case QueryType::kTypeJ:
-    case QueryType::kTypeNX:
-    case QueryType::kTypeJX:
-    case QueryType::kTypeSOME:
-    case QueryType::kTypeJSOME:
-    case QueryType::kTypeALL:
-    case QueryType::kTypeJALL:
-    case QueryType::kTypeEXISTS:
-    case QueryType::kTypeJEXISTS:
-    case QueryType::kTypeA:
-    case QueryType::kTypeJA:
-    case QueryType::kTypeMulti:
-      return RunTwoLevel(query, MakeContext(), cpu_, options_.trace);
-    case QueryType::kChain:
-      last_chain_order_.clear();
-      return RunChain(query, MakeContext(), cpu_, options_.trace,
-                      &last_chain_order_);
-  }
-  return Status::Internal("unhandled query type");
 }
 
 }  // namespace fuzzydb

@@ -21,9 +21,9 @@
 //            linking predicates with all correlation predicates as
 //            residuals
 //
-// Queries outside these classes (QueryType::kGeneral), and inner blocks
-// using WITH thresholds, fall back to the naive evaluator -- results are
-// always correct; only the strategy differs.
+// A query ClassifyQuery (engine/classifier.h) gives a naive reason runs
+// on the naive evaluator from the start -- results are always correct;
+// only the strategy differs.
 #ifndef FUZZYDB_ENGINE_UNNESTED_EVALUATOR_H_
 #define FUZZYDB_ENGINE_UNNESTED_EVALUATOR_H_
 
@@ -50,15 +50,15 @@ class UnnestingEvaluator {
                               CpuStats* cpu = nullptr);
   ~UnnestingEvaluator();
 
-  /// Classifies `query` and runs the matching unnested plan. Falls back
-  /// to the naive evaluator for kGeneral (and for shapes a handler cannot
-  /// accelerate, e.g. inner WITH thresholds).
+  /// Classifies `query` once and runs the unnested plan for the shape
+  /// ClassifyQuery returns, or the naive evaluator when it gives a
+  /// reason.
   Result<Relation> Evaluate(const sql::BoundQuery& query);
 
   /// The strategy chosen by the last Evaluate() call.
   QueryType last_type() const { return last_type_; }
-  /// True when the last call was answered by an unnested plan (not the
-  /// naive fallback).
+  /// True when the last call was answered by an unnested plan: exactly
+  /// when ClassifyQuery gave no naive reason.
   bool last_was_unnested() const { return last_was_unnested_; }
 
   /// The level order used by the last chain evaluation (empty otherwise):
@@ -81,8 +81,6 @@ class UnnestingEvaluator {
   /// metrics-registry counters, the latency histogram, the slow-query
   /// log and the journal.
   Result<Relation> EvaluateTraced(const sql::BoundQuery& query, OpScope* op);
-  Result<Relation> EvaluateInType(const sql::BoundQuery& query,
-                                  QueryType type);
 
   /// The ParallelContext for one evaluation; lazily builds the worker
   /// pool when options_ asks for more than one thread.

@@ -512,17 +512,11 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
       return;
     }
     case sql::Statement::Kind::kCreateTable: {
-      Status status;
-      if (wal() != nullptr) {
-        wal::WalRecord record;
-        record.type = wal::WalRecordType::kCreateTable;
-        record.table = statement.create_table.name;
-        record.schema = statement.create_table.schema;
-        status = CommitMutation(&record);
-      } else {
-        status = db().AddRelation(Relation(statement.create_table.name,
-                                           statement.create_table.schema));
-      }
+      wal::WalRecord record;
+      record.type = wal::WalRecordType::kCreateTable;
+      record.table = statement.create_table.name;
+      record.schema = statement.create_table.schema;
+      const Status status = CommitMutation(&record);
       if (!status.ok()) {
         had_error_ = true;
         last_status_ = status;
@@ -556,30 +550,11 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
           values.push_back(literal.value);
         }
       }
-      Tuple tuple(std::move(values), statement.insert.degree);
-      Status status;
-      uint64_t relation_id = 0;
-      if (wal() != nullptr) {
-        wal::WalRecord record;
-        record.type = wal::WalRecordType::kInsert;
-        record.table = statement.insert.table;
-        record.tuple = std::move(tuple);
-        status = CommitMutation(&record);
-        if (status.ok()) {
-          if (auto rel = db().GetRelationRef(statement.insert.table);
-              rel.ok()) {
-            relation_id = (*rel)->id();
-          }
-        }
-      } else {
-        auto relation = db().GetMutableRelation(statement.insert.table);
-        if (!relation.ok()) {
-          FailStatement(relation.status(), out);
-          return;
-        }
-        status = (*relation)->Append(std::move(tuple));
-        relation_id = (*relation)->id();
-      }
+      wal::WalRecord record;
+      record.type = wal::WalRecordType::kInsert;
+      record.table = statement.insert.table;
+      record.tuple = Tuple(std::move(values), statement.insert.degree);
+      const Status status = CommitMutation(&record);
       if (!status.ok()) {
         had_error_ = true;
         last_status_ = status;
@@ -588,26 +563,22 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
       // explicit invalidation reclaims their memory immediately. The id
       // survives copy-on-write (the MVCC chain keeps it), so this
       // reaches cache entries for every version of the relation.
-      if (status.ok() && relation_id != 0) {
-        CacheManager::Global().InvalidateRelation(relation_id);
+      if (auto rel = db().GetRelationRef(statement.insert.table);
+          status.ok() && rel.ok()) {
+        CacheManager::Global().InvalidateRelation((*rel)->id());
       }
       out << (status.ok() ? "inserted 1 tuple" : status.ToString()) << "\n";
       return;
     }
     case sql::Statement::Kind::kDefineTerm: {
-      if (wal() != nullptr) {
-        wal::WalRecord record;
-        record.type = wal::WalRecordType::kDefineTerm;
-        record.term = statement.define_term.name;
-        record.shape = statement.define_term.value;
-        const Status status = CommitMutation(&record);
-        if (!status.ok()) {
-          FailStatement(status, out);
-          return;
-        }
-      } else {
-        db().mutable_terms().Define(statement.define_term.name,
-                                    statement.define_term.value);
+      wal::WalRecord record;
+      record.type = wal::WalRecordType::kDefineTerm;
+      record.term = statement.define_term.name;
+      record.shape = statement.define_term.value;
+      const Status status = CommitMutation(&record);
+      if (!status.ok()) {
+        FailStatement(status, out);
+        return;
       }
       out << "defined \"" << statement.define_term.name << "\"\n";
       return;
@@ -624,17 +595,13 @@ void Shell::ExecuteStatement(const std::string& text, std::ostream& out) {
           dropped.ok()) {
         CacheManager::Global().InvalidateRelation((*dropped)->id());
       }
-      if (wal() != nullptr) {
-        wal::WalRecord record;
-        record.type = wal::WalRecordType::kDropTable;
-        record.table = statement.drop_table.name;
-        const Status status = CommitMutation(&record);
-        if (!status.ok()) {
-          FailStatement(status, out);
-          return;
-        }
-      } else {
-        db().DropRelation(statement.drop_table.name);
+      wal::WalRecord record;
+      record.type = wal::WalRecordType::kDropTable;
+      record.table = statement.drop_table.name;
+      const Status status = CommitMutation(&record);
+      if (!status.ok()) {
+        FailStatement(status, out);
+        return;
       }
       out << "dropped " << statement.drop_table.name << "\n";
       return;
@@ -702,7 +669,8 @@ Status Shell::EnableWal(const std::string& dir,
 
 Status Shell::CommitMutation(wal::WalRecord* record) {
   wal::WalManager* manager = wal();
-  auto commit_lock = manager->AcquireCommitLock();
+  std::unique_lock<std::mutex> commit_lock;
+  if (manager != nullptr) commit_lock = manager->AcquireCommitLock();
   // Validate first: a statement that cannot apply must never be logged,
   // or replay would diverge from the acknowledged history.
   switch (record->type) {
@@ -734,7 +702,7 @@ Status Shell::CommitMutation(wal::WalRecord* record) {
     case wal::WalRecordType::kCheckpoint:
       break;
   }
-  FUZZYDB_RETURN_IF_ERROR(manager->Append(record));
+  if (manager != nullptr) FUZZYDB_RETURN_IF_ERROR(manager->Append(record));
   return wal::ApplyWalRecord(*record, &db());
 }
 

@@ -202,13 +202,13 @@ class Shell {
     return external_catalog_ != nullptr ? *external_catalog_ : catalog_;
   }
 
-  /// The WAL commit protocol for one mutating statement: under the
-  /// commit lock, validate against the current catalog, append to the
-  /// log, then apply through wal::ApplyWalRecord -- the same function
-  /// recovery replays with. Validation runs first so a statement that
-  /// would fail (duplicate CREATE, arity mismatch, missing table) is
-  /// never logged: the durable log holds exactly the acknowledged
-  /// mutations.
+  /// The one path of every mutating statement (CREATE, INSERT, DEFINE,
+  /// DROP): validate against the current catalog, append to the log when
+  /// a WAL is attached (under its commit lock), then apply through
+  /// wal::ApplyWalRecord -- the same function recovery replays with.
+  /// Validation runs first so a statement that would fail (duplicate
+  /// CREATE, arity mismatch, missing table) is never logged: the durable
+  /// log holds exactly the acknowledged mutations.
   Status CommitMutation(wal::WalRecord* record);
 
   /// Latches a statement failure (had_error_, last_status_) and prints

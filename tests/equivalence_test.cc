@@ -162,20 +162,25 @@ const EquivalenceCase kCases[] = {
      QueryType::kTypeJA},
 };
 
+/// The random database of one seed.
+Catalog EquivalenceCatalog(uint64_t seed) {
+  Catalog catalog;
+  EXPECT_OK(catalog.AddRelation(
+      GenerateRandomRelation(seed * 11 + 1, "R", 3, 40)));
+  EXPECT_OK(catalog.AddRelation(
+      GenerateRandomRelation(seed * 13 + 2, "S", 2, 40)));
+  EXPECT_OK(catalog.AddRelation(
+      GenerateRandomRelation(seed * 17 + 3, "T3", 2, 25)));
+  return catalog;
+}
+
 class EquivalenceTest
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 
 TEST_P(EquivalenceTest, NaiveAndUnnestedAgree) {
   const EquivalenceCase& test_case = kCases[std::get<0>(GetParam())];
   const uint64_t seed = std::get<1>(GetParam());
-
-  Catalog catalog;
-  ASSERT_OK(catalog.AddRelation(
-      GenerateRandomRelation(seed * 11 + 1, "R", 3, 40)));
-  ASSERT_OK(catalog.AddRelation(
-      GenerateRandomRelation(seed * 13 + 2, "S", 2, 40)));
-  ASSERT_OK(catalog.AddRelation(
-      GenerateRandomRelation(seed * 17 + 3, "T3", 2, 25)));
+  const Catalog catalog = EquivalenceCatalog(seed);
 
   ASSERT_OK_AND_ASSIGN(auto bound,
                        sql::ParseAndBind(test_case.query, catalog));
@@ -205,6 +210,43 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<size_t>(0, std::size(kCases)),
                        ::testing::Values<uint64_t>(1, 2, 3, 4, 5)),
     CaseName);
+
+// An aggregate outer SELECT answers one row, which no unnested plan
+// projects: the query keeps its type, runs on the naive evaluator and
+// so agrees with it.
+TEST(EquivalenceAggregateSelectTest, RunsNaiveAndAgrees) {
+  const std::set<std::string> kShapes = {
+      "TypeN",     "TypeJ",     "TypeJX",      "TypeJA_Max",
+      "TypeJALL",  "TypeJSOME", "TypeJEXISTS", "Multi_MixedKinds"};
+  const std::string kSelect = "SELECT R.C0 FROM R";
+  size_t queries = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Catalog catalog = EquivalenceCatalog(seed);
+    for (const EquivalenceCase& test_case : kCases) {
+      if (kShapes.count(test_case.name) == 0) continue;
+      for (const char* agg : {"MAX", "COUNT", "AVG"}) {
+        std::string query = test_case.query;
+        ASSERT_EQ(query.compare(0, kSelect.size(), kSelect), 0) << query;
+        query.replace(0, kSelect.size(),
+                      std::string("SELECT ") + agg + "(R.C0) FROM R");
+        ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+        ASSERT_EQ(Classify(*bound), test_case.expected_type) << query;
+
+        NaiveEvaluator naive;
+        ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+        UnnestingEvaluator unnesting;
+        ASSERT_OK_AND_ASSIGN(Relation actual, unnesting.Evaluate(*bound));
+        EXPECT_FALSE(unnesting.last_was_unnested()) << query;
+        EXPECT_TRUE(expected.EquivalentTo(actual, 1e-12))
+            << query << " seed=" << seed << "\nnaive:\n"
+            << expected.ToString(100) << "\nunnested:\n"
+            << actual.ToString(100);
+        ++queries;
+      }
+    }
+  }
+  EXPECT_EQ(queries, 5 * kShapes.size() * 3);
+}
 
 // An uncorrelated link that cannot window (SOME or ALL under an order
 // comparison) pairs every outer tuple with the inner's distinct link

@@ -4,6 +4,7 @@
 
 #include <regex>
 #include <sstream>
+#include <vector>
 
 #include "shell/shell.h"
 #include "test_util.h"
@@ -71,6 +72,22 @@ TEST_F(ExplainTest, ChainShowsNestedScans) {
     pos += 5;
   }
   EXPECT_EQ(scans, 3u);
+}
+
+TEST_F(ExplainTest, NaivePlanLineNamesTheReason) {
+  // The plan line reports the classifier's decision: a shape the
+  // unnested plans do not run names no theorem.
+  const std::string plan = Plan(
+      "SELECT F.NAME FROM F WHERE F.INCOME IN "
+      "(SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5)");
+  EXPECT_NE(plan.find("plan: type J -- naive evaluation: inner block has a "
+                      "WITH threshold\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("Theorem"), std::string::npos);
+  EXPECT_NE(Plan("SELECT F.NAME FROM F")
+                .find("plan: type FLAT -- naive evaluation: flat query\n"),
+            std::string::npos);
 }
 
 TEST_F(ExplainTest, WithThresholdShown) {
@@ -319,6 +336,31 @@ TEST(ExplainAnalyzeTest, NaiveEngineTracesToo) {
       "(SELECT MAX(S.C0) FROM S WHERE S.C1 = R.C2);\n");
   EXPECT_NE(out.find("naive-evaluate [R]"), std::string::npos);
   EXPECT_NE(out.find("-- 2 answer tuples"), std::string::npos);
+}
+
+TEST(ExplainAnalyzeTest, NaiveReasonRunsOnlyTheNaivePlan) {
+  // An inner WITH threshold sends type J to the naive evaluator before
+  // any unnested operator runs: the trace holds the root and the naive
+  // nested loop, nothing else.
+  const std::string out = RunShell(
+      std::string(kExplainSetup) +
+      "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.5);\n");
+  const std::string kTraceHeader = "execution trace:\n";
+  const size_t begin = out.find(kTraceHeader);
+  ASSERT_NE(begin, std::string::npos) << out;
+  const size_t end = out.find("\n-- ", begin);
+  ASSERT_NE(end, std::string::npos) << out;
+  std::istringstream trace(out.substr(begin + kTraceHeader.size(),
+                                      end - begin - kTraceHeader.size()));
+  std::vector<std::string> spans;
+  for (std::string line; std::getline(trace, line);) {
+    std::string name;
+    std::istringstream(line) >> name;
+    spans.push_back(name);
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{"evaluate", "naive-evaluate"}))
+      << out;
 }
 
 TEST(ExplainAnalyzeTest, RejectsNonSelect) {

@@ -78,6 +78,17 @@ class QueryGenerator {
           "T3.C1 = " + Column(inner, inner_cols) + ")");
     }
 
+    // Occasionally a second inner table, joined to the first by a local
+    // comparison.
+    std::string from = inner;
+    if (rng_.Bernoulli(0.15)) {
+      from += ", T3";
+      if (rng_.Bernoulli(0.5)) {
+        add("T3.C" + std::to_string(rng_.UniformInt(0, 1)) + " " + Op() +
+            " " + Column(inner, inner_cols));
+      }
+    }
+
     // Occasionally a grouped set subquery (one value per group).
     std::string group_suffix;
     std::string sub_column = Column(inner, inner_cols);
@@ -88,14 +99,12 @@ class QueryGenerator {
                         ") >= " + std::to_string(rng_.UniformInt(1, 3));
       }
     }
-    const std::string sub =
-        "(SELECT " + sub_column + " FROM " + inner + where + group_suffix +
-        ")";
-    const std::string agg_sub = "(SELECT " +
-                                std::vector<std::string>{
-                                    "MAX", "MIN", "SUM", "AVG",
-                                    "COUNT"}[rng_.UniformInt(0, 4)] +
-                                "(" + inner + ".C0) FROM " + inner + where +
+    // Occasionally an inner WITH threshold.
+    const std::string with_suffix = rng_.Bernoulli(0.15) ? WithClause() : "";
+    const std::string sub = "(SELECT " + sub_column + " FROM " + from +
+                            where + group_suffix + with_suffix + ")";
+    const std::string agg_sub = "(SELECT " + Aggregate() + "(" + inner +
+                                ".C0) FROM " + from + where + with_suffix +
                                 ")";
     switch (rng_.UniformInt(0, 5)) {
       case 0:
@@ -114,9 +123,23 @@ class QueryGenerator {
     }
   }
 
+  std::string Aggregate() {
+    static const char* kAggs[] = {"MAX", "MIN", "SUM", "AVG", "COUNT"};
+    return kAggs[rng_.UniformInt(0, 4)];
+  }
+
+  std::string WithClause() {
+    return " WITH D >= 0." + std::to_string(rng_.UniformInt(1, 8));
+  }
+
   std::string SelectBlock(const std::string& table, size_t num_cols,
                           int depth) {
-    std::string query = "SELECT " + Column(table, num_cols) + " FROM " + table;
+    // About one query in five selects an aggregate of an outer column.
+    const std::string item =
+        rng_.Bernoulli(0.2)
+            ? Aggregate() + "(" + Column(table, num_cols) + ")"
+            : Column(table, num_cols);
+    std::string query = "SELECT " + item + " FROM " + table;
     int conjuncts = 0;
     auto add = [&](const std::string& pred) {
       query += (conjuncts++ == 0 ? " WHERE " : " AND ") + pred;
@@ -126,9 +149,7 @@ class QueryGenerator {
     for (int i = 0; i < subqueries; ++i) {
       add(SubqueryPredicate(table, num_cols, "S", 2, depth));
     }
-    if (rng_.Bernoulli(0.3)) {
-      query += " WITH D >= 0." + std::to_string(rng_.UniformInt(1, 8));
-    }
+    if (rng_.Bernoulli(0.3)) query += WithClause();
     return query;
   }
 
@@ -148,8 +169,11 @@ TEST_P(FuzzQueryTest, PipelineSurvivesAndEnginesAgree) {
       GenerateRandomRelation(seed * 7 + 3, "T3", 2, 15)));
 
   QueryGenerator generator(seed);
+  // 64 trials: the naive-only shapes (aggregate SELECT, inner WITH, two
+  // inner tables) take a share, so about as many queries run an unnested
+  // plan as 40 trials did without them.
   int evaluated = 0;
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 64; ++trial) {
     const std::string text = generator.Generate();
     SCOPED_TRACE(text);
 
@@ -172,6 +196,11 @@ TEST_P(FuzzQueryTest, PipelineSurvivesAndEnginesAgree) {
     UnnestingEvaluator unnesting;
     auto actual = unnesting.Evaluate(**bound);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    // The unnested plan ran exactly when the classifier gave no reason.
+    const QueryClass plan = ClassifyQuery(**bound);
+    EXPECT_EQ(unnesting.last_was_unnested(),
+              plan.reason == NaiveReason::kNone)
+        << NaiveReasonText(plan.reason);
 
     EXPECT_TRUE(expected->EquivalentTo(*actual, 1e-9))
         << "type " << QueryTypeName(unnesting.last_type()) << "\nnaive:\n"
@@ -179,7 +208,7 @@ TEST_P(FuzzQueryTest, PipelineSurvivesAndEnginesAgree) {
         << actual->ToString(60);
     ++evaluated;
   }
-  EXPECT_EQ(evaluated, 40);
+  EXPECT_EQ(evaluated, 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzQueryTest,

@@ -119,6 +119,25 @@ TEST_F(GovernanceTest, CancelledQueryFailsAtEveryThreadCount) {
   }
 }
 
+// A query stopped before it starts still reports its own plan decision,
+// not the previous statement's.
+TEST_F(GovernanceTest, CancelledQueryReportsItsOwnClassification) {
+  Catalog catalog = MakeJoinCatalog();
+  ASSERT_OK_AND_ASSIGN(auto flat, sql::ParseAndBind("SELECT R.C0 FROM R",
+                                                    catalog));
+  ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(kJoinQuery, catalog));
+  QueryContext qctx;
+  ExecOptions options;
+  options.context = &qctx;
+  UnnestingEvaluator engine(options);
+  ASSERT_OK(engine.Evaluate(*flat).status());
+  EXPECT_FALSE(engine.last_was_unnested());
+  qctx.Cancel();
+  EXPECT_EQ(engine.Evaluate(*bound).status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(engine.last_type(), QueryType::kTypeJ);
+  EXPECT_TRUE(engine.last_was_unnested());
+}
+
 TEST_F(GovernanceTest, ExpiredDeadlineFailsAtEveryThreadCount) {
   Catalog catalog = MakeJoinCatalog();
   ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(kJoinQuery, catalog));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sql/statement.h"
 #include "test_util.h"
@@ -177,6 +180,65 @@ TEST(ShellTest, SaveAndOpen) {
 TEST(ShellTest, QuitStopsSession) {
   const std::string out = RunScript(".quit\n.tables\n");
   EXPECT_EQ(out.find("tuples"), std::string::npos);
+}
+
+// Every mutating statement takes one path, CommitMutation, whether or
+// not a write-ahead log is attached: the error matrix answers the same
+// statuses and leaves the same catalog either way.
+TEST(ShellTest, MutationErrorMatrixIsTheSameWithAndWithoutWal) {
+  const std::vector<std::string> kStatements = {
+      "CREATE TABLE T (A FUZZY, B STRING);",
+      "CREATE TABLE T (A FUZZY);",  // duplicate
+      "INSERT INTO T VALUES (1, 'x');",
+      "INSERT INTO T VALUES (2);",  // arity mismatch
+      "INSERT INTO Nowhere VALUES (3);",
+      "DROP TABLE Nowhere;",
+      "DEFINE TERM \"warm\" AS TRAP(15, 20, 25, 30);",
+      "DEFINE TERM \"warm\" AS TRAP(16, 21, 26, 31);",  // redefinition
+      "INSERT INTO T VALUES (\"warm\", 'y') DEGREE 0.5;",
+      "CREATE TABLE U (A FUZZY);",
+      "DROP TABLE U;",
+  };
+  const auto run = [&](Shell* shell) {
+    std::vector<std::string> statuses;
+    std::ostringstream out;
+    for (const std::string& statement : kStatements) {
+      shell->FeedLine(statement, out);
+      statuses.push_back(shell->last_status().ToString());
+    }
+    return statuses;
+  };
+  const auto dump = [](Shell* shell) {
+    Catalog& catalog = shell->catalog();
+    std::string text;
+    for (const std::string& name : catalog.RelationNames()) {
+      text += catalog.GetRelation(name).value()->ToString(100);
+    }
+    auto warm = catalog.terms().Lookup("warm");
+    return text + (warm.ok() ? warm->ToString() : warm.status().ToString());
+  };
+
+  Shell plain;
+  const std::vector<std::string> plain_statuses = run(&plain);
+
+  const std::string dir = ::testing::TempDir() + "/fuzzydb_shell_wal_matrix";
+  std::filesystem::remove_all(dir);
+  Shell durable;
+  std::ostringstream sink;
+  ASSERT_OK(durable.EnableWal(dir, wal::WalOptions{}, sink));
+  EXPECT_EQ(run(&durable), plain_statuses);
+  EXPECT_EQ(dump(&durable), dump(&plain));
+
+  const std::vector<std::string> kExpected = {
+      "OK", "AlreadyExists", "OK", "InvalidArgument", "NotFound",
+      "NotFound", "OK", "OK", "OK", "OK", "OK"};
+  ASSERT_EQ(plain_statuses.size(), kExpected.size());
+  for (size_t i = 0; i < kExpected.size(); ++i) {
+    EXPECT_EQ(plain_statuses[i].rfind(kExpected[i], 0), 0u)
+        << kStatements[i] << " -> " << plain_statuses[i];
+  }
+  EXPECT_NE(dump(&plain).find("D=0.5"), std::string::npos) << dump(&plain);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShellTest, CommentsAndBlankLinesIgnored) {

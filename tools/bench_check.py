@@ -28,8 +28,9 @@ into a no-op.
 --perfbench reads the stdout of a `perfbench/run.py` run (a file, or -
 for stdin), whose last line is the result JSON, and requires every
 counter in the baseline's "exact" map (PERFBENCH_<workload>.json, the
-engine.tuple_pairs.* and engine.degree_evals.* of a seeded run) to
-match the run's metric exactly, by the same rule as the counters above.
+engine.tuple_pairs.* and engine.degree_evals.* of a seeded run, and
+its engine.naive_fallback_frac) to match the run's metric exactly, by
+the same rule as the counters above.
 The PERFBENCH_ prefix keeps these files out of directory mode.
 """
 
