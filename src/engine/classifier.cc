@@ -32,11 +32,14 @@ NaiveReason OuterBlockReason(const BoundQuery& block) {
 }
 
 /// The unnested plans filter an inner block's one table by its local
-/// predicates and keep every survivor, whatever its degree.
-NaiveReason InnerBlockReason(const BoundQuery& block) {
+/// predicates. An IN-family link runs the block's own WITH threshold as
+/// a mask in its pair fold (`masks_with`); an aggregate link or a chain
+/// level has no such mask, since there WITH thresholds the aggregate's
+/// degree or the level's projected values, not single inner tuples.
+NaiveReason InnerBlockReason(const BoundQuery& block, bool masks_with) {
   if (block.tables.size() != 1) return NaiveReason::kInnerTables;
   if (!block.group_by.empty()) return NaiveReason::kInnerGroupBy;
-  if (block.has_with && block.with_threshold > 0.0) {
+  if (!masks_with && block.has_with && block.with_threshold > 0.0) {
     return NaiveReason::kInnerWith;
   }
   return NaiveReason::kNone;
@@ -187,7 +190,8 @@ NaiveReason DecomposeLink(const BoundPredicate& pred, LinkShape* shape) {
         pred.kind == Predicate::Kind::kIn ? CompareOp::kEq : pred.op;
   }
 
-  const NaiveReason block_reason = InnerBlockReason(inner);
+  const NaiveReason block_reason =
+      InnerBlockReason(inner, /*masks_with=*/!shape->is_aggregate);
   if (block_reason != NaiveReason::kNone) return block_reason;
   if (shape->has_link_columns && !LinksOnOwnColumn(pred)) {
     return NaiveReason::kLinkOperand;
@@ -238,7 +242,7 @@ QueryClass ClassifyQuery(const BoundQuery& query) {
     if (!LinksOnOwnColumn(*out.chain_links[k - 1])) {
       note(NaiveReason::kLinkOperand);
     }
-    note(InnerBlockReason(*out.chain_blocks[k]));
+    note(InnerBlockReason(*out.chain_blocks[k], /*masks_with=*/false));
   }
   out.type = QueryType::kChain;
   out.reason = reason;

@@ -52,7 +52,7 @@ enum class NaiveReason {
   kOuterTables,
   kInnerTables,
   kInnerGroupBy,
-  kInnerWith,        // WITH D >= z, z > 0
+  kInnerWith,        // WITH D >= z, z > 0, on an aggregate or chain level
   kLinkOperand,      // not a column of the predicate's own block
   kDeepCorrelation,  // a 2-level link's correlation skips its enclosing block
   kJaCorrelations,   // type JA with other than one correlation

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/string_util.h"
+
 namespace fuzzydb {
 
 namespace {
@@ -44,10 +46,45 @@ std::string ColumnName(const BoundQuery& block, const sql::BoundColumnRef& ref) 
   return table.alias + "." + table.relation->schema().ColumnAt(ref.column).name;
 }
 
-void DescribeBlock(const BoundQuery& block, int depth, std::ostringstream* out);
+/// The link as SQL writes it, for the naive plan's and the cut lines.
+std::string LinkKind(const BoundPredicate& pred) {
+  switch (pred.kind) {
+    case Predicate::Kind::kIn:
+      return pred.negated ? "NOT IN" : "IN";
+    case Predicate::Kind::kQuantified:
+      return std::string(CompareOpName(pred.op)) +
+             (pred.quantifier == Predicate::Quantifier::kAll ? " ALL"
+                                                             : " SOME");
+    case Predicate::Kind::kAggCompare:
+      return std::string(CompareOpName(pred.op)) + " " +
+             sql::AggFuncName(pred.subquery->select[0].agg);
+    case Predicate::Kind::kExists:
+      return pred.negated ? "NOT EXISTS" : "EXISTS";
+    case Predicate::Kind::kCompare:
+      break;
+  }
+  return "compare";
+}
+
+/// " on <outer column>", or "" for EXISTS.
+std::string LinkColumn(const BoundQuery& block, const BoundPredicate& pred) {
+  return pred.lhs.is_column ? " on " + ColumnName(block, pred.lhs.column)
+                            : "";
+}
+
+/// True when a correlation of `block` reads an enclosing block.
+bool Correlated(const BoundQuery& block) {
+  for (const BoundPredicate& pred : block.predicates) {
+    if (pred.subquery == nullptr && !pred.IsLocal()) return true;
+  }
+  return false;
+}
+
+void DescribeBlock(const BoundQuery& block, int depth, bool unnested,
+                   std::ostringstream* out);
 
 void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
-                       int depth, std::ostringstream* out) {
+                       int depth, bool unnested, std::ostringstream* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   if (pred.subquery == nullptr) {
     *out << indent << (pred.IsLocal() ? "filter: " : "correlation: ");
@@ -61,6 +98,12 @@ void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
     return;
   }
   *out << indent;
+  if (!unnested) {
+    *out << "subquery (" << LinkKind(pred) << ")" << LinkColumn(block, pred)
+         << ", re-evaluated per outer tuple\n";
+    DescribeBlock(*pred.subquery, depth + 1, unnested, out);
+    return;
+  }
   switch (pred.kind) {
     case Predicate::Kind::kIn:
       *out << (pred.negated ? "anti-semijoin (NOT IN)" : "semijoin (IN)");
@@ -84,15 +127,11 @@ void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
     case Predicate::Kind::kCompare:
       break;
   }
-  *out << " on";
-  if (pred.lhs.is_column) {
-    *out << " " << ColumnName(block, pred.lhs.column);
-  }
-  *out << "\n";
-  DescribeBlock(*pred.subquery, depth + 1, out);
+  *out << LinkColumn(block, pred) << "\n";
+  DescribeBlock(*pred.subquery, depth + 1, unnested, out);
 }
 
-void DescribeBlock(const BoundQuery& block, int depth,
+void DescribeBlock(const BoundQuery& block, int depth, bool unnested,
                    std::ostringstream* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   *out << indent << "scan";
@@ -103,10 +142,71 @@ void DescribeBlock(const BoundQuery& block, int depth,
   }
   *out << "\n";
   for (const BoundPredicate& pred : block.predicates) {
-    DescribePredicate(block, pred, depth, out);
+    DescribePredicate(block, pred, depth, unnested, out);
   }
-  if (block.has_with) {
-    *out << indent << "threshold: WITH D >= " << block.with_threshold << "\n";
+  if (!block.has_with) return;
+  *out << indent << "threshold: WITH D >= " << block.with_threshold;
+  // Unnested, an inner block's own WITH belongs to an IN-family link.
+  if (unnested && depth > 1 && block.with_threshold > 0.0) {
+    *out << (Correlated(block) ? " -- masks the pair fold after the "
+                                 "correlations"
+                               : " -- cuts the inner filter");
+  }
+  *out << "\n";
+}
+
+/// True when a keyed PairJoin can window `link` of block `outer`: on an
+/// equality link (not ALL), or else on an equality correlation, over
+/// FUZZY columns.
+bool Windowed(const BoundQuery& outer, const LinkShape& link) {
+  const auto fuzzy = [](const BoundQuery& block, size_t column) {
+    return block.tables[0].relation->schema().ColumnAt(column).type ==
+           ValueType::kFuzzy;
+  };
+  if (link.has_link_columns && link.link_op == CompareOp::kEq &&
+      !link.negate_link && fuzzy(outer, link.outer_link_col) &&
+      fuzzy(*link.inner, link.inner_link_col)) {
+    return true;
+  }
+  for (const BoundPredicate* pred : link.correlations) {
+    const bool lhs_outer = pred->lhs.is_column && pred->lhs.column.up > 0;
+    const sql::BoundOperand& local = lhs_outer ? pred->rhs : pred->lhs;
+    const sql::BoundOperand& other = lhs_outer ? pred->lhs : pred->rhs;
+    if (pred->op == CompareOp::kEq && local.is_column &&
+        fuzzy(*link.inner, local.column.column) &&
+        fuzzy(outer, other.column.column)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Where an unnested plan's WITH threshold theta > 0 cuts work, one line
+/// per place, under the outer block's threshold line.
+void DescribeCuts(const BoundQuery& query, const QueryClass& plan,
+                  std::ostringstream* out) {
+  const std::string theta = FormatDouble(query.with_threshold);
+  const std::string window = " and windows on " + theta + "-cuts";
+  if (plan.type == QueryType::kChain) {
+    *out << "    cuts every level's filter [";
+    for (size_t k = 0; k < plan.chain_blocks.size(); ++k) {
+      *out << (k == 0 ? "" : ", ")
+           << plan.chain_blocks[k]->tables[0].relation->name();
+    }
+    *out << "], each join step's output" << window << "\n";
+    return;
+  }
+  *out << "    cuts the outer filter [" << query.tables[0].relation->name()
+       << "]\n";
+  for (const LinkShape& link : plan.links) {
+    *out << "    " << LinkKind(*link.pred) << LinkColumn(query, *link.pred);
+    if (link.is_aggregate || link.negate_result) {
+      *out << ": inner kept whole\n";
+      continue;
+    }
+    *out << ": cuts the inner filter ["
+         << link.inner->tables[0].relation->name() << "]"
+         << (Windowed(query, link) ? window : "") << "\n";
   }
 }
 
@@ -122,7 +222,11 @@ std::string DescribePlan(const sql::BoundQuery& query) {
     out << " -- naive evaluation: " << NaiveReasonText(plan.reason);
   }
   out << "\n";
-  DescribeBlock(query, 1, &out);
+  const bool unnested = plan.reason == NaiveReason::kNone;
+  DescribeBlock(query, 1, unnested, &out);
+  if (unnested && query.with_threshold > 0.0) {
+    DescribeCuts(query, plan, &out);
+  }
   if (!query.order_by.empty()) {
     out << "  order by: " << query.order_by.size() << " key(s)\n";
   }

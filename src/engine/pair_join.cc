@@ -1,10 +1,13 @@
 #include "engine/pair_join.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 
 #include "cache/cache_manager.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
 
@@ -22,34 +25,58 @@ size_t EffectiveBatchSize(const ParallelContext& ctx) {
   return std::clamp<size_t>(ctx.batch_size, 1, TrapezoidBatch::kCapacity);
 }
 
-namespace {
-
-/// Support bounds of fuzzy column `col` of `ft`'s tuple.
-SupportBounds BoundsOf(const FT& ft, size_t col) {
-  const Trapezoid& key = ft.tuple->ValueAt(col).AsFuzzy();
-  return SupportBounds{key.SupportBegin(), key.SupportEnd()};
+SupportBounds KeyBounds(const Trapezoid& key, double cut) {
+  SupportBounds bounds{key.SupportBegin(), key.SupportEnd()};
+  if (cut <= 0.0) return bounds;
+  // A kernel's edge degree and the cut each round within a few ulps of
+  // the corners' magnitude; 8 epsilons covers both, and widening only
+  // admits a pair that folds below the cut.
+  constexpr double kSlack = 8 * std::numeric_limits<double>::epsilon();
+  const double begin = key.AlphaCutBegin(cut) -
+                       kSlack * (std::fabs(key.a()) + std::fabs(key.b()));
+  const double end = key.AlphaCutEnd(cut) +
+                     kSlack * (std::fabs(key.c()) + std::fabs(key.d()));
+  // A NaN cut, or one widened past the support, keeps the support bound:
+  // every kernel scores a point outside the support 0.
+  if (begin > bounds.begin) bounds.begin = begin;
+  if (end < bounds.end) bounds.end = end;
+  return bounds;
 }
 
-/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`
-/// and sets *bounds to the sorted keys' support bounds. The sort runs
-/// over flat {bounds, FT} records read in one pass, so its comparisons
-/// never leave the record array. Parallel per-run sorts + merge tree;
-/// order and comparison count are thread-count-invariant (see
-/// ParallelSort).
+std::string CutTag(double cut) {
+  if (cut <= 0.0) return "";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "|cut%a", cut);
+  return buf;
+}
+
+namespace {
+
+/// KeyBounds of fuzzy column `col` of `ft`'s tuple at `cut`.
+SupportBounds BoundsOf(const FT& ft, size_t col, double cut) {
+  return KeyBounds(ft.tuple->ValueAt(col).AsFuzzy(), cut);
+}
+
+/// Sorts by the interval order (Definition 3.1) of fuzzy column `col`'s
+/// KeyBounds at `cut` and sets *bounds to the sorted keys' bounds. The
+/// sort runs over flat {bounds, FT} records read in one pass, so its
+/// comparisons never leave the record array. Parallel per-run sorts +
+/// merge tree; order and comparison count are thread-count-invariant
+/// (see ParallelSort).
 ///
 /// When `rel` (the relation the FT pointers reference) is given and the
-/// cache is on, the full-relation interval-order permutation of `col` is
-/// reused across queries: a hit reorders the survivors by one O(n + k)
-/// walk of the cached permutation with zero key comparisons; a miss over
-/// the *unfiltered* relation publishes the sorted order (a permutation is
-/// only derivable when every tuple survived). Tie order may differ
-/// between the cached and sorted paths, which is answer-neutral: every
-/// consumer folds degrees with max/min and final answers are
-/// duplicate-eliminated.
+/// cache is on, the full-relation interval-order permutation of `col` at
+/// `cut` is reused across queries: a hit reorders the survivors by one
+/// O(n + k) walk of the cached permutation with zero key comparisons; a
+/// miss over the *unfiltered* relation publishes the sorted order (a
+/// permutation is only derivable when every tuple survived). Tie order
+/// may differ between the cached and sorted paths, which is
+/// answer-neutral: every consumer folds degrees with max/min and final
+/// answers are duplicate-eliminated.
 ///
 /// A governed stop mid-sort returns the stop status; *tuples and
 /// *bounds must then not be read.
-Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
+Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col, double cut,
                            const ParallelContext& ctx, CpuStats* cpu,
                            ExecTrace* trace, const Relation* rel,
                            std::vector<SupportBounds>* bounds) {
@@ -62,7 +89,8 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
   std::string cache_key;
   if (rel != nullptr && CacheOn(ctx)) {
     cache_key = "perm|" + std::to_string(rel->id()) + "@" +
-                std::to_string(rel->version()) + "|c" + std::to_string(col);
+                std::to_string(rel->version()) + "|c" + std::to_string(col) +
+                CutTag(cut);
     if (auto perm = ctx.cache->LookupPermutation(cache_key)) {
       const Tuple* base = rel->tuples().data();
       constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
@@ -76,7 +104,7 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
       for (uint32_t index : *perm) {
         if (slot_of[index] != kAbsent) {
           ordered.push_back((*tuples)[slot_of[index]]);
-          bounds->push_back(BoundsOf(ordered.back(), col));
+          bounds->push_back(BoundsOf(ordered.back(), col, cut));
         }
       }
       *tuples = std::move(ordered);
@@ -90,7 +118,9 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col,
   };
   std::vector<Record> records;
   records.reserve(tuples->size());
-  for (const FT& ft : *tuples) records.push_back({BoundsOf(ft, col), ft});
+  for (const FT& ft : *tuples) {
+    records.push_back({BoundsOf(ft, col, cut), ft});
+  }
   FUZZYDB_RETURN_IF_ERROR(SortByBounds(
       ctx, &records, cpu == nullptr ? nullptr : &cpu->comparisons));
   for (size_t i = 0; i < records.size(); ++i) {
@@ -183,13 +213,14 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
       sort_op.SetThreads(WorkerSlots(ctx));
       outer_keys.reserve(n);
       for (size_t r = 0; r < n; ++r) {
-        outer_keys.push_back({BoundsOf(outer[r], key->outer_col), r});
+        outer_keys.push_back(
+            {BoundsOf(outer[r], key->outer_col, key->cut), r});
       }
       FUZZYDB_RETURN_IF_ERROR(SortByBounds(
           ctx, &outer_keys, cpu == nullptr ? nullptr : &cpu->comparisons));
     }
-    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col, ctx,
-                                                cpu, trace,
+    FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col,
+                                                key->cut, ctx, cpu, trace,
                                                 key->inner_relation,
                                                 &inner_bounds));
     inner_end_max.resize(inner_bounds.size());
@@ -200,9 +231,13 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
     }
   }
 
+  const std::string cut_note =
+      key != nullptr && key->cut > 0.0
+          ? "cut=" + FormatDouble(key->cut) + " "
+          : "";
   OpScope op(key != nullptr ? Op::kMergeWindow : Op::kNestedPairing, trace,
              ctx.progress, cpu, nullptr,
-             inner_note + "inner=" + std::to_string(inner->size()));
+             cut_note + inner_note + "inner=" + std::to_string(inner->size()));
   op.SetInputRows(n);
   op.SetThreads(WorkerSlots(ctx));
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));

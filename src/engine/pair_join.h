@@ -14,6 +14,11 @@
 // on every comparison or boundary test dominated the join's cost. The
 // window scan reads its bounds from the sorted records.
 //
+// Under a WITH threshold a positive link or chain step keeps only pairs
+// whose key degree can reach it. The same scan then runs on the keys'
+// alpha-cuts at the threshold instead of their supports (PairKey::cut),
+// as FileMergeJoin does, and Rng(r) narrows.
+//
 // Callers: the unnesting engine's IN family, JA group-aggregate and
 // chain step (unnested_evaluator.cc), and pass 3 of the partitioned file
 // join (partitioned_join.cc). The heap-file merge-join (merge_join.h)
@@ -33,6 +38,7 @@
 #include "engine/degree_fold.h"
 #include "engine/exec_stats.h"
 #include "fuzzy/degree_kernels.h"
+#include "fuzzy/trapezoid.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "relational/relation.h"
@@ -64,6 +70,19 @@ struct SupportBounds {
   double begin = 0.0;
   double end = 0.0;
 };
+
+/// The bounds a keyed pair join sorts and windows one key value on: its
+/// support [b, e] at cut 0, otherwise its closed alpha-cut at `cut`,
+/// widened by a few ulps of the corners' magnitude. Two values whose
+/// equality degree computes to >= cut have intersecting cuts, and the
+/// widening keeps rounding in the cut and in the degree kernels from
+/// separating such a pair. An infinite corner makes the cut arithmetic
+/// NaN; the support bound stands in for it.
+SupportBounds KeyBounds(const Trapezoid& key, double cut);
+
+/// "" at cut 0, else "|cut" and the cut's exact bits: what a cache entry
+/// computed under a threshold cut appends to its key.
+std::string CutTag(double cut);
 
 /// Definition 3.1's order on support bounds. It runs the lane that
 /// IntervalOrderLess runs, so a sort of bounds records makes the same
@@ -117,10 +136,14 @@ using PairSink = std::function<Status(const PairBatch&)>;
 /// The key of a keyed pair join: fuzzy column outer_col of each outer
 /// row's tuple and inner_col of the inner tuples, which are filtered
 /// from `inner_relation` (the permutation cache's source, or null).
+/// With `cut` > 0 the sink needs only pairs whose key equality degree can
+/// reach it, so both sides sort and window on KeyBounds at `cut` instead
+/// of their supports: the WITH threshold pushdown of Zhang & Wang [42].
 struct PairKey {
   size_t outer_col = 0;
   size_t inner_col = 0;
   const Relation* inner_relation = nullptr;
+  double cut = 0.0;
   uint64_t est_pairs = TraceNode::kNoCount;  // merge-window's est=
 };
 
@@ -140,7 +163,8 @@ inline auto PairLanes(const PairBatch& batch, const std::vector<FT>& outer) {
 /// records of the outer keys are sorted (interval-sort [outer-view
 /// colN]), the inner is sorted on key->inner_col, and each outer row
 /// meets exactly the inner tuples of Rng(r) (Definition 3.2), as
-/// NextWindow finds them (merge-window) on the bounds the sorts left.
+/// NextWindow finds them (merge-window) on the bounds the sorts left --
+/// the KeyBounds at key->cut.
 /// Unkeyed, every outer row meets every inner tuple (nested-pairing),
 /// with a stop check before each row. *inner is left in key order.
 ///

@@ -21,6 +21,7 @@
 #include "engine/naive_evaluator.h"
 #include "engine/semantics.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
@@ -69,15 +70,18 @@ FoldTerm ToFoldTerm(const BoundPredicate& pred) {
 /// Filters one chunk of `count` tuples, appending survivors (in scan
 /// order) to *out. Each tuple's degree is min(mu(t), d(p) for every
 /// local predicate p): lanes start at mu(t), then one fold per predicate.
-void FilterChunk(const std::vector<FoldTerm>& terms, const Tuple* tuples,
-                 size_t count, FoldScratch* scratch, CpuStats* slot,
-                 BatchTally* tally, std::vector<FT>* out) {
+/// A survivor's degree is > 0 and >= cut.
+void FilterChunk(const std::vector<FoldTerm>& terms, double cut,
+                 const Tuple* tuples, size_t count, FoldScratch* scratch,
+                 CpuStats* slot, BatchTally* tally, std::vector<FT>* out) {
   double* degree = scratch->degree.data();
   for (size_t k = 0; k < count; ++k) degree[k] = tuples[k].degree();
   const auto lanes = [tuples](size_t k) { return LaneTuples{&tuples[k]}; };
   FoldComparisons(lanes, count, terms, scratch, slot, tally);
   for (size_t k = 0; k < count; ++k) {
-    if (degree[k] > 0.0) out->push_back(FT{&tuples[k], degree[k]});
+    if (degree[k] > 0.0 && degree[k] >= cut) {
+      out->push_back(FT{&tuples[k], degree[k]});
+    }
   }
 }
 
@@ -169,14 +173,18 @@ uint64_t EstimateFilterRows(const BoundQuery& block, size_t n) {
 
 /// Filters a single-table block by its local predicates; this is the
 /// paper's "only those tuples that satisfy p positively should be sorted".
+/// With `cut` > 0 it keeps only tuples of degree >= cut: the caller's
+/// WITH threshold, where no tuple below it can reach the answer.
 /// Morsels are filtered in parallel into per-morsel vectors concatenated
 /// in morsel order, so the output (and, with per-worker stats folded at
 /// the barrier, the counters) match the serial scan exactly.
-std::vector<FT> FilterBlock(const BoundQuery& block,
+std::vector<FT> FilterBlock(const BoundQuery& block, double cut,
                             const ParallelContext& ctx, CpuStats* cpu,
                             ExecTrace* trace) {
   const Relation& rel = *block.tables[0].relation;
-  OpScope op(Op::kFilter, trace, ctx.progress, cpu, nullptr, rel.name());
+  const std::string detail =
+      cut > 0.0 ? rel.name() + " cut=" + FormatDouble(cut) : rel.name();
+  OpScope op(Op::kFilter, trace, ctx.progress, cpu, nullptr, detail);
   op.SetThreads(WorkerSlots(ctx));
   const std::vector<Tuple>& tuples = rel.tuples();
   const size_t n = tuples.size();
@@ -184,22 +192,24 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
   if (op.traced() && ctx.cost_based) {
     op.SetEstimatedRows(EstimateFilterRows(block, n));
   }
-  // Cross-query reuse: the survivors depend only on the block plan and
-  // the relation contents, and the fingerprint pins both (relations
+  // Cross-query reuse: the survivors depend only on the block plan, the
+  // cut and the relation contents, and the key pins all three (relations
   // appear as id@version). Cached filters replay as (index, degree)
   // pairs against the live tuple vector, skipping every predicate.
   std::string cache_key;
   std::vector<uint64_t> cache_deps;
   if (CacheOn(ctx)) {
-    cache_key = "filt|" + PlanFingerprint(block, /*include_threshold=*/true,
-                                          &cache_deps);
+    cache_key = "filt|" +
+                PlanFingerprint(block, /*include_threshold=*/true,
+                                &cache_deps) +
+                CutTag(cut);
     if (auto cached = ctx.cache->LookupFiltered(cache_key)) {
       std::vector<FT> out;
       out.reserve(cached->size());
       for (const auto& [index, degree] : *cached) {
         out.push_back(FT{&tuples[index], degree});
       }
-      op.SetDetail(rel.name() + " (cached)");
+      op.SetDetail(detail + " (cached)");
       op.SetOutputRows(out.size());
       return out;
     }
@@ -227,8 +237,8 @@ std::vector<FT> FilterBlock(const BoundQuery& block,
     std::unique_ptr<FoldScratch>& scratch = scratches[worker];
     if (scratch == nullptr) scratch = std::make_unique<FoldScratch>();
     for (size_t i = begin; i < end; i += batch) {
-      FilterChunk(terms, &tuples[i], std::min(batch, end - i), scratch.get(),
-                  slot, &tallies[worker], &out);
+      FilterChunk(terms, cut, &tuples[i], std::min(batch, end - i),
+                  scratch.get(), slot, &tallies[worker], &out);
     }
   });
   size_t survivors = 0;
@@ -264,20 +274,25 @@ bool ColumnIsFuzzy(const std::vector<FT>& tuples, size_t col) {
 }
 
 /// The fold steps of a pair term min(d_S(s), d(corr(r, s)),
-/// f(d(r.Y op s.Z))): one per correlation predicate, then the link. The
-/// link compares with Value::Compare's default tolerance, 1.0 -- the
-/// predicate's approx_tolerance applies to its direct comparison, not
-/// the quantified link -- and is negated for ALL.
-std::vector<FoldTerm> PairTerms(const LinkShape& shape) {
-  std::vector<FoldTerm> terms;
+/// f(d(r.Y op s.Z))): one per correlation predicate, then the link (none
+/// for EXISTS). The link compares with Value::Compare's default
+/// tolerance, 1.0 -- the predicate's approx_tolerance applies to its
+/// direct comparison, not the quantified link -- and is negated for ALL.
+struct PairTerms {
+  std::vector<FoldTerm> correlations;
+  std::vector<FoldTerm> link;
+};
+
+PairTerms PairTermsOf(const LinkShape& shape) {
+  PairTerms terms;
   for (const BoundPredicate* pred : shape.correlations) {
-    terms.push_back(ToFoldTerm(*pred));
+    terms.correlations.push_back(ToFoldTerm(*pred));
   }
   if (shape.has_link_columns) {
-    terms.push_back(FoldTerm{FoldOperand::Outer(shape.outer_link_col),
-                             shape.link_op,
-                             FoldOperand::Local(shape.inner_link_col),
-                             /*tolerance=*/1.0, shape.negate_link});
+    terms.link.push_back(FoldTerm{FoldOperand::Outer(shape.outer_link_col),
+                                  shape.link_op,
+                                  FoldOperand::Local(shape.inner_link_col),
+                                  /*tolerance=*/1.0, shape.negate_link});
   }
   return terms;
 }
@@ -331,16 +346,34 @@ std::string LinkDetail(const LinkShape& shape) {
   return "compare";
 }
 
-/// IN / NOT IN / SOME / ALL / EXISTS / NOT EXISTS.
+/// IN / NOT IN / SOME / ALL / EXISTS / NOT EXISTS, for outer rows of
+/// degree >= theta, the query's WITH threshold.
+///
+/// A positive link (IN, SOME, EXISTS) needs m(r) exactly only where it
+/// reaches theta, and a lane reaches theta only when d_S(s) and, keyed,
+/// the key's equality degree do. So the inner filter cuts at theta and
+/// the window runs on theta-cuts. NOT IN, ALL and NOT EXISTS keep both
+/// whole: a sub-theta lane still lowers 1 - max.
+///
+/// The inner block's own WITH D >= z keeps a value when its max degree
+/// reaches z (EliminateDuplicates(z)). Every tuple of one value meets
+/// the link alike, so that is a mask: a lane below z after the
+/// correlation terms leaves the fold before the link. Without
+/// correlations the lane is d_S(s), and the inner filter's cut at z is
+/// the whole mask.
 Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
                                             const LinkShape& shape,
+                                            double theta,
                                             const ParallelContext& ctx,
                                             CpuStats* cpu,
                                             ExecTrace* trace) {
   OpScope op(Op::kSubquery, trace, ctx.progress, cpu, nullptr,
              LinkDetail(shape));
   op.SetInputRows(outer.size());
-  std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
+  const double cut = shape.negate_result ? 0.0 : theta;
+  const double inner_with = shape.inner->with_threshold;
+  std::vector<FT> inner =
+      FilterBlock(*shape.inner, std::max(cut, inner_with), ctx, cpu, trace);
   // FilterBlock stops dispatching morsels on a governed stop, leaving
   // partial output; surface the stop before using it.
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
@@ -364,11 +397,12 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   const Relation* inner_rel = shape.inner->tables[0].relation;
   std::optional<PairKey> key;
   if (can_window_on_link) {
-    key = PairKey{shape.outer_link_col, shape.inner_link_col, inner_rel};
+    key = PairKey{shape.outer_link_col, shape.inner_link_col, inner_rel, cut};
   } else if (corr_key.has_value()) {
-    key = PairKey{corr_key->first, corr_key->second, inner_rel};
+    key = PairKey{corr_key->first, corr_key->second, inner_rel, cut};
   }
-  std::vector<FoldTerm> terms = PairTerms(shape);
+  PairTerms terms = PairTermsOf(shape);
+  const double mask = terms.correlations.empty() ? 0.0 : inner_with;
   Relation materialized;
   std::string inner_note;
   if (key.has_value() && trace != nullptr && ctx.cost_based) {
@@ -397,7 +431,7 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     for (const Tuple& z : materialized.tuples()) {
       inner.push_back(FT{&z, z.degree()});
     }
-    terms.back().rhs = FoldOperand::Local(0);
+    terms.link.back().rhs = FoldOperand::Local(0);
     inner_note = "materialized ";
   }
   // The rows weigh 1: a pair term starts at d_S(s). Each outer row
@@ -408,9 +442,17 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   FUZZYDB_RETURN_IF_ERROR(PairJoin(
       rows, &inner, key.has_value() ? &*key : nullptr, ctx, cpu, trace,
       [&](const PairBatch& batch) {
-        FoldComparisons(PairLanes(batch, rows), batch.count, terms,
-                        batch.fold, batch.cpu, batch.tally);
-        const double* degree = batch.fold->degree.data();
+        const auto lanes = PairLanes(batch, rows);
+        FoldComparisons(lanes, batch.count, terms.correlations, batch.fold,
+                        batch.cpu, batch.tally);
+        double* degree = batch.fold->degree.data();
+        if (mask > 0.0) {
+          for (size_t k = 0; k < batch.count; ++k) {
+            if (degree[k] < mask) degree[k] = 0.0;
+          }
+        }
+        FoldComparisons(lanes, batch.count, terms.link, batch.fold, batch.cpu,
+                        batch.tally);
         for (size_t k = 0; k < batch.count; ++k) {
           double& m_r = m[batch.pairs[k].r];
           m_r = std::max(m_r, degree[k]);
@@ -510,7 +552,8 @@ Result<std::vector<double>> AggregateFamilyDegrees(
     t1_of[rec.row] = t1.size() - 1;
   }
 
-  std::vector<FT> inner = FilterBlock(*shape.inner, ctx, cpu, trace);
+  // Kept whole: a sub-theta inner tuple still changes the aggregate.
+  std::vector<FT> inner = FilterBlock(*shape.inner, 0.0, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
 
   // T2[j]: A'(u) with degree D(A'(u)) for T1 row j, built by grouping
@@ -601,12 +644,15 @@ Status EmitAnswer(const BoundQuery& query, const Tuple& r, double d,
 /// All 2-level types plus queries with several independent subquery
 /// predicates: filter the outer block once, evaluate each subquery
 /// predicate (`links`, the classifier's shapes) to a per-tuple degree
-/// vector, fold by min.
+/// vector, fold by min. An answer's degree is at most its outer row's,
+/// so the outer filter cuts at the WITH threshold (0 without one) for
+/// every family.
 Result<Relation> RunTwoLevel(const BoundQuery& query,
                              const std::vector<LinkShape>& links,
                              const ParallelContext& ctx, CpuStats* cpu,
                              ExecTrace* trace) {
-  std::vector<FT> outer = FilterBlock(query, ctx, cpu, trace);
+  const double theta = query.with_threshold;
+  std::vector<FT> outer = FilterBlock(query, theta, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
   std::vector<double> combined(outer.size(), 1.0);
   for (const LinkShape& link : links) {
@@ -614,7 +660,7 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
         std::vector<double> degrees,
         link.is_aggregate
             ? AggregateFamilyDegrees(outer, link, ctx, cpu, trace)
-            : InFamilyDegrees(outer, link, ctx, cpu, trace));
+            : InFamilyDegrees(outer, link, theta, ctx, cpu, trace));
     for (size_t i = 0; i < outer.size(); ++i) {
       combined[i] = std::min(combined[i], degrees[i]);
     }
@@ -639,6 +685,10 @@ Result<Relation> RunTwoLevel(const BoundQuery& query,
 /// the interval DP of join_order.h over estimated link selectivities
 /// (the paper's "optimal join order ... determined by a dynamic
 /// programming method"); otherwise levels join outermost-to-innermost.
+/// A joined row's degree only falls as levels join, and an answer is the
+/// max of its rows, so under WITH D >= theta every level's filter, every
+/// step's window (on theta-cuts) and every step's output drop what is
+/// below theta.
 Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
                           const ParallelContext& ctx, CpuStats* cpu,
                           ExecTrace* trace,
@@ -648,9 +698,10 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
   const size_t k_levels = blocks.size();
 
   // Filtered inputs per level.
+  const double theta = query.with_threshold;
   std::vector<std::vector<FT>> filtered(k_levels);
   for (size_t k = 0; k < k_levels; ++k) {
-    filtered[k] = FilterBlock(*blocks[k], ctx, cpu, trace);
+    filtered[k] = FilterBlock(*blocks[k], theta, ctx, cpu, trace);
     FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
     if (filtered[k].empty()) {
       // An empty level zeroes every chain of links below the outermost
@@ -812,7 +863,8 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
                           (use_merge ? " alg=merge" : " alg=nested"));
       }
     }
-    const PairKey key{row_col, new_col, blocks[level]->tables[0].relation};
+    const PairKey key{row_col, new_col, blocks[level]->tables[0].relation,
+                      theta};
 
     // Survivors go to per-morsel outputs, concatenated in morsel order,
     // and are charged per morsel: one worker runs a morsel's batches, and
@@ -844,7 +896,7 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
           std::vector<double>& degrees = out_degree[batch.morsel];
           const size_t joined_before = degrees.size();
           for (size_t k = 0; k < batch.count; ++k) {
-            if (degree[k] <= 0.0) continue;
+            if (degree[k] <= 0.0 || degree[k] < theta) continue;
             const PairEntry& e = batch.pairs[k];
             const auto row = row_tuples.begin() + e.r * k_levels;
             tuples.insert(tuples.end(), row, row + k_levels);
@@ -876,12 +928,12 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
   // tuple, so the rows fold to one max degree per outer tuple before
   // anything is projected. Outer tuples keep the order of their first
   // row, so each answer keeps the values the unfolded emit would pick.
+  // Every row is >= theta: the steps dropped the rest.
   const std::vector<Tuple>& outer_tuples =
       blocks[0]->tables[0].relation->tuples();
   std::vector<double> outer_degree(outer_tuples.size(), 0.0);
   std::vector<size_t> outer_rows;  // outer tuples in first-row order
   for (size_t r = 0; r < row_degree.size(); ++r) {
-    if (row_degree[r] < query.with_threshold) continue;
     const size_t t =
         static_cast<size_t>(row_tuples[r * k_levels] - outer_tuples.data());
     if (outer_degree[t] == 0.0) outer_rows.push_back(t);  // rows are > 0

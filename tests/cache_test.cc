@@ -272,6 +272,38 @@ TEST(CacheThetaSubsumptionTest, HigherThresholdEntryCannotAnswerLower) {
   EXPECT_GT(cache.stats().hits, hits_before);
 }
 
+TEST(CacheThetaSubsumptionTest, ThresholdCutEntriesCarryTheirCut) {
+  // WITH D >= theta cuts the positive link's inner filter and windows on
+  // theta-cuts. At 0.9 the inner filter entry keeps only S tuples of
+  // degree >= 0.9; the 0.3 query cannot reuse the 0.9 result and must
+  // not reuse that entry either. The projection of R.C1 is a second
+  // query over the same inner block: its run at 0.3 must not reorder by
+  // the support-order permutation the unthresholded run cached.
+  const Catalog catalog = MakeCatalog(5);
+  const std::string kProjectC1 =
+      "SELECT R.C1 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)";
+  CacheManager cache;
+  cache.set_capacity_bytes(32 << 20);
+  const std::string queries[] = {
+      std::string(kTypeJQuery) + " WITH D >= 0.9",
+      std::string(kTypeJQuery) + " WITH D >= 0.3",
+      kProjectC1,
+      kProjectC1 + " WITH D >= 0.3",
+  };
+  for (const std::string& query : queries) {
+    ASSERT_OK_AND_ASSIGN(Relation got, RunQuery(query, catalog, &cache));
+    ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+    NaiveEvaluator naive;
+    ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+    EXPECT_GT(expected.NumTuples(), 0u) << query;
+    EXPECT_TRUE(expected.EquivalentTo(got, 0.0))
+        << query << "\nnaive:\n"
+        << expected.ToString(100) << "\ncached:\n"
+        << got.ToString(100);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Budget admission
 // ---------------------------------------------------------------------

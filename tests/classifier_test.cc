@@ -213,18 +213,50 @@ TEST_F(ClassifierTest, InnerBlockReasons) {
       WHERE F.INCOME IN (SELECT M.INCOME FROM M GROUPBY M.INCOME))sql",
                    NaiveReason::kInnerGroupBy),
             QueryType::kTypeN);
+  // An IN-family link masks its pair fold with the inner WITH, so every
+  // such link runs unnested whatever its threshold.
   EXPECT_EQ(TypeOf(R"sql(
       SELECT F.NAME FROM F
       WHERE F.INCOME IN
-        (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5))sql",
-                   NaiveReason::kInnerWith),
+        (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5))sql"),
             QueryType::kTypeJ);
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE F.INCOME NOT IN (SELECT M.INCOME FROM M WITH D >= 0.5))sql"),
+            QueryType::kTypeNX);
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE F.INCOME <= ALL
+        (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5))sql"),
+            QueryType::kTypeJALL);
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE F.INCOME > SOME (SELECT M.INCOME FROM M WITH D >= 0.5))sql"),
+            QueryType::kTypeSOME);
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE NOT EXISTS
+        (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5))sql"),
+            QueryType::kTypeJEXISTS);
   // WITH D >= 0 keeps every survivor, as the unnested plans do.
   EXPECT_EQ(TypeOf(R"sql(
       SELECT F.NAME FROM F
-      WHERE F.INCOME IN
-        (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0))sql"),
-            QueryType::kTypeJ);
+      WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM M
+                        WHERE M.AGE = F.AGE WITH D >= 0))sql"),
+            QueryType::kTypeJA);
+  // An aggregate link's WITH thresholds the aggregate's degree, not its
+  // inputs: no mask runs it.
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE F.INCOME > (SELECT MAX(M.INCOME) FROM M
+                        WHERE M.AGE = F.AGE WITH D >= 0.5))sql",
+                   NaiveReason::kInnerWith),
+            QueryType::kTypeJA);
+  EXPECT_EQ(TypeOf(R"sql(
+      SELECT F.NAME FROM F
+      WHERE F.INCOME > (SELECT COUNT(M.INCOME) FROM M WITH D >= 0.5))sql",
+                   NaiveReason::kInnerWith),
+            QueryType::kTypeA);
   EXPECT_EQ(TypeOf(R"sql(
       SELECT F.NAME FROM F
       WHERE F.INCOME IN

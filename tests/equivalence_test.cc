@@ -8,6 +8,7 @@
 //   Theorem 5.1  (type JX)       Theorem 8.1 (chain queries)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "engine/naive_evaluator.h"
@@ -160,6 +161,52 @@ const EquivalenceCase kCases[] = {
      "SELECT R.C0 FROM R WHERE R.C1 > "
      "(SELECT MAX(S.C0) FROM S WHERE S.C1 ~= R.C2 WITHIN 3)",
      QueryType::kTypeJA},
+    // An inner WITH on an IN-family link: the inner filter's cut and,
+    // correlated, the pair fold's mask.
+    {"InnerWith_TypeN",
+     "SELECT R.C0 FROM R WHERE R.C1 IN (SELECT S.C0 FROM S WITH D >= 0.3)",
+     QueryType::kTypeN},
+    {"InnerWith_TypeJ",
+     "SELECT R.C0 FROM R WHERE R.C1 IN "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.5)",
+     QueryType::kTypeJ},
+    {"InnerWith_TypeNX",
+     "SELECT R.C0 FROM R WHERE R.C1 NOT IN "
+     "(SELECT S.C0 FROM S WITH D >= 0.6)",
+     QueryType::kTypeNX},
+    {"InnerWith_TypeJX",
+     "SELECT R.C0 FROM R WHERE R.C1 NOT IN "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.5)",
+     QueryType::kTypeJX},
+    {"InnerWith_TypeALL",
+     "SELECT R.C0 FROM R WHERE R.C1 <= ALL "
+     "(SELECT S.C0 FROM S WITH D >= 0.5)",
+     QueryType::kTypeALL},
+    {"InnerWith_TypeJALL",
+     "SELECT R.C0 FROM R WHERE R.C1 > ALL "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.7)",
+     QueryType::kTypeJALL},
+    {"InnerWith_TypeJSOME",
+     "SELECT R.C0 FROM R WHERE R.C1 < SOME "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.4)",
+     QueryType::kTypeJSOME},
+    {"InnerWith_TypeEXISTS",
+     "SELECT R.C0 FROM R WHERE EXISTS "
+     "(SELECT S.C0 FROM S WHERE S.C1 > 10 WITH D >= 0.8)",
+     QueryType::kTypeEXISTS},
+    {"InnerWith_TypeJEXISTS",
+     "SELECT R.C0 FROM R WHERE EXISTS "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.5)",
+     QueryType::kTypeJEXISTS},
+    {"InnerWith_TypeJNotEXISTS",
+     "SELECT R.C0 FROM R WHERE NOT EXISTS "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 < R.C1 WITH D >= 0.5)",
+     QueryType::kTypeJEXISTS},
+    {"InnerWith_Multi",
+     "SELECT R.C0 FROM R WHERE "
+     "R.C1 IN (SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.6) AND "
+     "R.C2 NOT IN (SELECT S.C1 FROM S WHERE S.C0 <= R.C0 WITH D >= 0.4)",
+     QueryType::kTypeMulti},
 };
 
 /// The random database of one seed.
@@ -210,6 +257,67 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<size_t>(0, std::size(kCases)),
                        ::testing::Values<uint64_t>(1, 2, 3, 4, 5)),
     CaseName);
+
+// WITH D >= theta cuts the outer filter, a positive link's inner filter
+// and its window (on theta-cuts), and a chain's every level, window and
+// step. Each cut must leave the naive answer, degree bits included, at
+// every threshold and thread count.
+const char* const kThetas[] = {"0", "0.25", "0.5", "0.75", "0.9", "1"};
+
+class EquivalenceThresholdTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(EquivalenceThresholdTest, CutsKeepTheNaiveAnswer) {
+  const EquivalenceCase& test_case = kCases[std::get<0>(GetParam())];
+  const std::string query = std::string(test_case.query) + " WITH D >= " +
+                            kThetas[std::get<1>(GetParam())];
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Catalog catalog = EquivalenceCatalog(seed);
+    ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+    ASSERT_EQ(Classify(*bound), test_case.expected_type) << query;
+    NaiveEvaluator naive;
+    ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+    for (size_t threads : {1u, 4u}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      UnnestingEvaluator unnesting(options);
+      ASSERT_OK_AND_ASSIGN(Relation actual, unnesting.Evaluate(*bound));
+      EXPECT_TRUE(unnesting.last_was_unnested()) << query;
+      EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
+          << query << " seed=" << seed << " threads=" << threads
+          << "\nnaive:\n"
+          << expected.ToString(100) << "\nunnested:\n"
+          << actual.ToString(100);
+    }
+  }
+}
+
+/// Every case whose outer block has no WITH of its own.
+std::vector<size_t> CasesWithoutOuterWith() {
+  std::vector<size_t> cases;
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    const std::string query = kCases[i].query;
+    if (query.back() != ')' && query.find(" WITH D") != std::string::npos) {
+      continue;
+    }
+    cases.push_back(i);
+  }
+  return cases;
+}
+
+std::string ThresholdCaseName(
+    const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+  std::string theta = kThetas[std::get<1>(info.param)];
+  std::replace(theta.begin(), theta.end(), '.', '_');
+  return std::string(kCases[std::get<0>(info.param)].name) + "_theta" +
+         theta;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, EquivalenceThresholdTest,
+    ::testing::Combine(::testing::ValuesIn(CasesWithoutOuterWith()),
+                       ::testing::Range<size_t>(0, std::size(kThetas))),
+    ThresholdCaseName);
 
 // An aggregate outer SELECT answers one row, which no unnested plan
 // projects: the query keeps its type, runs on the naive evaluator and

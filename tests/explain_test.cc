@@ -79,9 +79,9 @@ TEST_F(ExplainTest, NaivePlanLineNamesTheReason) {
   // unnested plans do not run names no theorem.
   const std::string plan = Plan(
       "SELECT F.NAME FROM F WHERE F.INCOME IN "
-      "(SELECT M.INCOME FROM M WHERE M.AGE = F.AGE WITH D >= 0.5)");
-  EXPECT_NE(plan.find("plan: type J -- naive evaluation: inner block has a "
-                      "WITH threshold\n"),
+      "(SELECT M.INCOME FROM M WHERE M.AGE = F.AGE GROUP BY M.INCOME)");
+  EXPECT_NE(plan.find("plan: type J -- naive evaluation: inner block has "
+                      "GROUP BY\n"),
             std::string::npos)
       << plan;
   EXPECT_EQ(plan.find("Theorem"), std::string::npos);
@@ -94,6 +94,86 @@ TEST_F(ExplainTest, WithThresholdShown) {
   EXPECT_NE(Plan("SELECT F.NAME FROM F WITH D >= 0.5")
                 .find("threshold: WITH D >= 0.5"),
             std::string::npos);
+}
+
+// A naive plan runs no unnested operator: each subquery predicate is
+// re-evaluated per outer tuple, and the plan says so.
+TEST_F(ExplainTest, NaivePlanNamesOnlyTheNestedLoop) {
+  const std::string plan = Plan(
+      "SELECT MAX(F.ID) FROM F WHERE "
+      "F.INCOME IN (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE) AND "
+      "F.INCOME <= ALL (SELECT M.INCOME FROM M) AND "
+      "F.INCOME > (SELECT COUNT(M.INCOME) FROM M WHERE M.AGE = F.AGE) AND "
+      "NOT EXISTS (SELECT M.ID FROM M WHERE M.ID = F.ID) "
+      "WITH D >= 0.5");
+  EXPECT_EQ(plan,
+            "plan: type MULTI -- naive evaluation: outer block selects an "
+            "aggregate\n"
+            "  scan F (4 tuples)\n"
+            "  subquery (IN) on F.INCOME, re-evaluated per outer tuple\n"
+            "    scan M (4 tuples)\n"
+            "    correlation: M.AGE = outer(1)\n"
+            "  subquery (<= ALL) on F.INCOME, re-evaluated per outer tuple\n"
+            "    scan M (4 tuples)\n"
+            "  subquery (> COUNT) on F.INCOME, re-evaluated per outer tuple\n"
+            "    scan M (4 tuples)\n"
+            "    correlation: M.AGE = outer(1)\n"
+            "  subquery (NOT EXISTS), re-evaluated per outer tuple\n"
+            "    scan M (4 tuples)\n"
+            "    correlation: M.ID = outer(1)\n"
+            "  threshold: WITH D >= 0.5\n");
+}
+
+// An unnested 2-level plan under WITH D >= theta names where theta cuts:
+// the outer filter, a positive link's inner filter and theta-cut window,
+// and nothing on the inner side of NOT IN, ALL or an aggregate. An
+// inner WITH masks its link's pair fold.
+TEST_F(ExplainTest, TwoLevelThresholdLinesNameTheCuts) {
+  const std::string plan = Plan(
+      "SELECT F.NAME FROM F WHERE "
+      "F.INCOME IN (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE "
+      "WITH D >= 0.3) AND "
+      "F.AGE NOT IN (SELECT M.AGE FROM M) AND "
+      "F.INCOME <= ALL (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE) AND "
+      "F.INCOME > (SELECT MAX(M.INCOME) FROM M WHERE M.AGE = F.AGE) AND "
+      "EXISTS (SELECT M.ID FROM M WHERE M.AGE < F.AGE) "
+      "WITH D >= 0.75");
+  EXPECT_NE(plan.find("plan: type MULTI (per-predicate plans"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("    threshold: WITH D >= 0.3 -- masks the pair fold "
+                      "after the correlations\n"),
+            std::string::npos)
+      << plan;
+  const std::string kCuts =
+      "  threshold: WITH D >= 0.75\n"
+      "    cuts the outer filter [F]\n"
+      "    IN on F.INCOME: cuts the inner filter [M] and windows on "
+      "0.75-cuts\n"
+      "    NOT IN on F.AGE: inner kept whole\n"
+      "    <= ALL on F.INCOME: inner kept whole\n"
+      "    > MAX on F.INCOME: inner kept whole\n"
+      "    EXISTS: cuts the inner filter [M]\n";
+  ASSERT_GE(plan.size(), kCuts.size()) << plan;
+  EXPECT_EQ(plan.substr(plan.size() - kCuts.size()), kCuts) << plan;
+  // Without a WITH nothing is cut.
+  EXPECT_EQ(Plan("SELECT F.NAME FROM F WHERE F.INCOME IN "
+                 "(SELECT M.INCOME FROM M)")
+                .find("cuts"),
+            std::string::npos);
+}
+
+TEST_F(ExplainTest, ChainThresholdLineNamesTheCuts) {
+  const std::string plan = Plan(
+      "SELECT F.NAME FROM F WHERE F.INCOME IN "
+      "(SELECT M.INCOME FROM M WHERE M.AGE = F.AGE AND M.INCOME IN "
+      "(SELECT F.INCOME FROM F WHERE F.AGE = M.AGE)) WITH D >= 0.5");
+  EXPECT_NE(plan.find("type CHAIN (Theorem 8.1)"), std::string::npos);
+  EXPECT_NE(plan.find("  threshold: WITH D >= 0.5\n"
+                      "    cuts every level's filter [F, M, F], each join "
+                      "step's output and windows on 0.5-cuts\n"),
+            std::string::npos)
+      << plan;
 }
 
 // ----------------------- EXPLAIN [ANALYZE] -----------------------------
@@ -339,13 +419,13 @@ TEST(ExplainAnalyzeTest, NaiveEngineTracesToo) {
 }
 
 TEST(ExplainAnalyzeTest, NaiveReasonRunsOnlyTheNaivePlan) {
-  // An inner WITH threshold sends type J to the naive evaluator before
-  // any unnested operator runs: the trace holds the root and the naive
+  // An inner GROUP BY sends type J to the naive evaluator before any
+  // unnested operator runs: the trace holds the root and the naive
   // nested loop, nothing else.
   const std::string out = RunShell(
       std::string(kExplainSetup) +
       "EXPLAIN ANALYZE SELECT R.C0 FROM R WHERE R.C1 IN "
-      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 WITH D >= 0.5);\n");
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 GROUP BY S.C0);\n");
   const std::string kTraceHeader = "execution trace:\n";
   const size_t begin = out.find(kTraceHeader);
   ASSERT_NE(begin, std::string::npos) << out;
@@ -361,6 +441,36 @@ TEST(ExplainAnalyzeTest, NaiveReasonRunsOnlyTheNaivePlan) {
   }
   EXPECT_EQ(spans, (std::vector<std::string>{"evaluate", "naive-evaluate"}))
       << out;
+}
+
+TEST(ExplainAnalyzeTest, ThresholdCutsShowInTheTrace) {
+  // The rows of degree 0.4 and 0.3 sit below the threshold: both
+  // filters drop them, and the window runs on 0.5-cuts. The answer is
+  // the naive one.
+  const std::string setup = std::string(kExplainSetup) +
+                            "INSERT INTO R VALUES (4, 7, 3) DEGREE 0.4;\n"
+                            "INSERT INTO R VALUES (5, 5, 3) DEGREE 0.9;\n"
+                            "INSERT INTO S VALUES (6, 3) DEGREE 0.3;\n";
+  const std::string query =
+      "SELECT R.C0 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2) WITH D >= 0.5;\n";
+  const std::string out =
+      Normalize(RunShell(setup + "EXPLAIN ANALYZE " + query));
+  EXPECT_NE(out.find("  filter [R cut=0.5] wall=<t> rows=5->4 "),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("    filter [S cut=0.5] wall=<t> rows=4->3 "),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("    merge-window [cut=0.5 inner=3] "),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("-- 1 answer tuple\n"), std::string::npos) << out;
+  const std::string naive = RunShell(setup + ".engine naive\n" + query);
+  const std::string unnested = RunShell(setup + query);
+  const size_t answer = unnested.find("(anonymous)");
+  ASSERT_NE(answer, std::string::npos) << unnested;
+  EXPECT_EQ(unnested.substr(answer), naive.substr(naive.find("(anonymous)")));
 }
 
 TEST(ExplainAnalyzeTest, RejectsNonSelect) {
