@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/string_util.h"
+#include "engine/distinct_bindings.h"
 
 namespace fuzzydb {
 
@@ -80,11 +81,35 @@ bool Correlated(const BoundQuery& block) {
   return false;
 }
 
+/// "pairs distinct (R.Y, R.U) with distinct (S.Z, S.V)": the distinct
+/// bindings (distinct_bindings.h) an unnested 2-level link pairs, or ""
+/// for a link that pairs nothing (uncorrelated EXISTS, type A).
+std::string PairsLine(const BoundQuery& outer, const LinkShape& link) {
+  const LinkBindings columns = BindingColumnsOf(link);
+  if (columns.outer.empty() && columns.inner.empty()) return "";
+  const auto names = [](const BoundQuery& block,
+                        const std::vector<size_t>& cols) {
+    std::string out = "(";
+    for (size_t i = 0; i < cols.size(); ++i) {
+      out += (i == 0 ? "" : ", ") + block.tables[0].alias + "." +
+             block.tables[0].relation->schema().ColumnAt(cols[i]).name;
+    }
+    return out + ")";
+  };
+  return "pairs distinct " + names(outer, columns.outer) + " with distinct " +
+         names(*link.inner, columns.inner);
+}
+
+/// `links` are the 2-level plan's shapes when `block` is its outer block,
+/// else null.
 void DescribeBlock(const BoundQuery& block, int depth, bool unnested,
+                   const std::vector<LinkShape>* links,
                    std::ostringstream* out);
 
 void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
-                       int depth, bool unnested, std::ostringstream* out) {
+                       int depth, bool unnested,
+                       const std::vector<LinkShape>* links,
+                       std::ostringstream* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   if (pred.subquery == nullptr) {
     *out << indent << (pred.IsLocal() ? "filter: " : "correlation: ");
@@ -101,7 +126,7 @@ void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
   if (!unnested) {
     *out << "subquery (" << LinkKind(pred) << ")" << LinkColumn(block, pred)
          << ", re-evaluated per outer tuple\n";
-    DescribeBlock(*pred.subquery, depth + 1, unnested, out);
+    DescribeBlock(*pred.subquery, depth + 1, unnested, nullptr, out);
     return;
   }
   switch (pred.kind) {
@@ -128,10 +153,16 @@ void DescribePredicate(const BoundQuery& block, const BoundPredicate& pred,
       break;
   }
   *out << LinkColumn(block, pred) << "\n";
-  DescribeBlock(*pred.subquery, depth + 1, unnested, out);
+  for (size_t i = 0; links != nullptr && i < links->size(); ++i) {
+    if ((*links)[i].pred != &pred) continue;
+    const std::string pairs = PairsLine(block, (*links)[i]);
+    if (!pairs.empty()) *out << indent << "  " << pairs << "\n";
+  }
+  DescribeBlock(*pred.subquery, depth + 1, unnested, nullptr, out);
 }
 
 void DescribeBlock(const BoundQuery& block, int depth, bool unnested,
+                   const std::vector<LinkShape>* links,
                    std::ostringstream* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   *out << indent << "scan";
@@ -142,7 +173,7 @@ void DescribeBlock(const BoundQuery& block, int depth, bool unnested,
   }
   *out << "\n";
   for (const BoundPredicate& pred : block.predicates) {
-    DescribePredicate(block, pred, depth, unnested, out);
+    DescribePredicate(block, pred, depth, unnested, links, out);
   }
   if (!block.has_with) return;
   *out << indent << "threshold: WITH D >= " << block.with_threshold;
@@ -223,7 +254,7 @@ std::string DescribePlan(const sql::BoundQuery& query) {
   }
   out << "\n";
   const bool unnested = plan.reason == NaiveReason::kNone;
-  DescribeBlock(query, 1, unnested, &out);
+  DescribeBlock(query, 1, unnested, unnested ? &plan.links : nullptr, &out);
   if (unnested && query.with_threshold > 0.0) {
     DescribeCuts(query, plan, &out);
   }

@@ -198,8 +198,7 @@ struct PairWorker {
 
 Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
                 const PairKey* key, const ParallelContext& ctx,
-                CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
-                const std::string& inner_note) {
+                CpuStats* cpu, ExecTrace* trace, const PairSink& sink) {
   const size_t n = outer.size();
   // Keyed: the outer rows in interval order, each with its key's bounds.
   std::vector<OuterKey> outer_keys;
@@ -237,7 +236,7 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
           : "";
   OpScope op(key != nullptr ? Op::kMergeWindow : Op::kNestedPairing, trace,
              ctx.progress, cpu, nullptr,
-             cut_note + inner_note + "inner=" + std::to_string(inner->size()));
+             cut_note + "inner=" + std::to_string(inner->size()));
   op.SetInputRows(n);
   op.SetThreads(WorkerSlots(ctx));
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));

@@ -185,8 +185,7 @@ inline auto PairLanes(const PairBatch& batch, const std::vector<FT>& outer) {
 /// status.
 Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
                 const PairKey* key, const ParallelContext& ctx,
-                CpuStats* cpu, ExecTrace* trace, const PairSink& sink,
-                const std::string& inner_note = "");
+                CpuStats* cpu, ExecTrace* trace, const PairSink& sink);
 
 }  // namespace fuzzydb
 

@@ -15,6 +15,7 @@
 #include "engine/aggregate.h"
 #include "engine/cost_model.h"
 #include "engine/degree_fold.h"
+#include "engine/distinct_bindings.h"
 #include "engine/join_order.h"
 #include "engine/pair_join.h"
 #include "stats/column_stats.h"
@@ -96,8 +97,11 @@ void FilterChunk(const std::vector<FoldTerm>& terms, double cut,
 // fixed-rule plans in answer bits (only intermediate work differs).
 // ---------------------------------------------------------------------
 
-/// Builds the summary of fuzzy column `col` over a filtered vector.
-ColumnStats BuildKeyStats(const std::vector<FT>& tuples, size_t col) {
+/// Builds the summary of fuzzy column `col` over a filtered vector, as a
+/// keyed pair join at `cut` windows it: on each value's KeyBounds (its
+/// support at cut 0, the summaries' own input).
+ColumnStats BuildKeyStats(const std::vector<FT>& tuples, size_t col,
+                          double cut) {
   if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
     m->planner_stats_builds->Add();
   }
@@ -105,7 +109,10 @@ ColumnStats BuildKeyStats(const std::vector<FT>& tuples, size_t col) {
   values.reserve(tuples.size());
   for (const FT& ft : tuples) {
     const Value& v = ft.tuple->ValueAt(col);
-    if (v.is_fuzzy()) values.push_back(v.AsFuzzy());
+    if (!v.is_fuzzy()) continue;
+    const SupportBounds bounds = KeyBounds(v.AsFuzzy(), cut);
+    values.push_back(Trapezoid::Interval(
+        bounds.begin, std::max(bounds.begin, bounds.end)));
   }
   ColumnStats stats = BuildColumnStats(values);
   stats.rows = tuples.size();
@@ -135,14 +142,22 @@ CompareOp MirrorCompareOp(CompareOp op) {
   }
 }
 
-/// Planner estimate of a filter block's survivors: relation rows times
-/// the product of per-predicate selectivities. Only column-vs-fuzzy-
-/// constant comparisons are estimable from the summaries; other local
-/// predicates contribute selectivity 1 (keep everything).
-uint64_t EstimateFilterRows(const BoundQuery& block, size_t n) {
+/// Planner estimate of a filter block's survivors at `cut`: relation
+/// rows times the product of per-predicate selectivities and, under a
+/// cut, times the share of tuples whose membership degree reaches it.
+/// Only column-vs-fuzzy-constant comparisons are estimable from the
+/// summaries; other local predicates contribute selectivity 1 (keep
+/// everything).
+uint64_t EstimateFilterRows(const BoundQuery& block, size_t n, double cut) {
   if (n == 0) return 0;
   const Relation& rel = *block.tables[0].relation;
   double selectivity = 1.0;
+  if (cut > 0.0) {
+    const auto reaching =
+        std::count_if(rel.tuples().begin(), rel.tuples().end(),
+                      [cut](const Tuple& t) { return t.degree() >= cut; });
+    selectivity = static_cast<double>(reaching) / static_cast<double>(n);
+  }
   for (const auto& pred : block.predicates) {
     if (pred.subquery != nullptr || !pred.IsLocal()) continue;
     if (pred.kind != Predicate::Kind::kCompare || pred.negated) continue;
@@ -190,7 +205,7 @@ std::vector<FT> FilterBlock(const BoundQuery& block, double cut,
   const size_t n = tuples.size();
   op.SetInputRows(n);
   if (op.traced() && ctx.cost_based) {
-    op.SetEstimatedRows(EstimateFilterRows(block, n));
+    op.SetEstimatedRows(EstimateFilterRows(block, n, cut));
   }
   // Cross-query reuse: the survivors depend only on the block plan, the
   // cut and the relation contents, and the key pins all three (relations
@@ -347,7 +362,8 @@ std::string LinkDetail(const LinkShape& shape) {
 }
 
 /// IN / NOT IN / SOME / ALL / EXISTS / NOT EXISTS, for outer rows of
-/// degree >= theta, the query's WITH threshold.
+/// degree >= theta, the query's WITH threshold, filtered from
+/// `outer_relation`.
 ///
 /// A positive link (IN, SOME, EXISTS) needs m(r) exactly only where it
 /// reaches theta, and a lane reaches theta only when d_S(s) and, keyed,
@@ -361,7 +377,12 @@ std::string LinkDetail(const LinkShape& shape) {
 /// correlation terms leaves the fold before the link. Without
 /// correlations the lane is d_S(s), and the inner filter's cut at z is
 /// the whole mask.
+///
+/// The pair join runs on both sides' distinct bindings
+/// (distinct_bindings.h): each inner binding carries its rows' max
+/// degree, and each outer row reads m(r) back from its binding's.
 Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
+                                            const Relation& outer_relation,
                                             const LinkShape& shape,
                                             double theta,
                                             const ParallelContext& ctx,
@@ -372,7 +393,8 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
   op.SetInputRows(outer.size());
   const double cut = shape.negate_result ? 0.0 : theta;
   const double inner_with = shape.inner->with_threshold;
-  std::vector<FT> inner =
+  const Relation& inner_relation = *shape.inner->tables[0].relation;
+  std::vector<FT> filtered =
       FilterBlock(*shape.inner, std::max(cut, inner_with), ctx, cpu, trace);
   // FilterBlock stops dispatching morsels on a governed stop, leaving
   // partial output; surface the stop before using it.
@@ -381,68 +403,55 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
     // Uncorrelated EXISTS: a constant -- the possibility that the inner
     // block is non-empty.
     double m_const = 0.0;
-    for (const FT& s : inner) m_const = std::max(m_const, s.degree);
+    for (const FT& s : filtered) m_const = std::max(m_const, s.degree);
     return std::vector<double>(outer.size(),
                                shape.negate_result ? 1.0 - m_const : m_const);
   }
+  const LinkBindings columns = BindingColumnsOf(shape);
+  DistinctBindings inner = DistinctOn(std::move(filtered), columns.inner,
+                                      inner_relation, ctx, cpu, trace);
+  DistinctBindings rows =
+      DistinctOn(outer, columns.outer, outer_relation, ctx, cpu, trace);
+  // The rows weigh 1: a pair term starts at d_S(s).
+  for (FT& r : rows.rows) r.degree = 1.0;
 
   const bool link_is_eq_fuzzy =
       shape.has_link_columns && shape.link_op == CompareOp::kEq &&
-      ColumnIsFuzzy(outer, shape.outer_link_col) &&
-      ColumnIsFuzzy(inner, shape.inner_link_col);
+      ColumnIsFuzzy(rows.rows, shape.outer_link_col) &&
+      ColumnIsFuzzy(inner.rows, shape.inner_link_col);
   // Windowing on the linking predicate is sound only when out-of-window
   // pairs contribute nothing, i.e. f(0) = 0 -- not for ALL, whose f(0)=1.
   const bool can_window_on_link = link_is_eq_fuzzy && !shape.negate_link;
-  const auto corr_key = FindEqualityCorrelationKey(shape, outer, inner);
-  const Relation* inner_rel = shape.inner->tables[0].relation;
+  const auto corr_key =
+      FindEqualityCorrelationKey(shape, rows.rows, inner.rows);
   std::optional<PairKey> key;
   if (can_window_on_link) {
-    key = PairKey{shape.outer_link_col, shape.inner_link_col, inner_rel, cut};
+    key = PairKey{shape.outer_link_col, shape.inner_link_col, &inner_relation,
+                  cut};
   } else if (corr_key.has_value()) {
-    key = PairKey{corr_key->first, corr_key->second, inner_rel, cut};
+    key = PairKey{corr_key->first, corr_key->second, &inner_relation, cut};
   }
-  PairTerms terms = PairTermsOf(shape);
-  const double mask = terms.correlations.empty() ? 0.0 : inner_with;
-  Relation materialized;
-  std::string inner_note;
   if (key.has_value() && trace != nullptr && ctx.cost_based) {
-    // Planner estimate for the window: |outer| times the overlap fanout
-    // predicted by the key columns' support-corner summaries -- the
-    // statistics replacement for the paper's "known" C.
-    const ColumnStats outer_stats = BuildKeyStats(outer, key->outer_col);
-    const ColumnStats inner_stats = BuildKeyStats(inner, key->inner_col);
-    key->est_pairs = RoundEstimate(static_cast<double>(outer.size()) *
+    // Planner estimate for the window: the distinct outer bindings times
+    // the overlap fanout predicted by the key columns' summaries at the
+    // cut -- the statistics replacement for the paper's "known" C.
+    const ColumnStats outer_stats =
+        BuildKeyStats(rows.rows, key->outer_col, cut);
+    const ColumnStats inner_stats =
+        BuildKeyStats(inner.rows, key->inner_col, cut);
+    key->est_pairs = RoundEstimate(static_cast<double>(rows.rows.size()) *
                                    EstimateOverlapFanout(outer_stats,
                                                          inner_stats));
-  } else if (!key.has_value() && shape.correlations.empty()) {
-    // Uncorrelated, non-mergeable link (e.g. op ALL without correlation):
-    // materialize the inner fuzzy set once -- the paper's intermediate
-    // relation optimization for type N -- and pair every outer tuple
-    // with its distinct link values. The pair fold is a max over exact
-    // per-lane degrees, so the set's order is answer- and count-neutral.
-    materialized = Relation("", shape.inner->output_schema);
-    materialized.mutable_tuples().reserve(inner.size());
-    for (const FT& s : inner) {
-      FUZZYDB_RETURN_IF_ERROR(materialized.Append(
-          Tuple({s.tuple->ValueAt(shape.inner_link_col)}, s.degree)));
-    }
-    materialized.EliminateDuplicates();
-    inner.clear();
-    for (const Tuple& z : materialized.tuples()) {
-      inner.push_back(FT{&z, z.degree()});
-    }
-    terms.link.back().rhs = FoldOperand::Local(0);
-    inner_note = "materialized ";
   }
-  // The rows weigh 1: a pair term starts at d_S(s). Each outer row
-  // belongs to one morsel, so concurrent sinks write disjoint m[r] slots.
-  std::vector<FT> rows = outer;
-  for (FT& r : rows) r.degree = 1.0;
-  std::vector<double> m(outer.size(), 0.0);
+  const PairTerms terms = PairTermsOf(shape);
+  const double mask = terms.correlations.empty() ? 0.0 : inner_with;
+  // Each binding belongs to one morsel, so concurrent sinks write
+  // disjoint m[r] slots.
+  std::vector<double> m(rows.rows.size(), 0.0);
   FUZZYDB_RETURN_IF_ERROR(PairJoin(
-      rows, &inner, key.has_value() ? &*key : nullptr, ctx, cpu, trace,
-      [&](const PairBatch& batch) {
-        const auto lanes = PairLanes(batch, rows);
+      rows.rows, &inner.rows, key.has_value() ? &*key : nullptr, ctx, cpu,
+      trace, [&](const PairBatch& batch) {
+        const auto lanes = PairLanes(batch, rows.rows);
         FoldComparisons(lanes, batch.count, terms.correlations, batch.fold,
                         batch.cpu, batch.tally);
         double* degree = batch.fold->degree.data();
@@ -458,20 +467,21 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
           m_r = std::max(m_r, degree[k]);
         }
         return Status::OK();
-      },
-      inner_note));
+      }));
 
   std::vector<double> degrees(outer.size());
   for (size_t i = 0; i < outer.size(); ++i) {
-    degrees[i] = shape.negate_result ? 1.0 - m[i] : m[i];
+    const double m_r = m[rows.binding_of[i]];
+    degrees[i] = shape.negate_result ? 1.0 - m_r : m_r;
   }
   return degrees;
 }
 
 /// Aggregate subqueries (Section 6): types A and JA, COUNT included.
 Result<std::vector<double>> AggregateFamilyDegrees(
-    const std::vector<FT>& outer, const LinkShape& shape,
-    const ParallelContext& ctx, CpuStats* cpu, ExecTrace* trace) {
+    const std::vector<FT>& outer, const Relation& outer_relation,
+    const LinkShape& shape, const ParallelContext& ctx, CpuStats* cpu,
+    ExecTrace* trace) {
   const sql::AggFunc agg = shape.inner->select[0].agg;
   OpScope op(Op::kSubquery, trace, ctx.progress, cpu, nullptr,
              std::string("AGG ") + sql::AggFuncName(agg));
@@ -524,50 +534,32 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   const size_t u_col = (lhs_outer ? corr.lhs.column : corr.rhs.column).column;
   const size_t v_col = (lhs_outer ? corr.rhs.column : corr.lhs.column).column;
 
-  // T1: one representative outer tuple per distinct R.U value (binary
-  // value identity), weight 1, in value order; outer row i's value is
-  // T1 row t1_of[i]. The stable sort runs over flat {R.U key, row}
-  // records, so each value's first outer row represents it.
-  struct URecord {
-    ValueKey u;
-    size_t row = 0;
-  };
-  std::vector<URecord> by_u;
-  by_u.reserve(outer.size());
-  for (size_t i = 0; i < outer.size(); ++i) {
-    by_u.push_back({ValueKey(outer[i].tuple->ValueAt(u_col)), i});
-  }
-  std::stable_sort(by_u.begin(), by_u.end(),
-                   [](const URecord& x, const URecord& y) {
-                     return CompareValueKeys(x.u, y.u) < 0;
-                   });
-  std::vector<FT> t1;
-  std::vector<size_t> t1_of(outer.size());
-  const URecord* representative = nullptr;
-  for (const URecord& rec : by_u) {
-    if (t1.empty() || CompareValueKeys(representative->u, rec.u) < 0) {
-      representative = &rec;
-      t1.push_back(FT{outer[rec.row].tuple, 1.0});
-    }
-    t1_of[rec.row] = t1.size() - 1;
-  }
-
   // Kept whole: a sub-theta inner tuple still changes the aggregate.
-  std::vector<FT> inner = FilterBlock(*shape.inner, 0.0, ctx, cpu, trace);
+  std::vector<FT> filtered = FilterBlock(*shape.inner, 0.0, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
+  // The inner's distinct (S.Z, S.V) bindings, and T1: the outer's
+  // distinct R.U values, weight 1; outer row i's is T1 row
+  // t1.binding_of[i] (distinct_bindings.h).
+  const Relation& inner_relation = *shape.inner->tables[0].relation;
+  const LinkBindings columns = BindingColumnsOf(shape);
+  DistinctBindings inner = DistinctOn(std::move(filtered), columns.inner,
+                                      inner_relation, ctx, cpu, trace);
+  DistinctBindings t1 =
+      DistinctOn(outer, columns.outer, outer_relation, ctx, cpu, trace);
+  for (FT& r : t1.rows) r.degree = 1.0;
 
   // T2[j]: A'(u) with degree D(A'(u)) for T1 row j, built by grouping
   // T1 |x| S on u and applying AGG per group (pipelined in the paper).
-  std::vector<std::optional<AggregateResult>> t2(t1.size());
+  std::vector<std::optional<AggregateResult>> t2(t1.rows.size());
   {
     const bool mergeable = corr.op == CompareOp::kEq &&
-                           ColumnIsFuzzy(inner, v_col) &&
-                           ColumnIsFuzzy(t1, u_col);
+                           ColumnIsFuzzy(inner.rows, v_col) &&
+                           ColumnIsFuzzy(t1.rows, u_col);
     OpScope group_op(Op::kGroupAggregate, trace, ctx.progress, cpu, nullptr,
                      (mergeable ? "merge t1=" : "nested t1=") +
-                         std::to_string(t1.size()));
-    group_op.SetInputRows(inner.size());
-    const PairKey key{u_col, v_col, shape.inner->tables[0].relation};
+                         std::to_string(t1.rows.size()));
+    group_op.SetInputRows(inner.rows.size());
+    const PairKey key{u_col, v_col, &inner_relation};
     const std::vector<FoldTerm> terms = {ToFoldTerm(corr)};
     // Pairs arrive T1 row by T1 row and a row never spans a morsel, so
     // each worker holds one open group, aggregated when the next row's
@@ -586,9 +578,9 @@ Result<std::vector<double>> AggregateFamilyDegrees(
       return Status::OK();
     };
     FUZZYDB_RETURN_IF_ERROR(PairJoin(
-        t1, &inner, mergeable ? &key : nullptr, ctx, cpu, trace,
+        t1.rows, &inner.rows, mergeable ? &key : nullptr, ctx, cpu, trace,
         [&](const PairBatch& batch) -> Status {
-          FoldComparisons(PairLanes(batch, t1), batch.count, terms,
+          FoldComparisons(PairLanes(batch, t1.rows), batch.count, terms,
                           batch.fold, batch.cpu, batch.tally);
           const double* degree = batch.fold->degree.data();
           OpenGroup& group = open[batch.worker];
@@ -615,7 +607,7 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   const Value zero = Value::Number(0.0);
   for (size_t i = 0; i < outer.size(); ++i) {
     const Value& y = outer[i].tuple->ValueAt(shape.outer_link_col);
-    const std::optional<AggregateResult>& a = t2[t1_of[i]];
+    const std::optional<AggregateResult>& a = t2[t1.binding_of[i]];
     if (a.has_value()) {
       if (cpu != nullptr) ++cpu->degree_evaluations;
       degrees[i] = std::min(a->degree, y.Compare(shape.link_op, a->value));
@@ -644,36 +636,45 @@ Status EmitAnswer(const BoundQuery& query, const Tuple& r, double d,
 /// All 2-level types plus queries with several independent subquery
 /// predicates: filter the outer block once, evaluate each subquery
 /// predicate (`links`, the classifier's shapes) to a per-tuple degree
-/// vector, fold by min. An answer's degree is at most its outer row's,
-/// so the outer filter cuts at the WITH threshold (0 without one) for
-/// every family.
+/// vector, fold by min. An answer's degree is at most its outer row's
+/// running degree -- min(its filter degree, every link so far) -- so
+/// the outer filter cuts at the WITH threshold (0 without one) for every
+/// family, and before each further link the rows whose running degree
+/// is 0 or below the threshold leave: later links, and their distinct
+/// steps, never see a row that cannot answer.
 Result<Relation> RunTwoLevel(const BoundQuery& query,
                              const std::vector<LinkShape>& links,
                              const ParallelContext& ctx, CpuStats* cpu,
                              ExecTrace* trace) {
   const double theta = query.with_threshold;
+  const Relation& outer_relation = *query.tables[0].relation;
   std::vector<FT> outer = FilterBlock(query, theta, ctx, cpu, trace);
   FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-  std::vector<double> combined(outer.size(), 1.0);
-  for (const LinkShape& link : links) {
+  for (size_t l = 0; l < links.size(); ++l) {
+    if (l > 0) {
+      std::erase_if(outer, [theta](const FT& r) {
+        return r.degree <= 0.0 || r.degree < theta;
+      });
+    }
+    const LinkShape& link = links[l];
     FUZZYDB_ASSIGN_OR_RETURN(
         std::vector<double> degrees,
         link.is_aggregate
-            ? AggregateFamilyDegrees(outer, link, ctx, cpu, trace)
-            : InFamilyDegrees(outer, link, theta, ctx, cpu, trace));
+            ? AggregateFamilyDegrees(outer, outer_relation, link, ctx, cpu,
+                                     trace)
+            : InFamilyDegrees(outer, outer_relation, link, theta, ctx, cpu,
+                              trace));
     for (size_t i = 0; i < outer.size(); ++i) {
-      combined[i] = std::min(combined[i], degrees[i]);
+      outer[i].degree = std::min(outer[i].degree, degrees[i]);
     }
   }
 
   OpScope emit_op(Op::kEmit, trace, ctx.progress, cpu);
   emit_op.SetInputRows(outer.size());
   Relation answer("", query.output_schema);
-  for (size_t i = 0; i < outer.size(); ++i) {
+  for (const FT& r : outer) {
     FUZZYDB_RETURN_IF_ERROR(CheckQuery(ctx.query));
-    FUZZYDB_RETURN_IF_ERROR(
-        EmitAnswer(query, *outer[i].tuple,
-                   std::min(outer[i].degree, combined[i]), &answer));
+    FUZZYDB_RETURN_IF_ERROR(EmitAnswer(query, *r.tuple, r.degree, &answer));
   }
   answer.EliminateDuplicates(query.with_threshold);
   emit_op.SetOutputRows(answer.NumTuples());
@@ -735,9 +736,9 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
     }
     for (size_t e = 0; e + 1 < k_levels; ++e) {
       edge_outer_stats.push_back(
-          BuildKeyStats(filtered[e], edge_outer_col(e)));
+          BuildKeyStats(filtered[e], edge_outer_col(e), 0.0));
       edge_inner_stats.push_back(
-          BuildKeyStats(filtered[e + 1], edge_inner_col(e)));
+          BuildKeyStats(filtered[e + 1], edge_inner_col(e), 0.0));
       est_stats.selectivity.push_back(std::max(
           1e-6,
           EstimateJoinSelectivity(edge_outer_stats[e], edge_inner_stats[e])));

@@ -23,6 +23,7 @@ constexpr std::array<OpSpec, kNumOps> kOpTable = {{
     {"plan-join-order", Phase::kPlan, nullptr, nullptr, nullptr},
     {"filter", Phase::kFilter, &M::filter_rows_in, &M::filter_rows_out,
      nullptr},
+    {"distinct", Phase::kFilter, nullptr, nullptr, nullptr},
     {"interval-sort", Phase::kSort, &M::sort_rows, nullptr, nullptr},
     {"merge-window", Phase::kWindow, nullptr, nullptr, &P::AddPairs},
     {"nested-pairing", Phase::kJoin, nullptr, nullptr, nullptr},

@@ -33,6 +33,7 @@ enum class Op : uint8_t {
   kSubquery,
   kPlanJoinOrder,
   kFilter,
+  kDistinct,
   kIntervalSort,
   kMergeWindow,
   kNestedPairing,
@@ -49,7 +50,7 @@ enum class Op : uint8_t {
   kPartitionedJoin,
 };
 
-inline constexpr size_t kNumOps = 17;
+inline constexpr size_t kNumOps = 18;
 
 /// One row of the op table.
 struct OpSpec {

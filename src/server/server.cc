@@ -248,16 +248,26 @@ void Server::AcceptLoop(int listen_fd) {
         shared_catalog(), wal_.get());
     Connection* raw = connection.get();
     metrics->sessions_active->Add(1);
+    // Registered before its thread starts, so a session that has
+    // answered a statement is always in active_sessions() and
+    // sys.sessions. Only this thread reaps, so the entry stays put
+    // while the thread starts.
+    {
+      std::lock_guard<std::mutex> lock(connections_mu_);
+      connections_.emplace(id, std::move(connection));
+    }
     try {
       raw->thread = std::thread([this, raw] { ServeConnection(raw); });
     } catch (const std::system_error&) {
       metrics->sessions_active->Add(-1);
+      {
+        std::lock_guard<std::mutex> lock(connections_mu_);
+        connections_.erase(id);
+      }
       Refuse(fd, "cannot start a connection thread");
       continue;
     }
     metrics->connections_total->Add();
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections_.emplace(id, std::move(connection));
   }
 }
 

@@ -190,6 +190,61 @@ TEST(CacheDeterminismTest, EveryQueryTypeSurvivesAWarmCache) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
+// Over relations whose link and correlation columns repeat heavily,
+// the cache's replays -- cached filters, cached permutations, whole
+// answers -- feed the distinct steps the same rows: answers, pairs and
+// degree evaluations match a cache-off run. One cache serves the whole
+// list, so later queries replay the inner filters and permutations
+// earlier ones cached.
+TEST(CacheDeterminismTest, DuplicateBindingsMatchCacheOff) {
+  const char* kQueries[] = {
+      "SELECT R.C0 FROM R WHERE R.C1 IN (SELECT S.C0 FROM S)",
+      kTypeJQuery,
+      "SELECT R.C0 FROM R WHERE R.C1 NOT IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+      "SELECT R.C0 FROM R WHERE R.C1 < SOME "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+      "SELECT R.C0 FROM R WHERE R.C1 <= ALL "
+      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+      "SELECT R.C0 FROM R WHERE R.C1 > "
+      "(SELECT MAX(S.C0) FROM S WHERE S.C1 = R.C2)",
+      "SELECT R.C0 FROM R WHERE "
+      "R.C1 IN (SELECT S.C0 FROM S WHERE S.C1 = R.C2) AND "
+      "R.C2 NOT IN (SELECT S.C1 FROM S WHERE S.C0 <= R.C1)",
+  };
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      41, "R", {false, true, true}, 200)));
+  ASSERT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      42, "S", {false, true}, 200)));
+  const auto run = [&](const char* query, CacheManager* cache,
+                       CpuStats* cpu) -> Result<Relation> {
+    auto bound = sql::ParseAndBind(query, catalog);
+    if (!bound.ok()) return bound.status();
+    ExecOptions options;
+    options.num_threads = 4;
+    options.cache = cache;
+    UnnestingEvaluator engine(options, cpu);
+    return engine.Evaluate(**bound);
+  };
+  CacheManager cache;
+  cache.set_capacity_bytes(32 << 20);
+  for (const char* query : kQueries) {
+    CpuStats off_cpu;
+    ASSERT_OK_AND_ASSIGN(Relation expected, run(query, nullptr, &off_cpu));
+    CpuStats on_cpu;
+    ASSERT_OK_AND_ASSIGN(Relation cold, run(query, &cache, &on_cpu));
+    EXPECT_TRUE(expected.EquivalentTo(cold, 0.0)) << query;
+    EXPECT_GT(off_cpu.tuple_pairs, 0u) << query;
+    EXPECT_EQ(on_cpu.tuple_pairs, off_cpu.tuple_pairs) << query;
+    EXPECT_EQ(on_cpu.degree_evaluations, off_cpu.degree_evaluations)
+        << query;
+    ASSERT_OK_AND_ASSIGN(Relation warm, run(query, &cache, nullptr));
+    EXPECT_TRUE(expected.EquivalentTo(warm, 0.0)) << query;
+  }
+  EXPECT_GT(cache.stats().hits, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Invalidation on write
 // ---------------------------------------------------------------------

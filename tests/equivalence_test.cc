@@ -319,6 +319,174 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<size_t>(0, std::size(kThetas))),
     ThresholdCaseName);
 
+// Every subquery link pairs distinct bindings: one row per bit-identical
+// tuple of the columns its pair terms read, an inner one carrying its
+// rows' max degree (engine/distinct_bindings.h). Over relations whose
+// link and correlation columns repeat heavily -- crisp duplicates, one
+// value at several degrees, -0.0 beside 0.0, strings and NULLs -- the
+// answer must still be the naive one, degree bits included. R.C0 and
+// S.C0 hold numbers only (the aggregates read S.C0); R.C1, R.C2 and S.C1
+// also hold strings and NULLs.
+const EquivalenceCase kDuplicateCases[] = {
+    {"TypeN", "SELECT R.C0 FROM R WHERE R.C1 IN (SELECT S.C0 FROM S)",
+     QueryType::kTypeN},
+    {"TypeJ",
+     "SELECT R.C0 FROM R WHERE R.C1 IN "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJ},
+    {"TypeJ_StringLink",
+     "SELECT R.C0 FROM R WHERE R.C2 IN "
+     "(SELECT S.C1 FROM S WHERE S.C0 = R.C1)",
+     QueryType::kTypeJ},
+    {"TypeJX",
+     "SELECT R.C0 FROM R WHERE R.C1 NOT IN "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJX},
+    {"TypeJSOME",
+     "SELECT R.C0 FROM R WHERE R.C1 < SOME "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJSOME},
+    {"TypeJALL",
+     "SELECT R.C0 FROM R WHERE R.C1 <= ALL "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJALL},
+    {"TypeJEXISTS",
+     "SELECT R.C0 FROM R WHERE EXISTS "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJEXISTS},
+    {"TypeJNotEXISTS",
+     "SELECT R.C0 FROM R WHERE NOT EXISTS "
+     "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 < R.C1)",
+     QueryType::kTypeJEXISTS},
+    {"TypeSOME", "SELECT R.C0 FROM R WHERE R.C1 < SOME (SELECT S.C0 FROM S)",
+     QueryType::kTypeSOME},
+    {"TypeALL", "SELECT R.C0 FROM R WHERE R.C1 <= ALL (SELECT S.C0 FROM S)",
+     QueryType::kTypeALL},
+    {"TypeJA_Max",
+     "SELECT R.C0 FROM R WHERE R.C1 > "
+     "(SELECT MAX(S.C0) FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJA},
+    {"TypeJA_Count",
+     "SELECT R.C0 FROM R WHERE R.C1 >= "
+     "(SELECT COUNT(S.C0) FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJA},
+    {"TypeJA_Avg",
+     "SELECT R.C0 FROM R WHERE R.C1 ~= "
+     "(SELECT AVG(S.C0) FROM S WHERE S.C1 = R.C2)",
+     QueryType::kTypeJA},
+    {"Multi",
+     "SELECT R.C0 FROM R WHERE "
+     "R.C1 IN (SELECT S.C0 FROM S WHERE S.C1 = R.C2) AND "
+     "R.C2 NOT IN (SELECT S.C1 FROM S WHERE S.C0 <= R.C1)",
+     QueryType::kTypeMulti},
+};
+
+/// The duplicate-heavy database of one seed.
+Catalog DuplicateCatalog(uint64_t seed) {
+  Catalog catalog;
+  EXPECT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      seed * 11 + 1, "R", {false, true, true}, 60)));
+  EXPECT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      seed * 13 + 2, "S", {false, true}, 60)));
+  return catalog;
+}
+
+class EquivalenceDuplicateTest
+    : public ::testing::TestWithParam<std::tuple<size_t, const char*>> {};
+
+TEST_P(EquivalenceDuplicateTest, DistinctBindingsKeepTheNaiveAnswer) {
+  const EquivalenceCase& test_case =
+      kDuplicateCases[std::get<0>(GetParam())];
+  const std::string query =
+      std::string(test_case.query) + " WITH D >= " + std::get<1>(GetParam());
+  size_t reduced = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Catalog catalog = DuplicateCatalog(seed);
+    ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+    ASSERT_EQ(Classify(*bound), test_case.expected_type) << query;
+    NaiveEvaluator naive;
+    ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+    for (size_t threads : {1u, 4u}) {
+      ExecTrace trace;
+      ExecOptions options;
+      options.num_threads = threads;
+      options.morsel_size = 8;
+      options.trace = &trace;
+      UnnestingEvaluator unnesting(options);
+      ASSERT_OK_AND_ASSIGN(Relation actual, unnesting.Evaluate(*bound));
+      EXPECT_TRUE(unnesting.last_was_unnested()) << query;
+      EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
+          << query << " seed=" << seed << " threads=" << threads
+          << "\nnaive:\n"
+          << expected.ToString(100) << "\nunnested:\n"
+          << actual.ToString(100);
+      for (const TraceNode& node : trace.nodes()) {
+        if (node.name == "distinct" && node.output_rows < node.input_rows) {
+          ++reduced;
+        }
+      }
+    }
+  }
+  // The bindings do repeat: some side pairs fewer rows than it has.
+  EXPECT_GT(reduced, 0u) << query;
+}
+
+std::string DuplicateCaseName(
+    const ::testing::TestParamInfo<std::tuple<size_t, const char*>>& info) {
+  std::string theta = std::get<1>(info.param);
+  std::replace(theta.begin(), theta.end(), '.', '_');
+  return std::string(kDuplicateCases[std::get<0>(info.param)].name) +
+         "_theta" + theta;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DuplicateBindings, EquivalenceDuplicateTest,
+    ::testing::Combine(::testing::Range<size_t>(0, std::size(kDuplicateCases)),
+                       ::testing::Values("0", "0.5")),
+    DuplicateCaseName);
+
+// A MULTI query's later links see only the outer rows that can still
+// answer: before the second link, every row the first link zeroed (or
+// left below the threshold) has left, so the second link's outer
+// distinct step reads fewer rows than the outer filter emitted. The
+// first link holds only for the rows whose R.C2 is the string 'a'.
+TEST(EquivalenceMultiTest, DeadRowsLeaveBetweenLinks) {
+  const std::string kQuery =
+      "SELECT R.C0 FROM R WHERE "
+      "R.C2 IN (SELECT S.C1 FROM S WHERE S.C1 = 'a') AND "
+      "R.C1 IN (SELECT S.C0 FROM S)";
+  for (const char* theta : {"0", "0.5"}) {
+    const std::string query = kQuery + " WITH D >= " + theta;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      const Catalog catalog = DuplicateCatalog(seed);
+      ASSERT_OK_AND_ASSIGN(auto bound, sql::ParseAndBind(query, catalog));
+      ASSERT_EQ(Classify(*bound), QueryType::kTypeMulti);
+      NaiveEvaluator naive;
+      ASSERT_OK_AND_ASSIGN(Relation expected, naive.Evaluate(*bound));
+      ExecTrace trace;
+      ExecOptions options;
+      options.trace = &trace;
+      UnnestingEvaluator unnesting(options);
+      ASSERT_OK_AND_ASSIGN(Relation actual, unnesting.Evaluate(*bound));
+      EXPECT_TRUE(expected.EquivalentTo(actual, 0.0))
+          << query << " seed=" << seed;
+      uint64_t filtered = TraceNode::kNoCount;
+      std::vector<uint64_t> outer_reads;  // outer distinct inputs, in order
+      for (const TraceNode& node : trace.nodes()) {
+        if (node.name == "filter" && node.detail.rfind("R", 0) == 0) {
+          filtered = node.output_rows;
+        }
+        if (node.name == "distinct" && node.detail.rfind("R on ", 0) == 0) {
+          outer_reads.push_back(node.input_rows);
+        }
+      }
+      ASSERT_EQ(outer_reads.size(), 2u) << query;
+      EXPECT_EQ(outer_reads[0], filtered) << query << " seed=" << seed;
+      EXPECT_LT(outer_reads[1] * 4, filtered) << query << " seed=" << seed;
+    }
+  }
+}
+
 // An aggregate outer SELECT answers one row, which no unnested plan
 // projects: the query keeps its type, runs on the naive evaluator and
 // so agrees with it.
@@ -357,10 +525,11 @@ TEST(EquivalenceAggregateSelectTest, RunsNaiveAndAgrees) {
 }
 
 // An uncorrelated link that cannot window (SOME or ALL under an order
-// comparison) pairs every outer tuple with the inner's distinct link
-// values, materialized once (nested-pairing [materialized inner=K]).
-// A large inner with mostly distinct values keeps that set big, where
-// building it must stay O(n log n) and still agree with the naive plan.
+// comparison) pairs every distinct outer link value with the inner's
+// distinct link values (distinct [S on S.C0] rows=16000->K, then
+// nested-pairing [inner=K]). A large inner with mostly distinct values
+// keeps that set big, where building it must stay cheap and still agree
+// with the naive plan.
 TEST(EquivalenceLargeInnerTest, MaterializedUncorrelatedLinkMatchesNaive) {
   Catalog catalog;
   // R lies below S, so R.C1 <= ALL S.C0 holds for most of R.
@@ -389,14 +558,20 @@ TEST(EquivalenceLargeInnerTest, MaterializedUncorrelatedLinkMatchesNaive) {
     EXPECT_TRUE(expected.EquivalentTo(actual, 1e-12))
         << query << "\nnaive:\n" << expected.ToString(100)
         << "\nunnested:\n" << actual.ToString(100);
+    size_t inner_distincts = 0;
     size_t pairings = 0;
     for (const TraceNode& node : trace.nodes()) {
+      if (node.name == "distinct" && node.detail == "S on S.C0") {
+        ++inner_distincts;
+        EXPECT_EQ(node.input_rows, 16000u) << query;
+        EXPECT_EQ(node.output_rows, distinct.size()) << query;
+      }
       if (node.name != "nested-pairing") continue;
       ++pairings;
-      EXPECT_EQ(node.detail,
-                "materialized inner=" + std::to_string(distinct.size()))
+      EXPECT_EQ(node.detail, "inner=" + std::to_string(distinct.size()))
           << query;
     }
+    EXPECT_EQ(inner_distincts, 1u) << query;
     EXPECT_EQ(pairings, 1u) << query;
   }
 }

@@ -239,6 +239,7 @@ TEST(ExplainAnalyzeTest, TypeJaGolden) {
       "plan: type JA (Theorem 6.1)\n"
       "  scan R (3 tuples)\n"
       "  aggregate pipeline (T1/T2) on R.C1\n"
+      "    pairs distinct (R.C2) with distinct (S.C0, S.C1)\n"
       "    scan S (3 tuples)\n"
       "    correlation: S.C1 = outer(1)\n"
       "execution trace:\n"
@@ -249,6 +250,10 @@ TEST(ExplainAnalyzeTest, TypeJaGolden) {
       "  subquery [AGG MAX] wall=<t> rows=3 "
       "cpu={pairs=3 degrees=6 cmp=14 subq=0}\n"
       "    filter [S] wall=<t> rows=3->3 est=3 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "    distinct [S on S.C0,S.C1] wall=<t> rows=3->3 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "    distinct [R on R.C2] wall=<t> rows=3->2 "
       "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "    group-aggregate [merge t1=2] wall=<t> rows=3->2 "
       "cpu={pairs=3 degrees=3 cmp=14 subq=0}\n"
@@ -299,6 +304,7 @@ TEST(ExplainAnalyzeTest, BatchAnnotationsGolden) {
       "  scan R (3 tuples)\n"
       "  filter: R.C0 >= 1\n"
       "  semijoin (IN) on R.C1\n"
+      "    pairs distinct (R.C1) with distinct (S.C0)\n"
       "    scan S (3 tuples)\n"
       "execution trace:\n"
       "evaluate [N] wall=<t> rows=->2 "
@@ -308,6 +314,10 @@ TEST(ExplainAnalyzeTest, BatchAnnotationsGolden) {
       "  subquery [IN] wall=<t> rows=3 "
       "cpu={pairs=2 degrees=2 cmp=17 subq=0}\n"
       "    filter [S] wall=<t> rows=3->3 est=3 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "    distinct [S on S.C0] wall=<t> rows=3->3 "
+      "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
+      "    distinct [R on R.C1] wall=<t> rows=3->3 "
       "cpu={pairs=0 degrees=0 cmp=0 subq=0}\n"
       "    interval-sort [outer-view col1] wall=<t> rows=3 "
       "cpu={pairs=0 degrees=0 cmp=5 subq=0}\n"

@@ -427,10 +427,10 @@ const DeterminismCase kDeterminismCases[] = {
      "SELECT R.C0 FROM R WHERE R.C1 IN "
      "(SELECT S.C0 FROM S WHERE S.C1 = R.C2 AND S.C0 IN "
      "(SELECT T3.C0 FROM T3 WHERE T3.C1 = S.C1))"},
-    // The unkeyed and materialized paths: a non-equality correlation
-    // groups T1 |x| S by nested pairing, an uncorrelated ALL probes the
-    // materialized inner, and SOME without an equality key pairs every
-    // outer tuple with every inner one.
+    // The unkeyed paths: a non-equality correlation groups T1 |x| S by
+    // nested pairing, an uncorrelated ALL pairs every distinct outer
+    // value with every distinct inner one, and SOME without an equality
+    // key pairs every outer binding with every inner one.
     {"TypeJA_NonEqCorrelation",
      "SELECT R.C0 FROM R WHERE R.C1 >= "
      "(SELECT AVG(S.C0) FROM S WHERE S.C1 < R.C2)"},
@@ -533,6 +533,23 @@ TEST_P(DeterminismTest, IdenticalAnswerAndStatsForEveryThreadCount) {
   ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(101, "R", 3, 300)));
   ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(202, "S", 2, 300)));
   ASSERT_OK(catalog.AddRelation(GenerateRandomRelation(303, "T3", 2, 120)));
+  ExpectDeterministic(catalog, test_case.name, test_case.query);
+}
+
+// The same matrix over relations whose link and correlation columns
+// repeat heavily (crisp duplicates at several degrees, -0.0 beside 0.0,
+// strings and NULLs): the distinct steps pick the same representatives
+// in the same order at every point, so answers, counters and spans --
+// the distinct spans' rows included -- match the serial run.
+TEST_P(DeterminismTest, DuplicateBindingsMatchSerial) {
+  const DeterminismCase& test_case = kDeterminismCases[GetParam()];
+  Catalog catalog;
+  ASSERT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      101, "R", {false, true, true}, 300)));
+  ASSERT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      202, "S", {false, true}, 300)));
+  ASSERT_OK(catalog.AddRelation(testing_util::MakeDuplicateHeavyRelation(
+      303, "T3", {false, true}, 120)));
   ExpectDeterministic(catalog, test_case.name, test_case.query);
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "obs/query_registry.h"
 #include "server/admission.h"
 #include "server/server.h"
@@ -748,6 +749,36 @@ TEST(ServerTest, FailedAcceptIsRetried) {
   EXPECT_EQ(frame.status, "OK");
   server.Stop();
   FailPoints::DisarmAll();
+}
+
+// A connection is registered before its session thread starts, so the
+// very first statement a fresh connection answers already finds its own
+// session in sys.sessions and in active_sessions().
+TEST(ServerTest, FreshConnectionListsItselfOnItsFirstStatement) {
+  ServerConfig config;
+  config.workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 100; ++i) {
+    TestClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << i;
+    client.SetReadTimeout(30);
+    ReplyFrame frame;
+    ASSERT_TRUE(client.Roundtrip(
+        "SELECT id, state FROM sys.sessions WITH D >= 0;", &frame))
+        << i;
+    ASSERT_EQ(frame.status, "OK") << frame.error;
+    EXPECT_GE(server.active_sessions(), 1u) << i;
+    const std::string own =
+        FormatDouble(static_cast<double>(frame.session_id));
+    bool listed = false;
+    for (const auto& row : frame.rows) {
+      if (row[0] == own && row[1] == "'open'") listed = true;
+    }
+    EXPECT_TRUE(listed) << "connection " << i << " (session " << own
+                        << ") missing from sys.sessions";
+  }
+  server.Stop();
 }
 
 TEST(ServerTest, GracefulStopClosesSessionsAndIsIdempotent) {

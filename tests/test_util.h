@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "fuzzy/degree.h"
 #include "fuzzy/trapezoid.h"
@@ -172,6 +173,49 @@ inline bool PatchFile(const std::string& path, const std::string& from,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
   return static_cast<bool>(out);
+}
+
+/// A relation of fuzzy-typed columns C0, C1, ... (one per entry of
+/// `mixed`) whose values repeat heavily, so a subquery link's bindings
+/// do too: values come from a small pool of crisp duplicates, -0.0
+/// beside 0.0, a few trapezoids (one with a -0.0 corner) and -- in the
+/// columns `mixed` marks -- two strings and NULL.
+/// Degrees come from {0.25, 0.5, 0.75, 1}, so one value appears at
+/// several degrees.
+inline Relation MakeDuplicateHeavyRelation(uint64_t seed,
+                                           const std::string& name,
+                                           const std::vector<bool>& mixed,
+                                           size_t num_rows) {
+  const std::vector<Value> numbers = {
+      Value::Number(1.0),
+      Value::Number(2.0),
+      Value::Number(3.0),
+      Value::Number(-0.0),
+      Value::Number(0.0),
+      Value::Fuzzy(Trapezoid::Interval(1.0, 3.0)),
+      Value::Fuzzy(Trapezoid::Triangle(0.0, 2.0, 4.0)),
+      Value::Fuzzy(Trapezoid(-0.0, 0.0, 1.0, 2.0))};
+  const std::vector<Value> others = {Value::String("a"), Value::String("b"),
+                                     Value::Null()};
+  std::vector<Column> columns;
+  for (size_t c = 0; c < mixed.size(); ++c) {
+    columns.push_back(Column{"C" + std::to_string(c), ValueType::kFuzzy});
+  }
+  Relation relation(name, Schema(std::move(columns)));
+  Rng rng(seed);
+  for (size_t i = 0; i < num_rows; ++i) {
+    std::vector<Value> values;
+    for (bool with_others : mixed) {
+      const int64_t pool = static_cast<int64_t>(
+          numbers.size() + (with_others ? others.size() : 0));
+      const size_t pick = static_cast<size_t>(rng.UniformInt(0, pool - 1));
+      values.push_back(pick < numbers.size() ? numbers[pick]
+                                             : others[pick - numbers.size()]);
+    }
+    const double degree = 0.25 * static_cast<double>(rng.UniformInt(1, 4));
+    EXPECT_OK(relation.Append(Tuple(std::move(values), degree)));
+  }
+  return relation;
 }
 
 /// Builds the paper's dating-service database (Example 4.1): relations

@@ -21,7 +21,9 @@ The gate fails when the median q-error exceeds --median-max (default
 The workload mixes the paper's type J experimental query at several
 fan-outs with 3- and 4-level chain queries over random relations, so
 both the filter/link estimators (stats/column_stats) and the chain
-interval estimates (engine/join_order) are exercised.
+interval estimates (engine/join_order) are exercised; a type J query
+and the 3-level chain also run under WITH D >= 0.5, where the filters
+cut and the windows run on 0.5-cuts.
 """
 
 import argparse
@@ -62,6 +64,25 @@ WORKLOAD = [
         "EXPLAIN ANALYZE SELECT A.C0 FROM A WHERE A.C1 IN "
         "(SELECT B2.C0 FROM B2 WHERE B2.C1 = A.C2 AND B2.C0 IN "
         "(SELECT C3.C0 FROM C3 WHERE C3.C1 = B2.C1));",
+    ),
+    # Under WITH D >= 0.5 the filters cut, and the IN family's window
+    # pairs distinct bindings on 0.5-cuts: the estimates must see both.
+    (
+        "typej_c6_with",
+        [".gen typej 7 200 300 6"],
+        "EXPLAIN ANALYZE SELECT R.X FROM R WHERE R.Y IN "
+        "(SELECT S.Z FROM S WHERE S.V = R.U) WITH D >= 0.5;",
+    ),
+    (
+        "chain_k3_with",
+        [
+            ".gen rand A 71 3 60",
+            ".gen rand B2 72 2 12",
+            ".gen rand C3 73 2 60",
+        ],
+        "EXPLAIN ANALYZE SELECT A.C0 FROM A WHERE A.C1 IN "
+        "(SELECT B2.C0 FROM B2 WHERE B2.C1 = A.C2 AND B2.C0 IN "
+        "(SELECT C3.C0 FROM C3 WHERE C3.C1 = B2.C1)) WITH D >= 0.5;",
     ),
     (
         "chain_k4",
