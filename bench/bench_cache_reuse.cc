@@ -1,21 +1,16 @@
 // Cross-query cache reuse: cold vs warm execution of a repeated type J
-// workload (src/cache/cache_manager.h).
+// query through the unnesting evaluator (src/cache/cache_manager.h).
 //
-// Two measurements:
-//  1. File executor: the same sort-merge query runs twice against the
-//     same on-disk relations. The first (cold) run pays both external
-//     sorts; the second (warm) run reuses the cached interval-sorted
-//     runs and goes straight to the merge join. The paper's Table 3
-//     attributes the bulk of type J response time to the sort phase, so
-//     the warm run should be >= 2x faster at bench scale.
-//  2. In-memory evaluator: the morsel-driven pipeline with the
-//     permutation / filtered-block / result caches, repeated at 1, 2,
-//     4, and 8 threads. Warm answers must be bit-identical to a
-//     cache-off evaluation at every thread count, and the cache must
-//     actually hit -- both are hard assertions (including smoke mode).
+// The cache holds whole answers. A cold run does exactly the work of a
+// cache-off run and stores its answer; a warm repeat is served from that
+// answer and examines nothing. The run repeats at 1, 2, 4, and 8
+// threads. Warm answers must be bit-identical to a cache-off evaluation
+// at every thread count, and the cache must actually hit -- both are
+// hard assertions (including smoke mode).
 //
-// The cache may only change wall time, never answers: every run here is
-// verified against a cache-off reference before timings are reported.
+// The 1-thread cold and warm runs go into the JSON report as
+// result_cold and result_warm, so their exact counters gate the cold
+// run at the query's pairs and degree evaluations and the warm run at 0.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -34,24 +29,32 @@ using namespace fuzzydb::bench;
 constexpr const char* kQuery =
     "SELECT R.X FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)";
 
-Result<RunResult> RunMergeWithCache(DatasetFiles* files,
-                                    const std::string& tag,
-                                    CacheManager* cache) {
-  TypeJQuerySpec spec;
-  ExecOptions options;
-  options.num_threads = 1;
-  options.cache = cache;
-  return RunTypeJMergeJoin(files->r.get(), files->s.get(), spec, kBufferPages,
-                           BenchDir() + "/fuzzydb_bench_" + tag + ".tmp",
-                           files->tuple_bytes, &options);
+/// Evaluates `query` `reps` times on one engine and returns the last
+/// answer. *stats gets the CpuStats of all reps and the fastest rep's
+/// wall and CPU seconds.
+Result<Relation> Measure(const sql::BoundQuery& query,
+                         const ExecOptions& options, int reps,
+                         ExecStats* stats) {
+  UnnestingEvaluator engine(options, &stats->cpu);
+  Relation answer;
+  stats->total_seconds = 1e30;
+  stats->cpu_seconds = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch wall;
+    CpuStopwatch cpu;
+    FUZZYDB_ASSIGN_OR_RETURN(answer, engine.Evaluate(query));
+    stats->total_seconds =
+        std::min(stats->total_seconds, wall.ElapsedSeconds());
+    stats->cpu_seconds = std::min(stats->cpu_seconds, cpu.ElapsedSeconds());
+  }
+  return answer;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintHeader("Cache reuse -- cold vs warm repeated type J workload",
-              "sorted-run and inner-block caching over the Section 9 "
-              "workload");
+  PrintHeader("Cache reuse -- cold vs warm repeated type J query",
+              "whole-answer caching over the Section 9 workload");
   const std::string json_out = JsonOutPath(argc, argv);
   BenchReport report("cache_reuse");
 
@@ -62,79 +65,6 @@ int main(int argc, char** argv) {
   config.join_fanout = 7;
   config.partial_membership_fraction = 0.4;
 
-  // ---- 1. File executor: sorted-run cache ---------------------------
-  auto files = MakeDatasetFiles(config, 128, "cache_reuse");
-  if (!files.ok()) {
-    std::fprintf(stderr, "dataset failed: %s\n",
-                 files.status().ToString().c_str());
-    return 1;
-  }
-
-  CacheManager file_cache;
-  file_cache.set_capacity_bytes(256ull << 20);
-
-  auto reference = RunMergeWithCache(&*files, "cache_off", nullptr);
-  if (!reference.ok()) {
-    std::fprintf(stderr, "reference run failed: %s\n",
-                 reference.status().ToString().c_str());
-    return 1;
-  }
-
-  std::printf("\n|R| = |S| = %zu tuples on disk, %zu-byte records\n",
-              config.num_r, files->tuple_bytes);
-  std::printf("\n%8s | %10s %8s | %8s %6s\n", "run", "wall(s)", "speedup",
-              "answers", "equal");
-
-  double cold_seconds = 0.0;
-  double warm_seconds = 0.0;
-  for (const char* run : {"cold", "warm"}) {
-    Stopwatch watch;
-    auto result = RunMergeWithCache(&*files, "cache_on", &file_cache);
-    const double seconds = watch.ElapsedSeconds();
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s run failed: %s\n", run,
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    const bool equal = reference->answer.EquivalentTo(result->answer, 0.0);
-    if (std::string(run) == "cold") {
-      cold_seconds = seconds;
-    } else {
-      warm_seconds = seconds;
-    }
-    const double speedup =
-        cold_seconds / std::max(seconds, 1e-9);
-    std::printf("%8s | %10s %8s | %8zu %6s\n", run, Seconds(seconds).c_str(),
-                Ratio(speedup).c_str(), result->answer.NumTuples(),
-                equal ? "yes" : "NO!");
-    std::printf(
-        "{\"bench\":\"cache_reuse\",\"run\":\"%s\",\"seconds\":%.6f,"
-        "\"speedup\":%.3f}\n",
-        run, seconds, speedup);
-    report.Add(std::string("merge_") + run, result->stats);
-    if (!equal) return 1;
-  }
-
-  const CacheStats file_stats = file_cache.stats();
-  std::printf("\nsorted-run cache: %llu hits, %llu misses, %llu inserts\n",
-              static_cast<unsigned long long>(file_stats.hits),
-              static_cast<unsigned long long>(file_stats.misses),
-              static_cast<unsigned long long>(file_stats.inserts));
-  if (file_stats.hits == 0) {
-    std::fprintf(stderr, "FAIL: warm merge run never hit the cache\n");
-    return 1;
-  }
-  const double warm_speedup = cold_seconds / std::max(warm_seconds, 1e-9);
-  if (!SmokeMode() && warm_speedup < 2.0) {
-    // At full bench scale the skipped sort phase dominates; smoke-scale
-    // timings are too short to hold a ratio, so only correctness and
-    // hit counters gate there.
-    std::fprintf(stderr, "FAIL: warm merge speedup %.2fx < 2x\n",
-                 warm_speedup);
-    return 1;
-  }
-
-  // ---- 2. In-memory evaluator: result/permutation caches ------------
   TypeJDataset dataset = GenerateTypeJDataset(config);
   Catalog catalog;
   (void)catalog.AddRelation(dataset.r);
@@ -146,53 +76,45 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\nIn-memory pipeline, hardware_concurrency = %u\n",
-              std::thread::hardware_concurrency());
-  std::printf("\n%8s | %10s %10s %8s | %6s\n", "threads", "cold(s)",
-              "warm(s)", "speedup", "equal");
+  std::printf("\n|R| = |S| = %zu tuples, hardware_concurrency = %u\n",
+              config.num_r, std::thread::hardware_concurrency());
+  std::printf("\n%8s | %10s %10s %8s | %12s %12s | %6s\n", "threads",
+              "cold(s)", "warm(s)", "speedup", "cold pairs", "warm pairs",
+              "equal");
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ExecOptions off_options;
-    off_options.num_threads = threads;
-    UnnestingEvaluator off_engine(off_options);
-    auto expected = off_engine.Evaluate(**bound);
+    ExecOptions options;
+    options.num_threads = threads;
+    ExecStats off;
+    auto expected = Measure(**bound, options, 1, &off);
     if (!expected.ok()) return 1;
 
     CacheManager cache;
     cache.set_capacity_bytes(256ull << 20);
-    ExecOptions options;
-    options.num_threads = threads;
     options.cache = &cache;
-    UnnestingEvaluator engine(options);
-
-    Stopwatch cold_watch;
-    auto cold = engine.Evaluate(**bound);
-    const double mem_cold = cold_watch.ElapsedSeconds();
-    if (!cold.ok()) return 1;
-
-    double mem_warm = 1e30;
-    Relation warm_answer;
-    for (int rep = 0; rep < 3; ++rep) {
-      Stopwatch watch;
-      auto warm = engine.Evaluate(**bound);
-      const double s = watch.ElapsedSeconds();
-      if (!warm.ok()) return 1;
-      if (s < mem_warm) mem_warm = s;
-      warm_answer = *std::move(warm);
-    }
+    ExecStats cold;
+    auto cold_answer = Measure(**bound, options, 1, &cold);
+    if (!cold_answer.ok()) return 1;
+    ExecStats warm;
+    auto warm_answer = Measure(**bound, options, 3, &warm);
+    if (!warm_answer.ok()) return 1;
 
     // Bit-identical, not merely close: the cache must be invisible in
     // the answer at every thread count.
-    const bool equal = expected->EquivalentTo(*cold, 0.0) &&
-                       expected->EquivalentTo(warm_answer, 0.0);
-    const double speedup = mem_cold / std::max(mem_warm, 1e-9);
-    std::printf("%8zu | %10s %10s %8s | %6s\n", threads,
-                Seconds(mem_cold).c_str(), Seconds(mem_warm).c_str(),
-                Ratio(speedup).c_str(), equal ? "yes" : "NO!");
+    const bool equal = expected->EquivalentTo(*cold_answer, 0.0) &&
+                       expected->EquivalentTo(*warm_answer, 0.0);
+    const double speedup =
+        cold.total_seconds / std::max(warm.total_seconds, 1e-9);
+    std::printf("%8zu | %10s %10s %8s | %12llu %12llu | %6s\n", threads,
+                Seconds(cold.total_seconds).c_str(),
+                Seconds(warm.total_seconds).c_str(), Ratio(speedup).c_str(),
+                static_cast<unsigned long long>(cold.cpu.tuple_pairs),
+                static_cast<unsigned long long>(warm.cpu.tuple_pairs),
+                equal ? "yes" : "NO!");
     std::printf(
         "{\"bench\":\"cache_reuse_mem\",\"threads\":%zu,"
         "\"cold_seconds\":%.6f,\"warm_seconds\":%.6f,\"speedup\":%.3f}\n",
-        threads, mem_cold, mem_warm, speedup);
+        threads, cold.total_seconds, warm.total_seconds, speedup);
     std::fflush(stdout);
     if (!equal) {
       std::fprintf(stderr, "FAIL: cached answers diverged at %zu threads\n",
@@ -205,13 +127,17 @@ int main(int argc, char** argv) {
                    threads);
       return 1;
     }
+    if (threads == 1) {
+      report.Add("result_cold", cold);
+      report.Add("result_warm", warm);
+    }
   }
 
   if (!json_out.empty() && !report.Write(json_out)) return 1;
 
   std::printf(
-      "\nExpected shape: the warm file-executor run skips both external\n"
-      "sorts and lands >= 2x below the cold run at full scale; in-memory\n"
-      "warm runs serve the whole answer from the result cache.\n");
+      "\nExpected shape: a cold run pays the query's pairs and degree\n"
+      "evaluations; every warm repeat is served from the cached answer\n"
+      "and examines none.\n");
   return 0;
 }

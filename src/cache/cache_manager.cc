@@ -1,11 +1,9 @@
 #include "cache/cache_manager.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/failpoint.h"
 #include "obs/metrics.h"
-#include "storage/file_manager.h"
 
 namespace fuzzydb {
 
@@ -16,14 +14,11 @@ constexpr double kThetaEpsilon = 1e-12;
 }  // namespace
 
 CacheManager& CacheManager::Global() {
-  // Heap-allocated intentionally (like MetricsRegistry): cached sorted
-  // files are leaked to the OS at exit rather than racing static
-  // destruction order; tests that care about file cleanup call Clear().
+  // Heap-allocated intentionally (like MetricsRegistry): never destroyed,
+  // so no exit-time query races static destruction order.
   static CacheManager* cache = new CacheManager();
   return *cache;
 }
-
-CacheManager::~CacheManager() { Clear(); }
 
 void CacheManager::set_capacity_bytes(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -74,26 +69,7 @@ void CacheManager::InvalidateRelation(uint64_t relation_id) {
   MirrorBytesLocked();
 }
 
-const char* CacheManager::KindName(Kind kind) {
-  switch (kind) {
-    case Kind::kSortedFile:
-      return "sorted_file";
-    case Kind::kPermutation:
-      return "permutation";
-    case Kind::kFiltered:
-      return "filtered_block";
-    case Kind::kResult:
-      return "result";
-  }
-  return "unknown";
-}
-
 void CacheManager::RemoveLocked(std::list<Entry>::iterator it) {
-  if (it->kind == Kind::kSortedFile && !it->file_path.empty()) {
-    // POSIX unlink semantics: a reader that already opened the file keeps
-    // a live handle; only the name goes away.
-    std::remove(it->file_path.c_str());
-  }
   used_ -= it->bytes;
   index_.erase(it->key);
   entries_.erase(it);
@@ -105,10 +81,9 @@ void CacheManager::MirrorBytesLocked() {
   }
 }
 
-CacheManager::Entry* CacheManager::LookupLocked(const std::string& key,
-                                                Kind kind) {
+CacheManager::Entry* CacheManager::LookupLocked(const std::string& key) {
   auto it = index_.find(key);
-  if (it == index_.end() || it->second->kind != kind) return nullptr;
+  if (it == index_.end()) return nullptr;
   // Touch: move to the MRU end.
   entries_.splice(entries_.begin(), entries_, it->second);
   it->second = entries_.begin();
@@ -136,8 +111,8 @@ bool CacheManager::InsertLocked(Entry entry, QueryContext* query) {
   bool abandon = false;
   while (used_ + entry.bytes > capacity_ && !entries_.empty()) {
     // A fault during eviction must leave the accounting balanced: the
-    // eviction itself completes (bytes released, file unlinked) and only
-    // the pending insert is abandoned.
+    // eviction itself completes (bytes released) and only the pending
+    // insert is abandoned.
     if (!FailPoints::Check("cache/evict").ok()) abandon = true;
     ++stats_.evictions;
     if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
@@ -160,122 +135,11 @@ bool CacheManager::InsertLocked(Entry entry, QueryContext* query) {
   return true;
 }
 
-bool CacheManager::LookupSortedFile(const std::string& key,
-                                    std::string* cached_path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return false;
-  Entry* e = LookupLocked(key, Kind::kSortedFile);
-  if (e == nullptr) {
-    ++stats_.misses;
-    if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-      m->cache_misses->Add();
-    }
-    return false;
-  }
-  ++e->hits;
-  ++stats_.hits;
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) m->cache_hits->Add();
-  *cached_path = e->file_path;
-  return true;
-}
-
-bool CacheManager::InsertSortedFile(const std::string& key,
-                                    const std::string& path, uint64_t bytes,
-                                    QueryContext* query) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return false;
-  if (index_.find(key) != index_.end()) return false;
-  Entry entry;
-  entry.key = key;
-  entry.kind = Kind::kSortedFile;
-  entry.bytes = bytes;
-  // Rename into a cache-owned name first: the caller's path is a
-  // deterministic temp name that a later query will re-create, which
-  // must never truncate a resident cache entry.
-  const std::string owned = path + ".cached" + std::to_string(next_file_seq_);
-  if (std::rename(path.c_str(), owned.c_str()) != 0) return false;
-  ++next_file_seq_;
-  entry.file_path = owned;
-  if (!InsertLocked(std::move(entry), query)) {
-    // Rejected after the rename: the file is ours to discard.
-    std::remove(owned.c_str());
-    return true;  // either way the caller's path is gone
-  }
-  return true;
-}
-
-std::shared_ptr<const CacheManager::Permutation>
-CacheManager::LookupPermutation(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return nullptr;
-  Entry* e = LookupLocked(key, Kind::kPermutation);
-  if (e == nullptr) {
-    ++stats_.misses;
-    if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-      m->cache_misses->Add();
-    }
-    return nullptr;
-  }
-  ++e->hits;
-  ++stats_.hits;
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) m->cache_hits->Add();
-  return e->permutation;
-}
-
-bool CacheManager::InsertPermutation(
-    const std::string& key, std::shared_ptr<const Permutation> perm,
-    std::vector<uint64_t> deps, QueryContext* query) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0 || perm == nullptr) return false;
-  if (index_.find(key) != index_.end()) return false;
-  Entry entry;
-  entry.key = key;
-  entry.kind = Kind::kPermutation;
-  entry.bytes = 64 + perm->size() * sizeof(uint32_t);
-  entry.deps = std::move(deps);
-  entry.permutation = std::move(perm);
-  return InsertLocked(std::move(entry), query);
-}
-
-std::shared_ptr<const CacheManager::FilteredBlock>
-CacheManager::LookupFiltered(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return nullptr;
-  Entry* e = LookupLocked(key, Kind::kFiltered);
-  if (e == nullptr) {
-    ++stats_.misses;
-    if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
-      m->cache_misses->Add();
-    }
-    return nullptr;
-  }
-  ++e->hits;
-  ++stats_.hits;
-  if (EngineMetrics* m = EngineMetrics::IfEnabled()) m->cache_hits->Add();
-  return e->filtered;
-}
-
-bool CacheManager::InsertFiltered(const std::string& key,
-                                  std::shared_ptr<const FilteredBlock> block,
-                                  std::vector<uint64_t> deps,
-                                  QueryContext* query) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0 || block == nullptr) return false;
-  if (index_.find(key) != index_.end()) return false;
-  Entry entry;
-  entry.key = key;
-  entry.kind = Kind::kFiltered;
-  entry.bytes = 64 + block->size() * sizeof(FilteredBlock::value_type);
-  entry.deps = std::move(deps);
-  entry.filtered = std::move(block);
-  return InsertLocked(std::move(entry), query);
-}
-
 std::shared_ptr<const Relation> CacheManager::LookupResult(
     const std::string& key, double theta) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return nullptr;
-  Entry* e = LookupLocked(key, Kind::kResult);
+  Entry* e = LookupLocked(key);
   if (e == nullptr || e->theta > theta + kThetaEpsilon) {
     // An entry cached at a *higher* threshold cannot answer this query:
     // it already dropped tuples the caller needs.
@@ -299,8 +163,7 @@ bool CacheManager::InsertResult(const std::string& key, double theta,
   if (capacity_ == 0 || result == nullptr) return false;
   auto it = index_.find(key);
   if (it != index_.end()) {
-    if (it->second->kind != Kind::kResult ||
-        it->second->theta <= theta + kThetaEpsilon) {
+    if (it->second->theta <= theta + kThetaEpsilon) {
       // The resident entry is at least as general; keep it.
       return false;
     }
@@ -310,7 +173,6 @@ bool CacheManager::InsertResult(const std::string& key, double theta,
   }
   Entry entry;
   entry.key = key;
-  entry.kind = Kind::kResult;
   entry.theta = theta;
   entry.bytes = EstimateRelationBytes(*result);
   entry.deps = std::move(deps);
@@ -323,13 +185,11 @@ bool CacheManager::InsertResult(const std::string& key, double theta,
 Relation CacheManager::ToRelation() const {
   std::lock_guard<std::mutex> lock(mu_);
   Relation rel("sys.cache", Schema{{"key", ValueType::kString},
-                                   {"kind", ValueType::kString},
                                    {"bytes", ValueType::kFuzzy},
                                    {"hits", ValueType::kFuzzy}});
   // index_ iterates in key order, so sys.cache rows are stable.
   for (const auto& [key, it] : index_) {
     (void)rel.Append(Tuple({Value::String(key),
-                            Value::String(KindName(it->kind)),
                             Value::Number(static_cast<double>(it->bytes)),
                             Value::Number(static_cast<double>(it->hits))},
                            /*degree=*/1.0));

@@ -1,37 +1,30 @@
-// Cross-query caching (the ROADMAP's "caching" scaling lever).
+// Cross-query caching of whole query answers.
 //
-// The paper's unnesting transformations make a nested query cheap within
-// one execution, but a repeated workload still pays the dominant costs --
-// external sort into support-interval order (Def. 3.1) and inner-block
-// materialization -- from scratch on every query. CacheManager is a
-// process-wide LRU over four artifact kinds:
+// The paper's unnesting makes a nested query cheap within one
+// execution: each input is sorted once in interval order and
+// merge-joined (Section 3). A workload that repeats a query still pays
+// that work on every run. CacheManager is a process-wide LRU of whole
+// answers: the result of one unnested query, keyed by its canonical plan
+// fingerprint (plan_fingerprint.h) and stored with the WITH threshold it
+// was computed at. theta-subsumption lets an answer cached at t' <= t
+// serve a request at t after ApplyThreshold(t).
 //
-//   kSortedFile   an interval-sorted run on disk, keyed by the *input*
-//                 file's (path, write-version) + sort column + threshold;
-//                 lets RunTypeJMergeJoin skip ExternalSort entirely.
-//   kPermutation  the interval-order permutation of an in-memory relation
-//                 keyed by (relation id @ version, column); the unnesting
-//                 evaluator derives any filtered sort order from it in
-//                 O(n + k) instead of re-sorting.
-//   kFiltered     the (tuple index, degree) survivors of a filtered block.
-//   kResult       a fully evaluated query-block result, keyed by a
-//                 canonical plan fingerprint (plan_fingerprint.h), with
-//                 theta-subsumption: a result cached at threshold t' <= t
-//                 answers a query at t after ApplyThreshold(t).
+// The cache holds nothing else. A query that is not a whole-answer hit
+// runs exactly as it would with the cache off -- the same operators, the
+// same counters -- so the cache can change wall time only where a whole
+// answer repeats.
 //
 // Correctness stance:
 //  - Capacity 0 (the default) makes every call an immediate no-op that
-//    records nothing, so a cache-off run is byte-identical to builds
-//    before this layer existed, metrics included.
-//  - Staleness is impossible by construction: in-memory keys embed
-//    Relation (id, version) and file keys embed the PageFile write
-//    version, both of which change on every mutation of the source.
+//    records nothing, so a cache-off run leaves no footprint, metrics
+//    included.
+//  - Staleness is impossible by construction: keys embed each relation
+//    as (id, version), and the version changes on every mutation.
 //    InvalidateRelation() additionally frees entries eagerly on writes.
-//  - theta-subsumption is sound because every consumer folds degrees with
-//    max/min only and final answers pass EliminateDuplicates, so results
-//    do not depend on tuple tie-order, and filtering a result computed at
-//    a lower threshold up to a higher one is exact (Section 5's
-//    threshold-pushdown argument run in reverse).
+//  - theta-subsumption is sound because every answer passes
+//    EliminateDuplicates, which keeps max degrees independently of the
+//    threshold, so filtering an answer computed at a lower threshold up
+//    to a higher one is exact.
 //
 // Admission is charged through the query's MemoryBudget (charge then
 // immediately release: denial skips the insert and is observable via
@@ -46,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -55,8 +47,8 @@
 namespace fuzzydb {
 
 /// Cumulative outcome counters of one CacheManager (monotonic; survive
-/// Clear()). Thread-count invariant: every cache operation happens on the
-/// coordinating thread at operator granularity.
+/// Clear()). Thread-count invariant: the engine consults the cache once
+/// per query, on the coordinating thread.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -68,17 +60,11 @@ struct CacheStats {
 
 class CacheManager {
  public:
-  using Permutation = std::vector<uint32_t>;
-  /// Survivors of a filtered block: (index into the source relation's
-  /// tuple vector, satisfaction degree).
-  using FilteredBlock = std::vector<std::pair<uint32_t, double>>;
-
   /// The process-wide instance the shell and executors share. Tests may
   /// construct private instances instead.
   static CacheManager& Global();
 
   CacheManager() = default;
-  ~CacheManager();
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
 
@@ -92,7 +78,7 @@ class CacheManager {
   uint64_t used_bytes() const;
   CacheStats stats() const;
 
-  /// Drops every entry (unlinking cached sorted files). Stats survive.
+  /// Drops every entry. Stats survive.
   void Clear();
 
   /// Drops entries depending on `relation_id` (any write to a catalog
@@ -100,50 +86,23 @@ class CacheManager {
   /// frees their bytes eagerly.
   void InvalidateRelation(uint64_t relation_id);
 
-  // --- sorted-run (file) cache ---------------------------------------
-
-  /// On hit, stores the cache-owned path of the sorted run in
-  /// `*cached_path`. The file stays owned by the cache; callers open it
-  /// read-only and must tolerate it disappearing before the open (POSIX
-  /// keeps the data alive for already-open handles).
-  bool LookupSortedFile(const std::string& key, std::string* cached_path);
-
-  /// Offers the sorted run at `path` to the cache. On acceptance the file
-  /// is renamed to a cache-owned name and true is returned; on rejection
-  /// (disabled, duplicate key, budget denial, fail point, too large)
-  /// false is returned and the caller keeps ownership of `path`.
-  bool InsertSortedFile(const std::string& key, const std::string& path,
-                        uint64_t bytes, QueryContext* query);
-
-  // --- in-memory caches ----------------------------------------------
-
-  std::shared_ptr<const Permutation> LookupPermutation(
-      const std::string& key);
-  bool InsertPermutation(const std::string& key,
-                         std::shared_ptr<const Permutation> perm,
-                         std::vector<uint64_t> deps, QueryContext* query);
-
-  std::shared_ptr<const FilteredBlock> LookupFiltered(const std::string& key);
-  bool InsertFiltered(const std::string& key,
-                      std::shared_ptr<const FilteredBlock> block,
-                      std::vector<uint64_t> deps, QueryContext* query);
-
   /// theta-subsumption lookup: hits iff an entry exists whose stored
   /// threshold is <= `theta`; the caller must ApplyThreshold(theta) on a
   /// copy. Returns null on miss.
   std::shared_ptr<const Relation> LookupResult(const std::string& key,
                                                double theta);
 
-  /// Stores `result` as the block's value at threshold `theta`. If an
-  /// entry at a lower (more general) threshold already exists it is kept
-  /// and the insert is a no-op; an entry at a higher threshold is
-  /// replaced by this more general one.
+  /// Stores `result` as the query's answer at threshold `theta`; `deps`
+  /// are the ids of the relations it reads. If an entry at a lower (more
+  /// general) threshold already exists it is kept and the insert is a
+  /// no-op; an entry at a higher threshold is replaced by this more
+  /// general one.
   bool InsertResult(const std::string& key, double theta,
                     std::shared_ptr<const Relation> result,
                     std::vector<uint64_t> deps, QueryContext* query);
 
-  /// The sys.cache system relation: one row per resident entry, schema
-  /// (key STRING, kind STRING, bytes FUZZY, hits FUZZY), sorted by key.
+  /// The sys.cache system relation: one row per resident answer, schema
+  /// (key STRING, bytes FUZZY, hits FUZZY), sorted by key.
   Relation ToRelation() const;
 
   /// Deterministic size model for relation payloads (same relation =>
@@ -151,36 +110,25 @@ class CacheManager {
   static uint64_t EstimateRelationBytes(const Relation& rel);
 
  private:
-  enum class Kind { kSortedFile, kPermutation, kFiltered, kResult };
-
   struct Entry {
     std::string key;
-    Kind kind = Kind::kResult;
     uint64_t bytes = 0;
-    double theta = 0.0;  // kResult only
+    double theta = 0.0;
     uint64_t hits = 0;
-    std::vector<uint64_t> deps;  // relation ids (in-memory kinds)
-    // Exactly one payload is set, per kind.
-    std::shared_ptr<const Permutation> permutation;
-    std::shared_ptr<const FilteredBlock> filtered;
+    std::vector<uint64_t> deps;  // relation ids
     std::shared_ptr<const Relation> result;
-    std::string file_path;  // kSortedFile: cache-owned file on disk
   };
 
-  static const char* KindName(Kind kind);
-
-  /// Locked helpers. RemoveLocked unlinks file payloads; InsertLocked
-  /// runs fail points, budget admission, and LRU eviction, returning true
-  /// when the entry was admitted.
+  /// Locked helpers. InsertLocked runs fail points, budget admission,
+  /// and LRU eviction, returning true when the entry was admitted.
   void RemoveLocked(std::list<Entry>::iterator it);
   bool InsertLocked(Entry entry, QueryContext* query);
-  Entry* LookupLocked(const std::string& key, Kind kind);
+  Entry* LookupLocked(const std::string& key);
   void MirrorBytesLocked();
 
   mutable std::mutex mu_;
   uint64_t capacity_ = 0;
   uint64_t used_ = 0;
-  uint64_t next_file_seq_ = 1;
   CacheStats stats_;
   std::list<Entry> entries_;  // front = most recently used
   std::map<std::string, std::list<Entry>::iterator> index_;

@@ -71,11 +71,10 @@ struct ExecOptions {
   /// semantics.
   bool cost_based = true;
 
-  /// Cross-query cache (see cache/cache_manager.h). Null or a cache with
-  /// capacity 0 disables caching: every operator behaves exactly as if
-  /// this layer did not exist, metrics included. The cache is consulted
-  /// only from the coordinating thread, so cache stats are thread-count
-  /// invariant like everything else here.
+  /// Cross-query answer cache (see cache/cache_manager.h), read and
+  /// written once per unnested query by UnnestingEvaluator. Null or a
+  /// cache with capacity 0 disables caching: the query runs exactly as if
+  /// this layer did not exist, metrics included.
   CacheManager* cache = nullptr;  // not owned
 
   /// Live progress publication for SHOW QUERIES / sys.queries (see

@@ -1,16 +1,12 @@
 #include "engine/executor.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <map>
 
-#include "cache/cache_manager.h"
 #include "common/query_context.h"
 #include "common/stopwatch.h"
 #include "engine/merge_join.h"
 #include "engine/nested_loop_join.h"
-#include "fuzzy/interval_order.h"
+#include "engine/pair_join.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
 #include "parallel/thread_pool.h"
@@ -44,19 +40,13 @@ class AnswerAccumulator {
   std::map<Value, double, ValueLess> degrees_;
 };
 
-/// Interval-order comparator on tuple column `col` that counts
-/// comparisons into `cpu`. With a WITH-threshold pushdown (`alpha` > 0)
-/// the order is taken over the alpha-cuts instead of the supports, so
-/// the thresholded merge window stays sound.
-TupleLess IntervalLessOnColumn(size_t col, CpuStats* cpu, double alpha = 0) {
-  return [col, cpu, alpha](const Tuple& a, const Tuple& b) {
-    if (cpu != nullptr) ++cpu->comparisons;
-    const Trapezoid& x = a.ValueAt(col).AsFuzzy();
-    const Trapezoid& y = b.ValueAt(col).AsFuzzy();
-    if (x.AlphaCutBegin(alpha) != y.AlphaCutBegin(alpha)) {
-      return x.AlphaCutBegin(alpha) < y.AlphaCutBegin(alpha);
-    }
-    return x.AlphaCutEnd(alpha) < y.AlphaCutEnd(alpha);
+/// Interval order (Definition 3.1) on the KeyBounds of tuple column
+/// `col` at `threshold`: the bounds FileMergeJoin windows on, so the
+/// sorted runs are in the order its scan needs.
+TupleLess KeyBoundsLessOnColumn(size_t col, double threshold) {
+  return [col, threshold](const Tuple& a, const Tuple& b) {
+    return BoundsLess(KeyBounds(a.ValueAt(col).AsFuzzy(), threshold),
+                      KeyBounds(b.ValueAt(col).AsFuzzy(), threshold));
   };
 }
 
@@ -133,80 +123,35 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
   }
 
   // ---- Sort phase (charged to sort_seconds; Table 3) ----------------
-  // With a WITH threshold the sort key is the threshold-cut interval
-  // (the [42] indicator optimization); the join window then prunes on
-  // the same cuts. Each sort op (external or cached) charges the sort
-  // phase.
+  // Both sides sort on their key's KeyBounds at the threshold: the
+  // support without one, else the threshold-cut of the [42] indicator
+  // optimization, which the join window then prunes on.
   Stopwatch sort_watch;
   SortStats sort_stats;
-  // Both sorted temporaries are tracked until the success-path cleanup
-  // below: if the second sort (or the join) fails, the first sort's
-  // output must not be left behind. Cache-owned sorted runs are never
-  // tracked -- they outlive this query by design.
+  // Both sorted temporaries are tracked from creation, and the guard
+  // removes them on every path: if the second sort (or the join) fails,
+  // the first sort's output must not be left behind either.
   TempFileGuard sorted_guard(&pool);
-  CacheManager* cache = options == nullptr ? nullptr : options->cache;
-  if (cache != nullptr && !cache->enabled()) cache = nullptr;
-
-  // Cache key for one sorted side. The input file's registered version
-  // (LSN) makes stale hits impossible: any write to the base file stamps
-  // a fresh version and the old key is never looked up again. The sort
-  // order depends on the key column and the alpha-cut threshold, and the
-  // record layout on min_record_size, so all three are part of the key.
-  auto sorted_run_key = [&](PageFile* input, size_t col) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &spec.threshold, sizeof(bits));
-    char alpha_hex[32];
-    std::snprintf(alpha_hex, sizeof(alpha_hex), "%016" PRIx64, bits);
-    return "srun|" + input->path() + "|v" + std::to_string(input->version()) +
-           "|c" + std::to_string(col) + "|a" + alpha_hex + "|r" +
-           std::to_string(min_record_size);
-  };
-
-  // Produces the interval-order-sorted run for one side: from the
-  // sorted-run cache when a current-version entry exists, otherwise by
-  // ExternalSort. A hit whose file cannot be opened (evicted between
-  // lookup and open) falls back to the cold path.
-  bool r_from_cache = false;
-  bool s_from_cache = false;
-  std::string r_key;
-  std::string s_key;
-  auto sorted_input =
-      [&](PageFile* input, size_t col, const std::string& run_prefix,
-          const std::string& sorted_path, std::string* key,
-          bool* from_cache) -> Result<std::unique_ptr<PageFile>> {
-    if (cache != nullptr) {
-      *key = sorted_run_key(input, col);
-      std::string cached_path;
-      if (cache->LookupSortedFile(*key, &cached_path)) {
-        auto reopened = PageFile::Open(cached_path);
-        if (reopened.ok()) {
-          OpScope cached(Op::kCachedSort, trace, progress, nullptr, nullptr,
-                         input->path() + " (cached)");
-          *from_cache = true;
-          return std::move(reopened).value();
-        }
-      }
-    }
+  auto sorted_input = [&](PageFile* input, size_t col,
+                          const std::string& run_prefix,
+                          const std::string& sorted_path)
+      -> Result<std::unique_ptr<PageFile>> {
     FUZZYDB_ASSIGN_OR_RETURN(
         std::unique_ptr<PageFile> sorted,
-        ExternalSort(input, &pool,
-                     IntervalLessOnColumn(col, nullptr, spec.threshold),
+        ExternalSort(input, &pool, KeyBoundsLessOnColumn(col, spec.threshold),
                      run_prefix, sorted_path, buffer_pages, min_record_size,
                      &sort_stats, parallel, trace, query, progress));
     sorted_guard.Track(sorted->path());
     return sorted;
   };
-
-  std::unique_ptr<PageFile> r_sorted;
   FUZZYDB_ASSIGN_OR_RETURN(
-      r_sorted, sorted_input(r_file, spec.r_y, temp_prefix + ".R",
-                             temp_prefix + ".R.sorted", &r_key,
-                             &r_from_cache));
-  std::unique_ptr<PageFile> s_sorted;
+      std::unique_ptr<PageFile> r_sorted,
+      sorted_input(r_file, spec.r_y, temp_prefix + ".R",
+                   temp_prefix + ".R.sorted"));
   FUZZYDB_ASSIGN_OR_RETURN(
-      s_sorted, sorted_input(s_file, spec.s_z, temp_prefix + ".S",
-                             temp_prefix + ".S.sorted", &s_key,
-                             &s_from_cache));
+      std::unique_ptr<PageFile> s_sorted,
+      sorted_input(s_file, spec.s_z, temp_prefix + ".S",
+                   temp_prefix + ".S.sorted"));
   result.stats.cpu.comparisons += sort_stats.comparisons;
   result.stats.sort_seconds = sort_watch.ElapsedSeconds();
   if (EngineMetrics* m = EngineMetrics::IfEnabled()) {
@@ -245,32 +190,8 @@ Result<RunResult> RunTypeJMergeJoin(PageFile* r_file, PageFile* s_file,
         static_cast<uint64_t>(result.stats.join_seconds * 1e6));
   }
 
-  // Clean up the sorted temporaries. A freshly sorted run is offered to
-  // the cache first (which takes ownership by renaming it); only when
-  // the cache declines -- disabled, duplicate key, or failpoint -- is
-  // the file deleted. Cache-served runs stay where they are: the cache
-  // owns those files.
-  pool.Invalidate(r_sorted.get());
-  pool.Invalidate(s_sorted.get());
-  const std::string r_path = r_sorted->path();
-  const std::string s_path = s_sorted->path();
-  const uint64_t r_bytes = static_cast<uint64_t>(r_sorted->NumPages()) *
-                           static_cast<uint64_t>(kPageSize);
-  const uint64_t s_bytes = static_cast<uint64_t>(s_sorted->NumPages()) *
-                           static_cast<uint64_t>(kPageSize);
-  r_sorted.reset();
-  s_sorted.reset();
-  if (!r_from_cache &&
-      !(cache != nullptr &&
-        cache->InsertSortedFile(r_key, r_path, r_bytes, query))) {
-    RemoveFileIfExists(r_path);
-  }
-  if (!s_from_cache &&
-      !(cache != nullptr &&
-        cache->InsertSortedFile(s_key, s_path, s_bytes, query))) {
-    RemoveFileIfExists(s_path);
-  }
-  sorted_guard.Dismiss();
+  // The sorted files close before the guard removes them (declaration
+  // order); it clears the pool first, which drops their frames.
   return result;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/query_context.h"
 #include "engine/degree_fold.h"
+#include "engine/pair_join.h"
 #include "fuzzy/trapezoid_batch.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
@@ -63,6 +64,11 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
   Tuple pending_inner;   // read past the window end, not yet needed
   bool has_pending = false;
 
+  // The window works on KeyBounds at the threshold: the support
+  // interval without one, else the widened threshold-cut.
+  const auto inner_bounds = [&spec](const Tuple& s) {
+    return KeyBounds(s.ValueAt(spec.inner_key).AsFuzzy(), spec.threshold);
+  };
   Tuple r;
   bool has_r = false;
   while (true) {
@@ -74,18 +80,13 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
     if (!rv.is_fuzzy()) {
       return Status::InvalidArgument("merge-join key must be fuzzy");
     }
-    // With a WITH-threshold pushdown the window works on alpha-cuts
-    // (threshold 0 degenerates to the support interval).
-    const double alpha = spec.threshold;
-    const double r_begin = rv.AsFuzzy().AlphaCutBegin(alpha);
-    const double r_end = rv.AsFuzzy().AlphaCutEnd(alpha);
+    const SupportBounds rb = KeyBounds(rv.AsFuzzy(), spec.threshold);
 
     // Retire window tuples wholly before r (e(s.X) < b(r.X)); later outer
     // tuples have keys no smaller, so retirement is permanent.
     while (!window.empty()) {
       if (cpu != nullptr) ++cpu->comparisons;
-      if (window.front().ValueAt(spec.inner_key).AsFuzzy().AlphaCutEnd(
-              alpha) < r_begin) {
+      if (inner_bounds(window.front()).end < rb.begin) {
         window_budget.Release(SerializedTupleSize(window.front()));
         window.pop_front();
       } else {
@@ -97,12 +98,12 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
     // (b(s.X) > e(r.X)); that tuple is kept pending for the next r.
     if (has_pending) {
       if (cpu != nullptr) ++cpu->comparisons;
-      const Trapezoid& pk = pending_inner.ValueAt(spec.inner_key).AsFuzzy();
-      if (pk.AlphaCutEnd(alpha) < r_begin) {
+      const SupportBounds pk = inner_bounds(pending_inner);
+      if (pk.end < rb.begin) {
         // The pending tuple fell wholly before this (and thus every
         // later) outer tuple: drop it without ever entering the window.
         has_pending = false;
-      } else if (pk.AlphaCutBegin(alpha) <= r_end) {
+      } else if (pk.begin <= rb.end) {
         FUZZYDB_RETURN_IF_ERROR(
             window_budget.Charge(SerializedTupleSize(pending_inner)));
         window.push_back(std::move(pending_inner));
@@ -118,11 +119,11 @@ Status FileMergeJoin(PageFile* sorted_outer, PageFile* sorted_inner,
         break;
       }
       if (cpu != nullptr) ++cpu->comparisons;
-      const Trapezoid& sk = s.ValueAt(spec.inner_key).AsFuzzy();
-      if (sk.AlphaCutEnd(alpha) < r_begin) {
+      const SupportBounds sk = inner_bounds(s);
+      if (sk.end < rb.begin) {
         continue;  // wholly before r: skip (can never join later either)
       }
-      if (sk.AlphaCutBegin(alpha) > r_end) {
+      if (sk.begin > rb.end) {
         pending_inner = std::move(s);
         has_pending = true;
         break;

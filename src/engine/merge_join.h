@@ -43,9 +43,11 @@ struct FuzzyJoinSpec {
   /// there as fuzzy equality indicators): pairs below the threshold can
   /// never reach the answer, and a key-equality degree >= z requires the
   /// z-cuts (not just the supports) to intersect, so the merge window
-  /// retires and stops on alpha-cut bounds. When > 0 the join inputs
-  /// must be sorted on the interval order of their z-cuts and pairs with
-  /// combined degree < threshold are not emitted.
+  /// retires and stops on KeyBounds(key, z) (engine/pair_join.h), the
+  /// z-cuts widened so rounding never separates a pair of degree >= z.
+  /// The join inputs must be sorted by BoundsLess on those same bounds
+  /// (their supports at 0), and pairs with combined degree < threshold
+  /// are not emitted.
   double threshold = 0.0;
 
   /// Combined degree min(r.D, s.D, d(key), d(residuals...)) of the pair

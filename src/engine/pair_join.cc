@@ -2,22 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 
-#include "cache/cache_manager.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/op_scope.h"
 
 namespace fuzzydb {
 
-bool CacheOn(const ParallelContext& ctx) {
-  return ctx.cache != nullptr && ctx.cache->enabled();
-}
-
-QueryContext* CacheBudget(const ParallelContext& ctx) {
+QueryContext* MutableQuery(const ParallelContext& ctx) {
   return const_cast<QueryContext*>(ctx.query);
 }
 
@@ -43,13 +37,6 @@ SupportBounds KeyBounds(const Trapezoid& key, double cut) {
   return bounds;
 }
 
-std::string CutTag(double cut) {
-  if (cut <= 0.0) return "";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "|cut%a", cut);
-  return buf;
-}
-
 namespace {
 
 /// KeyBounds of fuzzy column `col` of `ft`'s tuple at `cut`.
@@ -64,21 +51,11 @@ SupportBounds BoundsOf(const FT& ft, size_t col, double cut) {
 /// merge tree; order and comparison count are thread-count-invariant
 /// (see ParallelSort).
 ///
-/// When `rel` (the relation the FT pointers reference) is given and the
-/// cache is on, the full-relation interval-order permutation of `col` at
-/// `cut` is reused across queries: a hit reorders the survivors by one
-/// O(n + k) walk of the cached permutation with zero key comparisons; a
-/// miss over the *unfiltered* relation publishes the sorted order (a
-/// permutation is only derivable when every tuple survived). Tie order
-/// may differ between the cached and sorted paths, which is
-/// answer-neutral: every consumer folds degrees with max/min and final
-/// answers are duplicate-eliminated.
-///
 /// A governed stop mid-sort returns the stop status; *tuples and
 /// *bounds must then not be read.
 Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col, double cut,
                            const ParallelContext& ctx, CpuStats* cpu,
-                           ExecTrace* trace, const Relation* rel,
+                           ExecTrace* trace,
                            std::vector<SupportBounds>* bounds) {
   OpScope op(Op::kIntervalSort, trace, ctx.progress, cpu, nullptr,
              "col" + std::to_string(col));
@@ -86,32 +63,6 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col, double cut,
   op.SetThreads(WorkerSlots(ctx));
   bounds->clear();
   bounds->reserve(tuples->size());
-  std::string cache_key;
-  if (rel != nullptr && CacheOn(ctx)) {
-    cache_key = "perm|" + std::to_string(rel->id()) + "@" +
-                std::to_string(rel->version()) + "|c" + std::to_string(col) +
-                CutTag(cut);
-    if (auto perm = ctx.cache->LookupPermutation(cache_key)) {
-      const Tuple* base = rel->tuples().data();
-      constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
-      std::vector<uint32_t> slot_of(rel->tuples().size(), kAbsent);
-      for (size_t i = 0; i < tuples->size(); ++i) {
-        slot_of[static_cast<size_t>((*tuples)[i].tuple - base)] =
-            static_cast<uint32_t>(i);
-      }
-      std::vector<FT> ordered;
-      ordered.reserve(tuples->size());
-      for (uint32_t index : *perm) {
-        if (slot_of[index] != kAbsent) {
-          ordered.push_back((*tuples)[slot_of[index]]);
-          bounds->push_back(BoundsOf(ordered.back(), col, cut));
-        }
-      }
-      *tuples = std::move(ordered);
-      op.SetDetail("col" + std::to_string(col) + " (cached)");
-      return Status::OK();
-    }
-  }
   struct Record {
     SupportBounds bounds;
     FT ft;
@@ -126,16 +77,6 @@ Status SortByIntervalOrder(std::vector<FT>* tuples, size_t col, double cut,
   for (size_t i = 0; i < records.size(); ++i) {
     (*tuples)[i] = records[i].ft;
     bounds->push_back(records[i].bounds);
-  }
-  if (!cache_key.empty() && tuples->size() == rel->tuples().size()) {
-    auto perm = std::make_shared<CacheManager::Permutation>();
-    perm->reserve(tuples->size());
-    const Tuple* base = rel->tuples().data();
-    for (const FT& ft : *tuples) {
-      perm->push_back(static_cast<uint32_t>(ft.tuple - base));
-    }
-    ctx.cache->InsertPermutation(cache_key, std::move(perm), {rel->id()},
-                                 CacheBudget(ctx));
   }
   return Status::OK();
 }
@@ -220,7 +161,6 @@ Status PairJoin(const std::vector<FT>& outer, std::vector<FT>* inner,
     }
     FUZZYDB_RETURN_IF_ERROR(SortByIntervalOrder(inner, key->inner_col,
                                                 key->cut, ctx, cpu, trace,
-                                                key->inner_relation,
                                                 &inner_bounds));
     inner_end_max.resize(inner_bounds.size());
     double running = -std::numeric_limits<double>::infinity();

@@ -16,8 +16,9 @@
 //
 // Under a WITH threshold a positive link or chain step keeps only pairs
 // whose key degree can reach it. The same scan then runs on the keys'
-// alpha-cuts at the threshold instead of their supports (PairKey::cut),
-// as FileMergeJoin does, and Rng(r) narrows.
+// alpha-cuts at the threshold instead of their supports (PairKey::cut,
+// KeyBounds), the bounds FileMergeJoin windows on too, and Rng(r)
+// narrows.
 //
 // Callers: the unnesting engine's IN family, JA group-aggregate and
 // chain step (unnested_evaluator.cc), and pass 3 of the partitioned file
@@ -31,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -52,15 +52,11 @@ struct FT {
   double degree = 0.0;
 };
 
-/// True when the operator should consult the cross-query cache.
-bool CacheOn(const ParallelContext& ctx);
-
-/// The QueryContext cache admission and operator memory charge
-/// against (null = ungoverned). ParallelContext
-/// holds the context const (operators only poll it); the underlying
-/// object always comes from the non-const ExecOptions::context, so the
-/// cast is well-defined.
-QueryContext* CacheBudget(const ParallelContext& ctx);
+/// The query's context, writable, for an operator's memory charge
+/// (null = ungoverned). ParallelContext holds the context const
+/// (operators only poll it); the underlying object always comes from the
+/// non-const ExecOptions::context, so the cast is well-defined.
+QueryContext* MutableQuery(const ParallelContext& ctx);
 
 /// Lanes per batch: the knob clamped to [1, the SoA capacity].
 size_t EffectiveBatchSize(const ParallelContext& ctx);
@@ -71,18 +67,15 @@ struct SupportBounds {
   double end = 0.0;
 };
 
-/// The bounds a keyed pair join sorts and windows one key value on: its
-/// support [b, e] at cut 0, otherwise its closed alpha-cut at `cut`,
+/// The bounds both merge windows -- a keyed pair join's and
+/// FileMergeJoin's -- sort and window one key value on: its support
+/// [b, e] at cut 0, otherwise its closed alpha-cut at `cut`,
 /// widened by a few ulps of the corners' magnitude. Two values whose
 /// equality degree computes to >= cut have intersecting cuts, and the
 /// widening keeps rounding in the cut and in the degree kernels from
 /// separating such a pair. An infinite corner makes the cut arithmetic
 /// NaN; the support bound stands in for it.
 SupportBounds KeyBounds(const Trapezoid& key, double cut);
-
-/// "" at cut 0, else "|cut" and the cut's exact bits: what a cache entry
-/// computed under a threshold cut appends to its key.
-std::string CutTag(double cut);
 
 /// Definition 3.1's order on support bounds. It runs the lane that
 /// IntervalOrderLess runs, so a sort of bounds records makes the same
@@ -134,15 +127,13 @@ struct PairBatch {
 using PairSink = std::function<Status(const PairBatch&)>;
 
 /// The key of a keyed pair join: fuzzy column outer_col of each outer
-/// row's tuple and inner_col of the inner tuples, which are filtered
-/// from `inner_relation` (the permutation cache's source, or null).
+/// row's tuple and inner_col of the inner tuples.
 /// With `cut` > 0 the sink needs only pairs whose key equality degree can
 /// reach it, so both sides sort and window on KeyBounds at `cut` instead
 /// of their supports: the WITH threshold pushdown of Zhang & Wang [42].
 struct PairKey {
   size_t outer_col = 0;
   size_t inner_col = 0;
-  const Relation* inner_relation = nullptr;
   double cut = 0.0;
   uint64_t est_pairs = TraceNode::kNoCount;  // merge-window's est=
 };

@@ -207,28 +207,6 @@ std::vector<FT> FilterBlock(const BoundQuery& block, double cut,
   if (op.traced() && ctx.cost_based) {
     op.SetEstimatedRows(EstimateFilterRows(block, n, cut));
   }
-  // Cross-query reuse: the survivors depend only on the block plan, the
-  // cut and the relation contents, and the key pins all three (relations
-  // appear as id@version). Cached filters replay as (index, degree)
-  // pairs against the live tuple vector, skipping every predicate.
-  std::string cache_key;
-  std::vector<uint64_t> cache_deps;
-  if (CacheOn(ctx)) {
-    cache_key = "filt|" +
-                PlanFingerprint(block, /*include_threshold=*/true,
-                                &cache_deps) +
-                CutTag(cut);
-    if (auto cached = ctx.cache->LookupFiltered(cache_key)) {
-      std::vector<FT> out;
-      out.reserve(cached->size());
-      for (const auto& [index, degree] : *cached) {
-        out.push_back(FT{&tuples[index], degree});
-      }
-      op.SetDetail(detail + " (cached)");
-      op.SetOutputRows(out.size());
-      return out;
-    }
-  }
   const size_t morsel = ctx.morsel_size == 0 ? 1 : ctx.morsel_size;
   std::vector<std::vector<FT>> per_morsel((n + morsel - 1) / morsel);
   std::vector<CpuStats> worker_cpu(WorkerSlots(ctx));
@@ -266,17 +244,6 @@ std::vector<FT> FilterBlock(const BoundQuery& block, double cut,
   folder.Fold();
   for (const BatchTally& t : tallies) op.AddBatches(t.batches, t.rows);
   op.SetOutputRows(out.size());
-  if (!cache_key.empty()) {
-    auto payload = std::make_shared<CacheManager::FilteredBlock>();
-    payload->reserve(out.size());
-    const Tuple* base = tuples.data();
-    for (const FT& ft : out) {
-      payload->emplace_back(static_cast<uint32_t>(ft.tuple - base),
-                            ft.degree);
-    }
-    ctx.cache->InsertFiltered(cache_key, std::move(payload),
-                              std::move(cache_deps), CacheBudget(ctx));
-  }
   return out;
 }
 
@@ -426,10 +393,9 @@ Result<std::vector<double>> InFamilyDegrees(const std::vector<FT>& outer,
       FindEqualityCorrelationKey(shape, rows.rows, inner.rows);
   std::optional<PairKey> key;
   if (can_window_on_link) {
-    key = PairKey{shape.outer_link_col, shape.inner_link_col, &inner_relation,
-                  cut};
+    key = PairKey{shape.outer_link_col, shape.inner_link_col, cut};
   } else if (corr_key.has_value()) {
-    key = PairKey{corr_key->first, corr_key->second, &inner_relation, cut};
+    key = PairKey{corr_key->first, corr_key->second, cut};
   }
   if (key.has_value() && trace != nullptr && ctx.cost_based) {
     // Planner estimate for the window: the distinct outer bindings times
@@ -489,34 +455,9 @@ Result<std::vector<double>> AggregateFamilyDegrees(
   std::vector<double> degrees(outer.size(), 0.0);
 
   if (shape.correlations.empty()) {
-    // Type A: the inner block is a constant scalar; evaluate it once --
-    // and, being uncorrelated, it is the ideal inner-block cache entry:
-    // the same scalar serves every future query over the same relation
-    // version.
-    Relation t2;
-    std::string cache_key;
-    std::vector<uint64_t> cache_deps;
-    bool from_cache = false;
-    if (CacheOn(ctx)) {
-      cache_key = "ares|" + PlanFingerprint(*shape.inner,
-                                            /*include_threshold=*/true,
-                                            &cache_deps);
-      if (auto cached = ctx.cache->LookupResult(cache_key, 0.0)) {
-        t2 = *cached;
-        from_cache = true;
-        op.SetDetail(std::string("AGG ") + sql::AggFuncName(agg) +
-                     " (cached)");
-      }
-    }
-    if (!from_cache) {
-      NaiveEvaluator naive(cpu, trace, ctx.query, ctx.progress);
-      FUZZYDB_ASSIGN_OR_RETURN(t2, naive.Evaluate(*shape.inner));
-      if (!cache_key.empty()) {
-        ctx.cache->InsertResult(cache_key, 0.0,
-                                std::make_shared<Relation>(t2),
-                                std::move(cache_deps), CacheBudget(ctx));
-      }
-    }
+    // Type A: the inner block is a constant scalar; evaluate it once.
+    NaiveEvaluator naive(cpu, trace, ctx.query, ctx.progress);
+    FUZZYDB_ASSIGN_OR_RETURN(const Relation t2, naive.Evaluate(*shape.inner));
     for (size_t i = 0; i < outer.size(); ++i) {
       if (t2.Empty()) continue;
       if (cpu != nullptr) ++cpu->degree_evaluations;
@@ -559,7 +500,7 @@ Result<std::vector<double>> AggregateFamilyDegrees(
                      (mergeable ? "merge t1=" : "nested t1=") +
                          std::to_string(t1.rows.size()));
     group_op.SetInputRows(inner.rows.size());
-    const PairKey key{u_col, v_col, &inner_relation};
+    const PairKey key{u_col, v_col};
     const std::vector<FoldTerm> terms = {ToFoldTerm(corr)};
     // Pairs arrive T1 row by T1 row and a row never spans a morsel, so
     // each worker holds one open group, aggregated when the next row's
@@ -864,8 +805,7 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
                           (use_merge ? " alg=merge" : " alg=nested"));
       }
     }
-    const PairKey key{row_col, new_col, blocks[level]->tables[0].relation,
-                      theta};
+    const PairKey key{row_col, new_col, theta};
 
     // Survivors go to per-morsel outputs, concatenated in morsel order,
     // and are charged per morsel: one worker runs a morsel's batches, and
@@ -876,7 +816,7 @@ Result<Relation> RunChain(const BoundQuery& query, const QueryClass& plan,
     std::vector<std::vector<double>> out_degree(out_tuples.size());
     std::deque<ScopedBudget> joined_budget;
     for (size_t m = 0; m < out_tuples.size(); ++m) {
-      joined_budget.emplace_back(CacheBudget(ctx));
+      joined_budget.emplace_back(MutableQuery(ctx));
     }
     FUZZYDB_RETURN_IF_ERROR(PairJoin(
         outer, &incoming, use_merge ? &key : nullptr, ctx, cpu, trace,
@@ -985,7 +925,6 @@ UnnestingEvaluator::~UnnestingEvaluator() = default;
 ParallelContext UnnestingEvaluator::MakeContext() {
   ParallelContext ctx;
   ctx.query = options_.context;
-  ctx.cache = options_.cache;
   ctx.morsel_size = options_.morsel_size == 0 ? 1 : options_.morsel_size;
   ctx.batch_size = options_.batch_size;
   ctx.cost_based = options_.cost_based;

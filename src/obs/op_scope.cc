@@ -33,7 +33,6 @@ constexpr std::array<OpSpec, kNumOps> kOpTable = {{
     {"naive-evaluate", Phase::kJoin, nullptr, &M::naive_rows_out, nullptr},
     {"query", Phase::kPlan, nullptr, nullptr, nullptr},
     {"external-sort", Phase::kSort, &M::sort_rows, nullptr, nullptr},
-    {"sort", Phase::kSort, nullptr, nullptr, nullptr},
     {"merge-join", Phase::kJoin, &M::merge_join_rows_in,
      &M::merge_join_rows_out, nullptr},
     {"nested-loop-join", Phase::kJoin, &M::nested_loop_rows_in,

@@ -44,13 +44,12 @@ enum class Op : uint8_t {
   // File path.
   kQuery,
   kExternalSort,
-  kCachedSort,
   kMergeJoin,
   kNestedLoopJoin,
   kPartitionedJoin,
 };
 
-inline constexpr size_t kNumOps = 18;
+inline constexpr size_t kNumOps = 17;
 
 /// One row of the op table.
 struct OpSpec {

@@ -25,7 +25,6 @@
 
 namespace fuzzydb {
 
-class CacheManager;
 class QueryProgress;
 
 /// How an operator should parallelize: the pool to run on (null = run on
@@ -39,12 +38,6 @@ struct ParallelContext {
   /// morsel in hand and stop pulling, bounding the latency of a stop
   /// request to one morsel. Null means ungoverned (run to completion).
   const QueryContext* query = nullptr;  // not owned
-
-  /// Cross-query cache consulted by the evaluator's operators (see
-  /// cache/cache_manager.h). Null or capacity 0 means no caching; always
-  /// consulted from the coordinating thread only, so cache stats stay
-  /// thread-count invariant.
-  CacheManager* cache = nullptr;  // not owned
 
   /// Lanes per batch for the batch-at-a-time degree kernels inside
   /// morsel bodies (ExecOptions::batch_size, clamped by the operators

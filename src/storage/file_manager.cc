@@ -1,41 +1,10 @@
 #include "storage/file_manager.h"
 
 #include <cstdio>
-#include <map>
-#include <mutex>
 
 #include "common/failpoint.h"
 
 namespace fuzzydb {
-
-namespace {
-
-/// Process-wide write-version registry: path -> LSN of the last write.
-/// Guarded by a mutex; page I/O is fwrite-dominated, so the lock is noise.
-struct VersionRegistry {
-  std::mutex mu;
-  uint64_t next_lsn = 1;
-  std::map<std::string, uint64_t> by_path;
-
-  static VersionRegistry& Instance() {
-    static VersionRegistry* r = new VersionRegistry();
-    return *r;
-  }
-
-  uint64_t Stamp(const std::string& path) {
-    std::lock_guard<std::mutex> lock(mu);
-    return by_path[path] = next_lsn++;
-  }
-
-  uint64_t OpenVersion(const std::string& path) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto [it, inserted] = by_path.emplace(path, 0);
-    if (inserted) it->second = next_lsn++;
-    return it->second;
-  }
-};
-
-}  // namespace
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path) {
   FUZZYDB_RETURN_IF_ERROR(FailPoints::Check("storage/file-create"));
@@ -43,10 +12,7 @@ Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("cannot create file '" + path + "'");
   }
-  // Truncating is a write: any cached artifact derived from a previous
-  // file at this path must stop matching.
-  const uint64_t version = VersionRegistry::Instance().Stamp(path);
-  return std::unique_ptr<PageFile>(new PageFile(path, f, 0, version));
+  return std::unique_ptr<PageFile>(new PageFile(path, f, 0));
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
@@ -64,9 +30,8 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
     std::fclose(f);
     return Status::IoError("file '" + path + "' is not page-aligned");
   }
-  const uint64_t version = VersionRegistry::Instance().OpenVersion(path);
-  return std::unique_ptr<PageFile>(new PageFile(
-      path, f, static_cast<PageId>(size / kPageSize), version));
+  return std::unique_ptr<PageFile>(
+      new PageFile(path, f, static_cast<PageId>(size / kPageSize)));
 }
 
 PageFile::~PageFile() {
@@ -97,7 +62,6 @@ Status PageFile::WritePage(PageId id, const Page& page) {
     return Status::IoError("write failed on '" + path_ + "'");
   }
   if (id == num_pages_) ++num_pages_;
-  version_ = VersionRegistry::Instance().Stamp(path_);
   return Status::OK();
 }
 

@@ -39,26 +39,13 @@ class PageFile {
 
   const std::string& path() const { return path_; }
 
-  /// Write version of this file, from a process-wide path -> LSN registry.
-  /// Create stamps a fresh LSN; Open reuses the registered LSN (so two
-  /// opens of an unchanged file agree, which is what lets the sorted-run
-  /// cache key on (path, version) across queries); every successful write
-  /// advances both the registry and this handle. A cache entry keyed by
-  /// the version therefore cannot be served after the file changed.
-  uint64_t version() const { return version_; }
-
  private:
-  PageFile(std::string path, std::FILE* file, PageId num_pages,
-           uint64_t version)
-      : path_(std::move(path)),
-        file_(file),
-        num_pages_(num_pages),
-        version_(version) {}
+  PageFile(std::string path, std::FILE* file, PageId num_pages)
+      : path_(std::move(path)), file_(file), num_pages_(num_pages) {}
 
   std::string path_;
   std::FILE* file_;
   PageId num_pages_;
-  uint64_t version_;
 };
 
 /// Deletes the file at `path` if it exists.

@@ -2,8 +2,9 @@
 //
 // Operators that materialize temporaries track each path as soon as the
 // file is created; the success path Untracks (or Dismisses) after its
-// own cleanup, and any early-error return sweeps the leftovers here, so
-// a failed query leaves no *.run / partition files behind.
+// own cleanup, or leaves the removal to the guard, and any early-error
+// return sweeps the leftovers here, so a failed query leaves no *.run /
+// partition files behind.
 //
 // Error-path pool hygiene: by the time the guard runs, the PageFile
 // objects for the tracked paths have usually been destroyed, leaving

@@ -1,18 +1,17 @@
-// The cross-query cache (src/cache/): correctness under concurrency,
-// invalidation, theta-subsumption, budget admission, and fault
-// injection. The overriding invariant is the repo-wide one: with the
-// cache on, every query must return exactly the tuples and degrees of a
-// cache-off run, at every thread count -- the cache may only change wall
-// time.
+// The cross-query answer cache (src/cache/): correctness under
+// concurrency, invalidation, theta-subsumption, budget admission, and
+// fault injection. The overriding invariant is the repo-wide one: with
+// the cache on, every query must return exactly the tuples and degrees
+// of a cache-off run, at every thread count, and a query that is not a
+// whole-answer hit does exactly the work of a cache-off run.
 //
 // Run this binary under TSan (-DFUZZYDB_SANITIZE=thread) to validate
 // the locking; see README.md.
 #include "cache/cache_manager.h"
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include "common/query_context.h"
 #include "engine/naive_evaluator.h"
 #include "engine/unnested_evaluator.h"
+#include "obs/trace.h"
 #include "sql/binder.h"
 #include "test_util.h"
 #include "workload/generator.h"
@@ -58,6 +58,18 @@ Result<Relation> RunQuery(const std::string& query, const Catalog& catalog,
   return engine.Evaluate(**bound);
 }
 
+/// An answer of `rows` one-column tuples: 64 + 96 * rows bytes under
+/// EstimateRelationBytes.
+std::shared_ptr<const Relation> Answer(size_t rows) {
+  auto answer = std::make_shared<Relation>(
+      "answer", Schema{Column{"X", ValueType::kFuzzy}});
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_OK(answer->Append(
+        Tuple({Value::Number(static_cast<double>(i))}, 1.0)));
+  }
+  return answer;
+}
+
 // ---------------------------------------------------------------------
 // CacheManager unit behavior
 // ---------------------------------------------------------------------
@@ -65,12 +77,8 @@ Result<Relation> RunQuery(const std::string& query, const Catalog& catalog,
 TEST(CacheManagerTest, CapacityZeroIsCompletelyInert) {
   CacheManager cache;
   EXPECT_FALSE(cache.enabled());
-  auto perm = std::make_shared<CacheManager::Permutation>(
-      CacheManager::Permutation{0, 1, 2});
-  EXPECT_FALSE(cache.InsertPermutation("k", perm, {}, nullptr));
-  EXPECT_EQ(cache.LookupPermutation("k"), nullptr);
-  std::string path;
-  EXPECT_FALSE(cache.LookupSortedFile("f", &path));
+  EXPECT_FALSE(cache.InsertResult("k", 0.0, Answer(3), {}, nullptr));
+  EXPECT_EQ(cache.LookupResult("k", 0.0), nullptr);
   // Nothing is recorded: a cache-off run leaves no metric footprint.
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -82,21 +90,16 @@ TEST(CacheManagerTest, CapacityZeroIsCompletelyInert) {
 TEST(CacheManagerTest, LruEvictsLeastRecentlyUsed) {
   CacheManager cache;
   cache.set_capacity_bytes(1 << 20);
-  auto perm = [](size_t n) {
-    auto p = std::make_shared<CacheManager::Permutation>();
-    p->resize(n);
-    return p;
-  };
-  // Three entries of ~64KiB each into a 1MiB cache; then shrink so only
+  // Three answers of ~64KiB each into a 1MiB cache; then shrink so only
   // two fit. "a" is oldest but gets touched, so "b" must go.
-  ASSERT_TRUE(cache.InsertPermutation("a", perm(16384), {}, nullptr));
-  ASSERT_TRUE(cache.InsertPermutation("b", perm(16384), {}, nullptr));
-  ASSERT_TRUE(cache.InsertPermutation("c", perm(16384), {}, nullptr));
-  EXPECT_NE(cache.LookupPermutation("a"), nullptr);
+  ASSERT_TRUE(cache.InsertResult("a", 0.0, Answer(680), {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("b", 0.0, Answer(680), {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("c", 0.0, Answer(680), {}, nullptr));
+  EXPECT_NE(cache.LookupResult("a", 0.0), nullptr);
   cache.set_capacity_bytes(2 * 70 * 1024);
-  EXPECT_NE(cache.LookupPermutation("a"), nullptr);
-  EXPECT_EQ(cache.LookupPermutation("b"), nullptr);
-  EXPECT_NE(cache.LookupPermutation("c"), nullptr);
+  EXPECT_NE(cache.LookupResult("a", 0.0), nullptr);
+  EXPECT_EQ(cache.LookupResult("b", 0.0), nullptr);
+  EXPECT_NE(cache.LookupResult("c", 0.0), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   cache.Clear();
   EXPECT_EQ(cache.used_bytes(), 0u);
@@ -107,14 +110,17 @@ TEST(CacheManagerTest, LruEvictsLeastRecentlyUsed) {
 TEST(CacheManagerTest, SysCacheRelationListsEntriesSortedByKey) {
   CacheManager cache;
   cache.set_capacity_bytes(1 << 20);
-  auto perm = std::make_shared<CacheManager::Permutation>(
-      CacheManager::Permutation{0});
-  ASSERT_TRUE(cache.InsertPermutation("zz", perm, {}, nullptr));
-  ASSERT_TRUE(cache.InsertPermutation("aa", perm, {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("zz", 0.0, Answer(1), {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("aa", 0.0, Answer(2), {}, nullptr));
+  ASSERT_NE(cache.LookupResult("zz", 0.5), nullptr);
   const Relation rel = cache.ToRelation();
+  ASSERT_EQ(rel.schema().NumColumns(), 3u);
   ASSERT_EQ(rel.NumTuples(), 2u);
   EXPECT_EQ(rel.tuples()[0].ValueAt(0).AsString(), "aa");
   EXPECT_EQ(rel.tuples()[1].ValueAt(0).AsString(), "zz");
+  // (key, bytes, hits): every entry is an answer, so no kind column.
+  EXPECT_EQ(rel.tuples()[0].ValueAt(1).AsFuzzy().CrispValue(), 64.0 + 2 * 96);
+  EXPECT_EQ(rel.tuples()[1].ValueAt(2).AsFuzzy().CrispValue(), 1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -130,8 +136,8 @@ TEST(CacheDeterminismTest, WarmRunsMatchCacheOffAtEveryThreadCount) {
   CacheStats reference;
   bool have_reference = false;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    // The batch-kernel knob joins the matrix: cached filter replays and
-    // cold batched scans at every batch size must agree exactly.
+    // The batch-kernel knob joins the matrix: cold batched scans and
+    // warm answers at every batch size must agree exactly.
     for (size_t batch_size : {1u, 7u, 1024u}) {
       const std::string label = "threads=" + std::to_string(threads) +
                                 " batch=" + std::to_string(batch_size);
@@ -190,12 +196,11 @@ TEST(CacheDeterminismTest, EveryQueryTypeSurvivesAWarmCache) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
-// Over relations whose link and correlation columns repeat heavily,
-// the cache's replays -- cached filters, cached permutations, whole
-// answers -- feed the distinct steps the same rows: answers, pairs and
-// degree evaluations match a cache-off run. One cache serves the whole
-// list, so later queries replay the inner filters and permutations
-// earlier ones cached.
+// Over relations whose link and correlation columns repeat heavily, a
+// cold run with a cache that already holds other queries' answers does
+// the distinct steps' work exactly: answers, pairs and degree
+// evaluations match a cache-off run, and the warm repeat matches its
+// answer.
 TEST(CacheDeterminismTest, DuplicateBindingsMatchCacheOff) {
   const char* kQueries[] = {
       "SELECT R.C0 FROM R WHERE R.C1 IN (SELECT S.C0 FROM S)",
@@ -327,13 +332,12 @@ TEST(CacheThetaSubsumptionTest, HigherThresholdEntryCannotAnswerLower) {
   EXPECT_GT(cache.stats().hits, hits_before);
 }
 
-TEST(CacheThetaSubsumptionTest, ThresholdCutEntriesCarryTheirCut) {
+TEST(CacheThetaSubsumptionTest, OnlyLowerThresholdAnswersServeARepeat) {
   // WITH D >= theta cuts the positive link's inner filter and windows on
-  // theta-cuts. At 0.9 the inner filter entry keeps only S tuples of
-  // degree >= 0.9; the 0.3 query cannot reuse the 0.9 result and must
-  // not reuse that entry either. The projection of R.C1 is a second
-  // query over the same inner block: its run at 0.3 must not reorder by
-  // the support-order permutation the unthresholded run cached.
+  // theta-cuts, so an answer computed at 0.9 lacks tuples the 0.3 query
+  // needs: the 0.3 query must run, not reuse it. The projection of R.C1
+  // is a second query over the same inner block with its own answer;
+  // its run at 0.3 is served from its unthresholded answer.
   const Catalog catalog = MakeCatalog(5);
   const std::string kProjectC1 =
       "SELECT R.C1 FROM R WHERE R.C1 IN "
@@ -368,9 +372,7 @@ TEST(CacheBudgetTest, DirectDenialIsObservableAndBalanced) {
   cache.set_capacity_bytes(1 << 20);
   QueryContext query;
   query.memory().set_limit(1);  // denies any non-trivial charge
-  auto perm = std::make_shared<CacheManager::Permutation>(
-      CacheManager::Permutation{0, 1, 2, 3});
-  EXPECT_FALSE(cache.InsertPermutation("k", perm, {}, &query));
+  EXPECT_FALSE(cache.InsertResult("k", 0.0, Answer(4), {}, &query));
   EXPECT_EQ(cache.used_bytes(), 0u);
   EXPECT_GE(cache.stats().denied, 1u);
   // Charge/Release are balanced even on the denial path.
@@ -401,73 +403,126 @@ TEST(CacheBudgetTest, DeniedInsertNeverFailsTheQuery) {
 TEST(CacheFailPointTest, EvictionUnderFaultStaysBalanced) {
   FailPoints::DisarmAll();
   CacheManager cache;
-  auto perm = [](size_t n) {
-    auto p = std::make_shared<CacheManager::Permutation>();
-    p->resize(n);
-    return p;
-  };
-  // Capacity fits two ~64KiB entries; the third insert must evict.
+  // Capacity fits two ~64KiB answers; the third insert must evict.
   cache.set_capacity_bytes(2 * 70 * 1024);
-  ASSERT_TRUE(cache.InsertPermutation("a", perm(16384), {}, nullptr));
-  ASSERT_TRUE(cache.InsertPermutation("b", perm(16384), {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("a", 0.0, Answer(680), {}, nullptr));
+  ASSERT_TRUE(cache.InsertResult("b", 0.0, Answer(680), {}, nullptr));
 
   FailPoints::Arm("cache/evict", /*failures=*/1);
   // The eviction completes (LRU "a" leaves, bytes balanced); the insert
   // in flight is abandoned.
-  EXPECT_FALSE(cache.InsertPermutation("c", perm(16384), {}, nullptr));
+  EXPECT_FALSE(cache.InsertResult("c", 0.0, Answer(680), {}, nullptr));
   FailPoints::DisarmAll();
 
-  EXPECT_EQ(cache.LookupPermutation("a"), nullptr);
-  EXPECT_EQ(cache.LookupPermutation("c"), nullptr);
-  EXPECT_NE(cache.LookupPermutation("b"), nullptr);
+  EXPECT_EQ(cache.LookupResult("a", 0.0), nullptr);
+  EXPECT_EQ(cache.LookupResult("c", 0.0), nullptr);
+  EXPECT_NE(cache.LookupResult("b", 0.0), nullptr);
   EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
   // Zero-leak: dropping everything returns the accounting to zero.
   cache.Clear();
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
-TEST(CacheFailPointTest, SortedFileInsertUnderFaultLeavesNoFile) {
-  FailPoints::DisarmAll();
-  CacheManager cache;
-  cache.set_capacity_bytes(1 << 20);
-  const std::string path =
-      ::testing::TempDir() + "/fuzzydb_cache_sorted_run";
-  {
-    std::ofstream file(path);
-    file << "sorted payload";
-  }
-  FailPoints::Arm("cache/insert", /*failures=*/1);
-  // The cache takes the file (rename) before admission runs; on the
-  // injected fault it deletes its copy and reports the path consumed.
-  EXPECT_TRUE(cache.InsertSortedFile("srun|x", path, 4096, nullptr));
-  FailPoints::DisarmAll();
+// ---------------------------------------------------------------------
+// Invisibility: the cache changes nothing but whole-answer repeats
+// ---------------------------------------------------------------------
 
-  std::string cached_path;
-  EXPECT_FALSE(cache.LookupSortedFile("srun|x", &cached_path));
-  EXPECT_EQ(cache.used_bytes(), 0u);
-  std::ifstream gone(path);
-  EXPECT_FALSE(gone.good()) << "original path should be consumed";
+/// One traced run: its answer, its counters, and its span signature
+/// (name, rows in, rows out, in preorder).
+struct TracedRun {
+  Relation answer;
+  CpuStats cpu;
+  std::vector<std::tuple<std::string, uint64_t, uint64_t>> spans;
+  /// The root evaluate span was served from a cached answer.
+  bool answer_hit = false;
+};
+
+Result<TracedRun> RunTraced(const std::string& query, const Catalog& catalog,
+                            CacheManager* cache) {
+  auto bound = sql::ParseAndBind(query, catalog);
+  if (!bound.ok()) return bound.status();
+  ExecTrace trace;
+  ExecOptions options;
+  options.num_threads = 2;
+  options.cache = cache;
+  options.trace = &trace;
+  TracedRun run;
+  UnnestingEvaluator engine(options, &run.cpu);
+  auto answer = engine.Evaluate(**bound);
+  if (!answer.ok()) return answer.status();
+  run.answer = *std::move(answer);
+  for (const TraceNode& node : trace.nodes()) {
+    run.spans.emplace_back(node.name, node.input_rows, node.output_rows);
+  }
+  run.answer_hit = trace.nodes().at(0).detail.ends_with(" (cached)");
+  return run;
 }
 
-TEST(CacheFailPointTest, ClearUnlinksCachedSortedFiles) {
+// One cache serves a list of different queries that share an inner block
+// with a local predicate. A run that is not a whole-answer hit must do
+// exactly the work of a cache-off run: the same answer bits, the same
+// CpuStats, the same spans with the same rows. Only the final repeat,
+// served from the 0.3 answer, may differ, and only in work.
+TEST(CacheInvisibilityTest, EveryRunButAnAnswerHitMatchesCacheOff) {
+  const std::string kIn =
+      "SELECT R.C0 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 >= 2)";
+  const std::string kNotIn =
+      "SELECT R.C0 FROM R WHERE R.C1 NOT IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 >= 2)";
+  const std::string kProjectC2 =
+      "SELECT R.C2 FROM R WHERE R.C1 IN "
+      "(SELECT S.C0 FROM S WHERE S.C1 >= 2)";
+  const std::string queries[] = {
+      kIn + " WITH D >= 0.9",
+      kNotIn + " WITH D >= 0.9",
+      kProjectC2 + " WITH D >= 0.9",
+      kIn + " WITH D >= 0.3",
+      kNotIn + " WITH D >= 0.3",
+      kProjectC2 + " WITH D >= 0.3",
+      kIn + " WITH D >= 0.9",
+  };
+  const Catalog catalog = MakeCatalog(17);
   CacheManager cache;
-  cache.set_capacity_bytes(1 << 20);
-  const std::string path =
-      ::testing::TempDir() + "/fuzzydb_cache_sorted_run2";
-  {
-    std::ofstream file(path);
-    file << "sorted payload";
+  cache.set_capacity_bytes(32 << 20);
+  size_t answer_hits = 0;
+  for (const std::string& query : queries) {
+    ASSERT_OK_AND_ASSIGN(TracedRun off, RunTraced(query, catalog, nullptr));
+    ASSERT_OK_AND_ASSIGN(TracedRun on, RunTraced(query, catalog, &cache));
+    EXPECT_TRUE(off.answer.EquivalentTo(on.answer, 0.0)) << query;
+    EXPECT_EQ(off.answer.NumTuples(), on.answer.NumTuples()) << query;
+    if (on.answer_hit) {
+      ++answer_hits;
+      continue;
+    }
+    EXPECT_GT(off.cpu.degree_evaluations, 0u) << query;
+    EXPECT_EQ(on.cpu, off.cpu) << query;
+    EXPECT_EQ(on.spans, off.spans) << query;
   }
-  ASSERT_TRUE(cache.InsertSortedFile("srun|y", path, 4096, nullptr));
-  std::string cached_path;
-  ASSERT_TRUE(cache.LookupSortedFile("srun|y", &cached_path));
-  {
-    std::ifstream present(cached_path);
-    ASSERT_TRUE(present.good());
-  }
-  cache.Clear();
-  std::ifstream gone(cached_path);
-  EXPECT_FALSE(gone.good()) << "Clear() must unlink cache-owned files";
+  // Only the last query repeats one at a threshold a cached answer
+  // subsumes.
+  EXPECT_EQ(answer_hits, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// A warm repeat is one cached evaluate span that examines nothing.
+TEST(CacheInvisibilityTest, WarmRepeatIsOneCachedEvaluateSpan) {
+  const Catalog catalog = MakeCatalog(19);
+  CacheManager cache;
+  cache.set_capacity_bytes(32 << 20);
+  ASSERT_OK_AND_ASSIGN(TracedRun cold,
+                       RunTraced(kTypeJQuery, catalog, &cache));
+  EXPECT_FALSE(cold.answer_hit);
+  EXPECT_GT(cold.cpu.tuple_pairs, 0u);
+  ASSERT_OK_AND_ASSIGN(TracedRun warm,
+                       RunTraced(kTypeJQuery, catalog, &cache));
+  EXPECT_TRUE(warm.answer_hit);
+  ASSERT_EQ(warm.spans.size(), 1u);
+  EXPECT_EQ(std::get<0>(warm.spans[0]), "evaluate");
+  EXPECT_EQ(std::get<2>(warm.spans[0]), cold.answer.NumTuples());
+  EXPECT_EQ(warm.cpu.tuple_pairs, 0u);
+  EXPECT_EQ(warm.cpu.degree_evaluations, 0u);
+  EXPECT_TRUE(cold.answer.EquivalentTo(warm.answer, 0.0));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(DatabaseStoreTest, RoundTripsThePaperDatabase) {
   ASSERT_OK_AND_ASSIGN(Catalog loaded, LoadDatabase(dir, &pool));
 
   // Relations survive with identical tuples and degrees.
-  for (const std::string& name : {"F", "M"}) {
+  for (const char* name : {"F", "M"}) {
     ASSERT_OK_AND_ASSIGN(const Relation* before, original.GetRelation(name));
     ASSERT_OK_AND_ASSIGN(const Relation* after, loaded.GetRelation(name));
     EXPECT_EQ(before->schema().ToString(), after->schema().ToString());

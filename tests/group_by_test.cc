@@ -71,9 +71,13 @@ TEST_F(GroupByTest, CountCountsDistinctValuesPerGroup) {
     const std::string dept = t.ValueAt(0).AsString();
     const double count = t.ValueAt(1).AsFuzzy().CrispValue();
     // toys: {10, 30} (the duplicate 10 merges); books: 2; tools: 1.
-    if (dept == "toys") EXPECT_DOUBLE_EQ(count, 2.0);
-    if (dept == "books") EXPECT_DOUBLE_EQ(count, 2.0);
-    if (dept == "tools") EXPECT_DOUBLE_EQ(count, 1.0);
+    if (dept == "toys") {
+      EXPECT_DOUBLE_EQ(count, 2.0);
+    } else if (dept == "books") {
+      EXPECT_DOUBLE_EQ(count, 2.0);
+    } else if (dept == "tools") {
+      EXPECT_DOUBLE_EQ(count, 1.0);
+    }
   }
 }
 

@@ -57,7 +57,9 @@ TEST(IntervalOrderTest, IsStrictWeakOrdering) {
   for (const auto& x : values) {
     EXPECT_FALSE(IntervalOrderLess(x, x));
     for (const auto& y : values) {
-      if (IntervalOrderLess(x, y)) EXPECT_FALSE(IntervalOrderLess(y, x));
+      if (IntervalOrderLess(x, y)) {
+        EXPECT_FALSE(IntervalOrderLess(y, x));
+      }
       // Transitivity.
       for (const auto& z : values) {
         if (IntervalOrderLess(x, y) && IntervalOrderLess(y, z)) {

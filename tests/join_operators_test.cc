@@ -338,6 +338,58 @@ TEST(ExecutorTest, ThresholdPushdownKeepsAnswersAndShrinksWork) {
   RemoveFileIfExists(TempPath("th_s"));
 }
 
+TEST(ExecutorTest, MergeJoinKeepsPairsThatRoundingSeparates) {
+  // Each pair's equality degree computes to d, yet its alpha-cuts at d,
+  // computed as a + d * (b - a) and d - d * (d - c), miss each other by
+  // rounding (the pairs of PairJoinTest's
+  // CutWindowKeepsPairsThatRoundingSeparates). At threshold d the file
+  // merge-join must keep the answer row the nested loop keeps.
+  const std::pair<Trapezoid, Trapezoid> kPairs[] = {
+      {Trapezoid(-0.740944657821478, 0.38291527574883943,
+                 0.59827362747664292, 2.5556872087520537),
+       Trapezoid(-2.3835613268292386, -2.0984852739140862,
+                 -1.1898305889164957, 2.9870231606929147)},
+      {Trapezoid(-2136727.7850868306, -905272.27626099065,
+                 373410.21998188359, 568665.55201045889),
+       Trapezoid(-2750128.3783704871, -2242289.40467731,
+                 -1016101.9582802539, 420274.78109537909)},
+  };
+  for (const auto& [y, z] : kPairs) {
+    Relation r("R", Schema({Column{"X", ValueType::kFuzzy},
+                            Column{"Y", ValueType::kFuzzy},
+                            Column{"U", ValueType::kFuzzy}}));
+    Relation s("S", Schema({Column{"Z", ValueType::kFuzzy},
+                            Column{"V", ValueType::kFuzzy}}));
+    ASSERT_OK(r.Append(Tuple(
+        {Value::Number(1), Value::Fuzzy(y), Value::Number(0)}, 1.0)));
+    ASSERT_OK(s.Append(Tuple({Value::Fuzzy(z), Value::Number(0)}, 1.0)));
+    BufferPool setup_pool(8);
+    ASSERT_OK_AND_ASSIGN(
+        auto r_file, WriteRelationToFile(r, TempPath("rd_r"), &setup_pool, 128));
+    ASSERT_OK_AND_ASSIGN(
+        auto s_file, WriteRelationToFile(s, TempPath("rd_s"), &setup_pool, 128));
+
+    TypeJQuerySpec query;
+    query.threshold = Value::Fuzzy(y).Compare(CompareOp::kEq, Value::Fuzzy(z));
+    ASSERT_OK_AND_ASSIGN(
+        RunResult nested,
+        RunTypeJNestedLoop(r_file.get(), s_file.get(), query, 8));
+    ASSERT_OK_AND_ASSIGN(
+        RunResult merged,
+        RunTypeJMergeJoin(r_file.get(), s_file.get(), query, 8,
+                          TempPath("rd_tmp"), 128));
+    EXPECT_EQ(nested.answer.NumTuples(), 1u) << query.threshold;
+    EXPECT_TRUE(nested.answer.EquivalentTo(merged.answer, 0.0))
+        << "threshold " << query.threshold << ": merge join kept "
+        << merged.answer.NumTuples() << " rows";
+
+    r_file.reset();
+    s_file.reset();
+    RemoveFileIfExists(TempPath("rd_r"));
+    RemoveFileIfExists(TempPath("rd_s"));
+  }
+}
+
 TEST(ExecutorTest, NestedLoopAndMergeJoinRunnersAgree) {
   for (uint64_t seed : {31, 32}) {
     WorkloadConfig config;

@@ -285,7 +285,9 @@ TEST(MetricsRegistryTest, TextJsonAndRelationAgree) {
     ASSERT_EQ(row.NumValues(), 2u);
     const std::string& name = row.ValueAt(0).AsString();
     const double value = row.ValueAt(1).AsFuzzy().a();  // crisp trapezoid
-    if (name == "test_agree_total") EXPECT_DOUBLE_EQ(value, 41.0);
+    if (name == "test_agree_total") {
+      EXPECT_DOUBLE_EQ(value, 41.0);
+    }
     // Every relation row must appear as a text line verbatim.
     const size_t at = text.find(name + " ");
     ASSERT_NE(at, std::string::npos) << name;

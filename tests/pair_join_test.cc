@@ -143,7 +143,7 @@ JoinRun RunPairJoin(const Relation& outer_rel, const Relation& inner_rel,
       FoldOperand::Outer(1), CompareOp::kLe, FoldOperand::Local(1)}};
   const size_t batch_size = EffectiveBatchSize(ctx);
   std::vector<WorkerLog> logs(WorkerSlots(ctx));
-  const PairKey key{0, 0, nullptr, cut};
+  const PairKey key{0, 0, cut};
   JoinRun run;
   EXPECT_OK(PairJoin(
       outer, &inner, keyed ? &key : nullptr, ctx, &run.cpu, nullptr,

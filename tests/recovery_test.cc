@@ -116,7 +116,9 @@ TEST(RecoveryTest, CrashMatrixMatchesUncrashedControlAtEveryThreadCount) {
     control.set_quiet(true);
     ASSERT_TRUE(Feed(&control, "CREATE TABLE T (X FUZZY);"));
     for (int i = 0; i < kBatch; ++i) {
-      if (acked[i]) ASSERT_TRUE(Feed(&control, InsertStatement(i)));
+      if (acked[i]) {
+        ASSERT_TRUE(Feed(&control, InsertStatement(i)));
+      }
     }
 
     Shell recovered;
@@ -176,7 +178,9 @@ TEST(RecoveryTest, FailedCheckpointKeepsEveryAcknowledgedStatement) {
                        wal::ReadCheckpointMeta(dir));
   const std::vector<std::string> images = EntriesWithSuffix(dir, "");
   for (const std::string& name : images) {
-    if (name.rfind("ckpt_", 0) == 0) EXPECT_EQ(name, meta.image_dir);
+    if (name.rfind("ckpt_", 0) == 0) {
+      EXPECT_EQ(name, meta.image_dir);
+    }
   }
 }
 
